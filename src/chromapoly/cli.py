@@ -2,7 +2,8 @@
 
 Subcommands: poly, eval, gadget (emit|certify), identity (run|run-all),
 audit, cocircuits.  All numeric JSON fields are decimal strings; output is
-deterministic given the inputs and seed, regardless of worker count.
+deterministic given the inputs and seed.  ``--workers`` is accepted and
+validated, but every command runs single-threaded.
 
 Exit codes: 0 success, 2 input error, 3 budget exceeded, 4 identity or
 certification failure.
@@ -73,8 +74,7 @@ def _cmd_poly(args, config: Config) -> int:
     prop = parse_property(args.prop)
     payload = {"graph": fingerprint(g), "property": prop.name}
     try:
-        poly = chi_polynomial(g, prop, config.enumeration_budget,
-                              config.worker_count)
+        poly = chi_polynomial(g, prop, config.enumeration_budget)
     except NotPolynomialError as exc:
         payload["audit"] = _audit_payload(exc.report)
         payload["counts_at"] = _counts_at(g, prop, config)
@@ -113,7 +113,11 @@ def _counts_at(g, prop, config: Config) -> dict:
 def _cmd_eval(args, config: Config) -> int:
     g = load_graph(args.graph)
     prop = parse_property(args.prop)
-    point = Fraction(args.point)
+    try:
+        point = Fraction(args.point)
+    except ZeroDivisionError:
+        raise ValueError(
+            f"point has a zero denominator: {args.point!r}") from None
     payload = {"graph": fingerprint(g), "property": prop.name,
                "point": str(point), "fast": None}
     fast_value = None
@@ -126,8 +130,7 @@ def _cmd_eval(args, config: Config) -> int:
             fast_value = convex_fast(g, k)
             payload["fast"] = "cocircuit"
     try:
-        poly = chi_polynomial(g, prop, config.enumeration_budget,
-                              config.worker_count)
+        poly = chi_polynomial(g, prop, config.enumeration_budget)
         value = poly.eval(point)
     except NotPolynomialError as exc:
         if point.denominator != 1 or point < 0:
@@ -254,8 +257,7 @@ def _cmd_identity_run(args, config: Config) -> int:
 
 
 def _cmd_identity_run_all(args, config: Config) -> int:
-    results = identities.run_all(_bounds_from_args(args), config.seed,
-                                 config.worker_count)
+    results = identities.run_all(_bounds_from_args(args), config.seed)
     payload = {"identities": [_identity_payload(r) for r in results],
                "passed": all(r.passed for r in results)}
     _emit(payload, config)
@@ -279,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--budget", type=int, default=None,
                         help=f"enumeration budget (or env {BUDGET_ENV})")
-    common.add_argument("--workers", type=int, default=1)
+    common.add_argument("--workers", type=int, default=1,
+                        help="accepted and validated; runs single-threaded")
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--format", choices=("json", "text"), default="json")
     common.add_argument("--json", action="store_const", const="json",
@@ -344,16 +347,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _budget_from(args) -> int:
+    if args.budget is not None:
+        return args.budget
+    env = os.environ.get(BUDGET_ENV)
+    if not env:
+        return counting.DEFAULT_BUDGET
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(
+            f"{BUDGET_ENV} must be an integer, got {env!r}") from None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    budget = args.budget
-    if budget is None and os.environ.get(BUDGET_ENV):
-        budget = int(os.environ[BUDGET_ENV])
-    if budget is None:
-        budget = counting.DEFAULT_BUDGET
     try:
-        config = Config(budget, args.workers, args.format, args.seed)
+        config = Config(_budget_from(args), args.workers, args.format,
+                        args.seed)
     except ValueError as exc:
         print(json.dumps({"error": {"code": "input", "message": str(exc)}},
                          sort_keys=True, separators=(",", ":")))

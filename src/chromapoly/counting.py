@@ -3,10 +3,11 @@
 The two independent routes everything else is checked against:
 
 * ``brute_count_at`` -- plain enumeration of all k^D colorings; the oracle.
-* ``exact_color_count`` -- i! times the number of set partitions of the
+* the partition engine -- i! times the number of set partitions of the
   domain into exactly i blocks whose canonical coloring satisfies the
-  property.  Valid whenever the property passes the polynomiality audit;
-  feeds the binomial-basis polynomial directly.
+  property, for every i in one pass.  Valid whenever the property passes the
+  polynomiality audit; ``chi_polynomial``, ``count_profile``,
+  ``exact_color_count`` and ``pruned_count_at`` all read it.
 
 Fast special cases (the harmonious per-k algorithm, the convex/cocircuit
 count) and the interpolation chains that recover a polynomial from shifted
@@ -22,9 +23,9 @@ from math import comb, factorial
 
 from .errors import BudgetExceededError, NotPolynomialError
 from .graphs import (
-    Graph, bits, cocircuit_counts, complete_graph, connected_components,
-    disjoint_union, fingerprint, induced_subgraph, is_isomorphic, join,
-    line_graph, star_graph, strip_isolated,
+    Graph, bits, box_join, cocircuit_counts, complete_graph,
+    connected_components, disjoint_union, fingerprint, induced_subgraph,
+    is_isomorphic, join, line_graph, star_graph, strip_isolated,
 )
 from .polynomials import (
     Poly, bell_number, from_binomial, lagrange_interpolate, stirling2,
@@ -55,21 +56,126 @@ def _domain_size(g: Graph, prop: ColoringProperty) -> int:
     return g.edge_count
 
 
-def _sum_tasks(tasks, fn, workers: int) -> int:
-    """Deterministic sum of independent subcounts; worker count never
-    changes the result, only the scheduling."""
-    if workers <= 1 or len(tasks) <= 1:
-        return sum(fn(t) for t in tasks)
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(fn, tasks))
+def _prune_bound(prop: ColoringProperty):
+    """(bound, pattern) for the class-local families whose violations only
+    grow: a monochromatic component larger than ``bound`` never recovers.
+    ``pattern`` is the graph every du component must match at the leaf.
+    The bound is None for properties checked on complete colorings only."""
+    if prop.domain == "vertex":
+        if prop.family == "proper":
+            return 1, None
+        if prop.family == "mcc":
+            return prop.param, None
+        if prop.family == "du":
+            return prop.param.n, prop.param
+    return None, None
+
+
+def _partition_counts(g: Graph, prop: ColoringProperty, lo: int, hi: int,
+                      budget: int | None,
+                      what: str = "partition enumeration") -> list[int]:
+    """p[i] for 0 <= i <= hi: set partitions of the domain into exactly i
+    blocks whose canonical block coloring satisfies the property, counted in
+    one pass over restricted-growth strings (Knuth, TAOCP 4A 7.2.1.5).
+    Entries below ``lo`` are 0: branches that cannot reach lo blocks are cut.
+
+    Proper, mcc and du are pruned as soon as a block's monochromatic
+    component outgrows the family bound; components are kept incrementally
+    as disjoint bitmasks per block.  Every other property is checked on the
+    complete coloring.  Each node visited counts one step against the budget.
+    """
+    d = _domain_size(g, prop)
+    counts = [0] * (hi + 1)
+    if lo > min(d, hi):
+        return counts
+    limit = _budget(budget)
+    steps = 0
+    checker = prop.checker
+    bound, pattern = _prune_bound(prop)
+    adj = g.adj
+    colors = [0] * d
+    comps: list[list[int]] = []     # per block, disjoint component masks
+
+    def leaf_ok(used: int) -> bool:
+        if bound is None:
+            return checker(g, tuple(colors), used)
+        if pattern is None:
+            return True
+        return all(comp.bit_count() == pattern.n and is_isomorphic(
+            induced_subgraph(g, bits(comp)), pattern)
+            for per_block in comps for comp in per_block)
+
+    def rec(pos: int, used: int):
+        nonlocal steps
+        steps += 1
+        if steps > limit:
+            raise BudgetExceededError(steps, limit, what)
+        if pos == d:
+            if leaf_ok(used):
+                counts[used] += 1
+            return
+        # joining an existing block keeps the block count, so it is open
+        # only while the remaining elements can still reach lo blocks
+        join = d - pos > lo - used
+        if bound is None:
+            if join:
+                for b in range(1, used + 1):
+                    colors[pos] = b
+                    rec(pos + 1, used)
+            if used < hi:
+                colors[pos] = used + 1
+                rec(pos + 1, used + 1)
+            return
+        bit, nb = 1 << pos, adj[pos]
+        if join:
+            for b in range(used):
+                per_block = comps[b]
+                touched = bit
+                keep = []
+                for m in per_block:
+                    if m & nb:
+                        touched |= m
+                    else:
+                        keep.append(m)
+                if touched.bit_count() > bound:
+                    continue
+                keep.append(touched)
+                comps[b] = keep
+                rec(pos + 1, used)
+                comps[b] = per_block
+        if used < hi:
+            comps.append([bit])
+            rec(pos + 1, used + 1)
+            comps.pop()
+
+    rec(0, 0)
+    return counts
+
+
+def _exact_counts(g: Graph, prop: ColoringProperty, lo: int, hi: int,
+                  budget: int | None) -> list[int]:
+    """c[i] for lo <= i <= hi, indexed by i: colorings whose range is
+    exactly the first i colors.
+
+    The partition route assumes the count depends only on |I|; for a suspect
+    property the plain counts are taken once and combined by
+    inclusion-exclusion instead.
+    """
+    if not prop.known_polynomial:
+        top = min(hi, _domain_size(g, prop))
+        plain = [brute_count_at(g, prop, j, budget) for j in range(top + 1)]
+        return [sum((-1) ** (i - j) * comb(i, j) * plain[j]
+                    for j in range(i + 1))
+                for i in range(top + 1)] + [0] * (hi - top)
+    p = _partition_counts(g, prop, lo, hi, budget)
+    return [factorial(i) * c for i, c in enumerate(p)]
 
 
 # ---------------------------------------------------------------------------
 # the two exact routes
 
 def brute_count_at(g: Graph, prop: ColoringProperty, k: int,
-                   budget: int | None = None, workers: int = 1) -> int:
+                   budget: int | None = None) -> int:
     """Count colorings with palette [k] by full enumeration."""
     if k < 0:
         raise ValueError("palette size must be nonnegative")
@@ -78,80 +184,23 @@ def brute_count_at(g: Graph, prop: ColoringProperty, k: int,
     checker = prop.checker
     if d == 0:
         return 1 if checker(g, (), k) else 0
-    if k == 0:
-        return 0
-    if workers <= 1:
-        return sum(1 for colors in product(range(1, k + 1), repeat=d)
-                   if checker(g, colors, k))
-
-    def count_with_first(c1: int) -> int:
-        return sum(1 for rest in product(range(1, k + 1), repeat=d - 1)
-                   if checker(g, (c1,) + rest, k))
-
-    return _sum_tasks(list(range(1, k + 1)), count_with_first, workers)
+    return sum(1 for colors in product(range(1, k + 1), repeat=d)
+               if checker(g, colors, k))
 
 
 def exact_color_count(g: Graph, prop: ColoringProperty, i: int,
-                      budget: int | None = None, workers: int = 1) -> int:
+                      budget: int | None = None) -> int:
     """Number of colorings that use exactly i colors (all i present).
 
     Computed as i! times the number of set partitions of the domain into
-    exactly i blocks whose canonical block coloring satisfies the property;
-    partitions are enumerated as restricted-growth strings.
+    exactly i blocks whose canonical block coloring satisfies the property.
     """
     if i < 0:
         raise ValueError("color count must be nonnegative")
-    d = _domain_size(g, prop)
-    checker = prop.checker
-    if i == 0:
-        return 1 if d == 0 and checker(g, (), 0) else 0
-    if i > d:
-        return 0
-    if not prop.known_polynomial:
-        # the partition route assumes the count depends only on |I|; for a
-        # suspect property fall back to inclusion-exclusion over plain
-        # counts, yielding colorings with range exactly the first i colors
-        return sum((-1) ** (i - j) * comb(i, j)
-                   * brute_count_at(g, prop, j, budget) for j in range(i + 1))
-    _check_budget(stirling2(d, i), budget, "partition enumeration")
-
-    def complete(prefix: tuple[int, ...], used: int) -> int:
-        arr = list(prefix) + [0] * (d - len(prefix))
-
-        def rec(pos: int, used: int) -> int:
-            if d - pos < i - used:
-                return 0
-            if pos == d:
-                return 1 if used == i and checker(g, tuple(arr), i) else 0
-            total = 0
-            for b in range(1, used + 1):
-                arr[pos] = b
-                total += rec(pos + 1, used)
-            if used < i:
-                arr[pos] = used + 1
-                total += rec(pos + 1, used + 1)
-            return total
-
-        return rec(len(prefix), used)
-
-    if workers <= 1:
-        return factorial(i) * complete((1,), 1)
-
-    depth = min(d, 4)
-    prefixes: list[tuple[tuple[int, ...], int]] = []
-
-    def expand(prefix: tuple[int, ...], used: int):
-        if len(prefix) == depth:
-            prefixes.append((prefix, used))
-            return
-        for b in range(1, used + 1):
-            expand(prefix + (b,), used)
-        if used < i:
-            expand(prefix + (used + 1,), used + 1)
-
-    expand((1,), 1)
-    total = _sum_tasks(prefixes, lambda pu: complete(pu[0], pu[1]), workers)
-    return factorial(i) * total
+    if prop.known_polynomial:
+        _check_budget(stirling2(_domain_size(g, prop), i), budget,
+                      "partition enumeration")
+    return _exact_counts(g, prop, i, i, budget)[i]
 
 
 @dataclass(frozen=True)
@@ -163,10 +212,9 @@ class CountProfile:
 
 
 def count_profile(g: Graph, prop: ColoringProperty,
-                  budget: int | None = None, workers: int = 1) -> CountProfile:
+                  budget: int | None = None) -> CountProfile:
     d = _domain_size(g, prop)
-    counts = tuple(exact_color_count(g, prop, i, budget, workers)
-                   for i in range(1, d + 1))
+    counts = tuple(_exact_counts(g, prop, 1, d, budget)[1:])
     return CountProfile(counts, prop.name, fingerprint(g))
 
 
@@ -177,8 +225,7 @@ def hat_chi(g: Graph, prop: ColoringProperty, k: int,
 
 
 def chi_polynomial(g: Graph, prop: ColoringProperty,
-                   budget: int | None = None, workers: int = 1,
-                   audit: str = "auto") -> Poly:
+                   budget: int | None = None, audit: str = "auto") -> Poly:
     """The counting polynomial in the binomial basis, coefficients c(0..D).
 
     Properties not known to be palette-stable are audited first; a failing
@@ -193,9 +240,7 @@ def chi_polynomial(g: Graph, prop: ColoringProperty,
             raise NotPolynomialError(report)
     d = _domain_size(g, prop)
     _check_budget(bell_number(d), budget, "partition enumeration")
-    coeffs = [exact_color_count(g, prop, i, budget, workers)
-              for i in range(d + 1)]
-    return from_binomial(coeffs)
+    return from_binomial(_exact_counts(g, prop, 0, d, budget))
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +286,8 @@ def polynomiality_audit(g: Graph, prop: ColoringProperty, k_max: int = 4,
     (A) the exact-color count depends on a color set only through its size;
     (B) the count for a fixed color set does not depend on the palette size.
     """
+    if k_max < 1:
+        raise ValueError("audit needs k_max >= 1")
     d = _domain_size(g, prop)
     _check_budget(sum(k ** d if k >= 2 else 1 for k in range(1, k_max + 1)),
                   budget, "audit enumeration")
@@ -319,10 +366,9 @@ def convex_fast(g: Graph, k: int) -> int:
     return 2 + 2 * total
 
 
-def edge_chi_polynomial(g: Graph, budget: int | None = None,
-                        workers: int = 1) -> Poly:
+def edge_chi_polynomial(g: Graph, budget: int | None = None) -> Poly:
     """Proper edge colorings, via the chromatic polynomial of the line graph."""
-    return chi_polynomial(line_graph(g), _PROPER, budget, workers)
+    return chi_polynomial(line_graph(g), _PROPER, budget)
 
 
 def edge_chi(g: Graph, k: int, budget: int | None = None) -> int:
@@ -331,79 +377,20 @@ def edge_chi(g: Graph, k: int, budget: int | None = None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# pruned enumeration (definition-sound backtracking, for larger gadget graphs)
+# per-palette counts from the partition engine (for larger gadget graphs)
 
 def pruned_count_at(g: Graph, prop: ColoringProperty, k: int,
                     budget: int | None = None) -> int:
-    """Same count as brute_count_at, via backtracking with monotone pruning.
-
-    Sound for the class-local families whose violations only grow: a
-    monochromatic component larger than the family bound can never recover,
-    so the branch is cut as soon as one appears.  Monochromatic components
-    are maintained incrementally as disjoint bitmasks per color.  Falls back
-    to plain enumeration for other properties.
+    """Same count as brute_count_at, from one pass of the partition engine:
+    the sum over i <= k of C(k, i) * i! * p(i), where p(i) counts the valid
+    partitions into i blocks.  Proper, mcc and du prune as they go.  A
+    property not known to be polynomial falls back to plain enumeration.
     """
-    if prop.domain != "vertex":
+    if k < 0 or not prop.known_polynomial:
         return brute_count_at(g, prop, k, budget)
-    if prop.family == "mcc":
-        bound, pattern = prop.param, None
-    elif prop.family == "du":
-        bound, pattern = prop.param.n, prop.param
-    elif prop.family == "proper":
-        bound, pattern = 1, None
-    else:
-        return brute_count_at(g, prop, k, budget)
-    if k == 0 or g.n == 0:
-        return 1 if g.n == 0 else 0
-
-    adj = g.adj
-    n = g.n
-    limit = _budget(budget)
-    steps = 0
-    comps: list[list[int]] = [[] for _ in range(k)]  # per color, disjoint masks
-
-    def final_ok() -> bool:
-        if pattern is None:
-            return True
-        pn = pattern.n
-        for per_color in comps:
-            for comp in per_color:
-                if comp.bit_count() != pn:
-                    return False
-                if not is_isomorphic(induced_subgraph(g, bits(comp)), pattern):
-                    return False
-        return True
-
-    def rec(v: int) -> int:
-        nonlocal steps
-        steps += 1
-        if steps > limit:
-            raise BudgetExceededError(steps, limit, "pruned enumeration")
-        if v == n:
-            return 1 if final_ok() else 0
-        total = 0
-        bit = 1 << v
-        nb = adj[v]
-        # color symmetry: the first vertex pins one color class
-        palette = 1 if v == 0 else k
-        for c in range(palette):
-            per_color = comps[c]
-            touched = bit
-            keep = []
-            for m in per_color:
-                if m & nb:
-                    touched |= m
-                else:
-                    keep.append(m)
-            if touched.bit_count() > bound:
-                continue
-            keep.append(touched)
-            comps[c] = keep
-            total += rec(v + 1)
-            comps[c] = per_color
-        return total
-
-    return k * rec(0)
+    hi = min(k, _domain_size(g, prop))
+    p = _partition_counts(g, prop, 0, hi, budget, "pruned enumeration")
+    return sum(comb(k, i) * factorial(i) * c for i, c in enumerate(p))
 
 
 def count_clique_partitions(g: Graph, alpha: int) -> int:
@@ -464,54 +451,43 @@ def interpolation_chain(g: Graph, prop: ColoringProperty, construction: str,
     every cofactor in the chain is nonzero.
     """
     c = construction.lower()
+    e = g.edge_count
     if c in ("join_kn", "join"):
-        if prop.family != "proper":
-            raise ValueError("join chain applies to proper colorings")
-        a = max_n + 1 if point is None else point
-        pts = []
-        for m in range(max_n + 1):
-            cof = _falling_value(a, m)
-            if cof == 0:
-                raise ValueError(
-                    f"cofactor vanishes at point {a}; choose a different point")
-            val = brute_count_at(join(g, complete_graph(m)), prop, a, budget)
-            pts.append((Fraction(a - m), Fraction(val, cof)))
-        return lagrange_interpolate(pts)
+        name, family, default = "join", "proper", max_n + 1
 
-    if c in ("box_join", "box_join_h", "box"):
-        if prop.family != "du":
-            raise ValueError("box-join chain applies to du colorings")
-        pattern = prop.param
-        a = max_n + 1 if point is None else point
-        pts = []
-        gi = g
-        from .graphs import box_join
-        for i in range(max_n + 1):
-            cof = _falling_value(a, i)
-            if cof == 0:
-                raise ValueError(
-                    f"cofactor vanishes at point {a}; choose a different point")
-            val = brute_count_at(gi, prop, a, budget)
-            pts.append((Fraction(a - i), Fraction(val, cof)))
-            if i < max_n:
-                gi = box_join(gi, pattern, 0)
-        return lagrange_interpolate(pts)
+        def chain(a: int):
+            for m in range(max_n + 1):
+                yield (join(g, complete_graph(m)), a, a - m,
+                       _falling_value(a, m))
+    elif c in ("box_join", "box_join_h", "box"):
+        name, family, default = "box-join", "du", max_n + 1
 
-    if c in ("disjoint_star", "star"):
-        if prop.family != "proper":
-            raise ValueError("star chain applies to proper colorings")
-        e = g.edge_count
-        a = e + max_n + 2 if point is None else point
-        pts = []
-        for m in range(max_n + 1):
-            km = a - e - m
-            cof = km * (km - 1) ** m
-            if km < 0 or cof == 0:
-                raise ValueError(
-                    f"cofactor vanishes at point {a}; choose a different point")
-            val = brute_count_at(disjoint_union(g, star_graph(m)), prop, km,
-                                 budget)
-            pts.append((Fraction(km), Fraction(val, cof)))
-        return lagrange_interpolate(pts)
+        def chain(a: int):
+            gi = g
+            for i in range(max_n + 1):
+                yield gi, a, a - i, _falling_value(a, i)
+                if i < max_n:
+                    gi = box_join(gi, prop.param, 0)
+    elif c in ("disjoint_star", "star"):
+        name, family, default = "star", "proper", e + max_n + 2
 
-    raise ValueError(f"unknown chain construction: {construction!r}")
+        def chain(a: int):
+            for m in range(max_n + 1):
+                km = a - e - m
+                yield (disjoint_union(g, star_graph(m)), km, km,
+                       km * (km - 1) ** m)
+    else:
+        raise ValueError(f"unknown chain construction: {construction!r}")
+    if prop.family != family:
+        raise ValueError(f"{name} chain applies to {family} colorings")
+
+    a = default if point is None else point
+    pts = []
+    # each step: (graph, palette, abscissa, cofactor at that palette)
+    for graph, k, x, cof in chain(a):
+        if k < 0 or cof == 0:
+            raise ValueError(
+                f"cofactor vanishes at point {a}; choose a different point")
+        val = brute_count_at(graph, prop, k, budget)
+        pts.append((Fraction(x), Fraction(val, cof)))
+    return lagrange_interpolate(pts)

@@ -12,8 +12,7 @@ from fractions import Fraction
 from math import comb
 
 from .cnf import CnfInstance, alpha_of, clause_width, count_models
-from .counting import DEFAULT_BUDGET, pruned_count_at
-from .errors import BudgetExceededError
+from .counting import _check_budget, pruned_count_at
 from .graphs import (
     Graph, build_graph, cocircuit_counts, count_cuts_by_size, stretch,
 )
@@ -201,10 +200,7 @@ def certify_monotone_maxcut(cnf: CnfInstance,
     graph, k = monotone2sat_to_maxcut(cnf)
     models = count_models(cnf, budget)
     m = len(cnf.clauses)
-    cost = 2 ** (graph.n - 1)
-    limit = DEFAULT_BUDGET if budget is None else budget
-    if cost > limit:
-        raise BudgetExceededError(cost, limit, "cut enumeration")
+    _check_budget(2 ** (graph.n - 1), budget, "cut enumeration")
     cuts = count_cuts_by_size(graph).get(k, 0)
     multiplier = None
     for c in (2, 3):
@@ -248,10 +244,7 @@ def certify_maxcut_cocircuits(g: Graph, k: int,
     """Size-k cuts of g versus size-k' cocircuits of the extended graph;
     the expected multiplier is 2^(n^2 + 1)."""
     gp, kp = maxcut_to_cocircuits(g, k)
-    cost = 2 ** (gp.n - 1)
-    limit = DEFAULT_BUDGET if budget is None else budget
-    if cost > limit:
-        raise BudgetExceededError(cost, limit, "cocircuit enumeration")
+    _check_budget(2 ** (gp.n - 1), budget, "cocircuit enumeration")
     cuts = count_cuts_by_size(g).get(k, 0)
     _, by_size = cocircuit_counts(gp)
     found = by_size.get(kp, 0)
@@ -280,10 +273,7 @@ def stretch_identity_check(g: Graph, length: int,
     per-size cocircuit counts of g."""
     m = g.edge_count
     gl = stretch(g, length)
-    cost = 2 ** max(gl.n - 1, 0)
-    limit = DEFAULT_BUDGET if budget is None else budget
-    if cost > limit:
-        raise BudgetExceededError(cost, limit, "cocircuit enumeration")
+    _check_budget(2 ** max(gl.n - 1, 0), budget, "cocircuit enumeration")
     lhs, _ = cocircuit_counts(gl)
     _, by_size = cocircuit_counts(g)
     rhs = sum(length ** size * cnt for size, cnt in by_size.items())

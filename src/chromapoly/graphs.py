@@ -368,6 +368,21 @@ def _require_connected_simple(g: Graph):
         raise ValueError("graph must be connected")
 
 
+def _shores(g: Graph):
+    """Each of the 2^(n-1) - 1 bipartitions into two nonempty shores once,
+    as (shore holding vertex 0, other shore) bitmasks."""
+    if g.n < 2:
+        return
+    full = (1 << g.n) - 1
+    for t in range(2 ** (g.n - 1) - 1):
+        x = 1 | (t << 1)
+        yield x, full & ~x
+
+
+def _crossing_size(g: Graph, x: int) -> int:
+    return sum(1 for u, v in g.edges if ((x >> u) ^ (x >> v)) & 1)
+
+
 def enumerate_cocircuits(g: Graph) -> CocircuitSummary:
     """Classify all 2^(n-1) - 1 shore bipartitions of a connected simple graph.
 
@@ -375,17 +390,12 @@ def enumerate_cocircuits(g: Graph) -> CocircuitSummary:
     removing the crossing set leaves exactly two components.
     """
     _require_connected_simple(g)
-    if g.n < 2:
-        return CocircuitSummary(0, {}, ())
     adj = g.adj
-    full = (1 << g.n) - 1
     by_size: dict[int, int] = {}
     reports = []
     total = 0
-    for t in range(2 ** (g.n - 1) - 1):
-        x = 1 | (t << 1)
-        y = full & ~x
-        size = sum(1 for u, v in g.edges if ((x >> u) ^ (x >> v)) & 1)
+    for x, y in _shores(g):
+        size = _crossing_size(g, x)
         coc = mask_connected(adj, x) and mask_connected(adj, y)
         if coc:
             total += 1
@@ -397,22 +407,14 @@ def enumerate_cocircuits(g: Graph) -> CocircuitSummary:
 def cocircuit_counts(g: Graph) -> tuple[int, dict[int, int]]:
     """Total and per-size cocircuit counts, without materializing reports."""
     _require_connected_simple(g)
-    if g.n < 2:
-        return 0, {}
     adj = g.adj
-    full = (1 << g.n) - 1
-    edges = g.edges
     by_size: dict[int, int] = {}
     total = 0
-    for t in range(2 ** (g.n - 1) - 1):
-        x = 1 | (t << 1)
-        if not mask_connected(adj, x):
-            continue
-        if not mask_connected(adj, full & ~x):
-            continue
-        size = sum(1 for u, v in edges if ((x >> u) ^ (x >> v)) & 1)
-        total += 1
-        by_size[size] = by_size.get(size, 0) + 1
+    for x, y in _shores(g):
+        if mask_connected(adj, x) and mask_connected(adj, y):
+            size = _crossing_size(g, x)
+            total += 1
+            by_size[size] = by_size.get(size, 0) + 1
     return total, dict(sorted(by_size.items()))
 
 
@@ -420,12 +422,9 @@ def count_cuts_by_size(g: Graph) -> dict[int, int]:
     """Number of vertex bipartitions (unordered, nonempty shores) per crossing size."""
     if not g.simple:
         raise ValueError("cut counting is defined on simple graphs")
-    if g.n < 2:
-        return {}
     out: dict[int, int] = {}
-    for t in range(2 ** (g.n - 1) - 1):
-        x = 1 | (t << 1)
-        size = sum(1 for u, v in g.edges if ((x >> u) ^ (x >> v)) & 1)
+    for x, _ in _shores(g):
+        size = _crossing_size(g, x)
         out[size] = out.get(size, 0) + 1
     return dict(sorted(out.items()))
 

@@ -95,7 +95,8 @@ def _shrink(g: Graph, still_fails: Callable[[Graph], bool]) -> Graph:
                     g = candidate
                     changed = True
                     break
-            except Exception:
+            except ValueError:
+                # e.g. a cut identity on a candidate that fell apart
                 continue
     return g
 
@@ -332,13 +333,8 @@ def run_identity(name: str, bounds: Bounds | None = None,
     return REGISTRY[name](bounds, rng)
 
 
-def run_all(bounds: Bounds | None = None, seed: int = 0,
-            workers: int = 1) -> list[IdentityResult]:
+def run_all(bounds: Bounds | None = None,
+            seed: int = 0) -> list[IdentityResult]:
     """Run every registered identity; each gets its own seeded generator so
-    results do not depend on execution order or worker count."""
-    names = list(REGISTRY)
-    if workers <= 1:
-        return [run_identity(n, bounds, seed) for n in names]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda n: run_identity(n, bounds, seed), names))
+    results do not depend on execution order."""
+    return [run_identity(n, bounds, seed) for n in REGISTRY]

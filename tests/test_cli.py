@@ -199,6 +199,27 @@ def test_budget_env_override(capsys, k3, monkeypatch):
     assert code == 3
 
 
+def test_budget_env_not_an_integer(capsys, k3, monkeypatch):
+    monkeypatch.setenv("CHROMAPOLY_BUDGET", "abc")
+    code, out = run_cli(capsys, "poly", "--graph", k3, "--prop", "proper")
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "input"
+
+
+def test_eval_zero_denominator_point(capsys, k3):
+    code, out = run_cli(capsys, "eval", "--graph", k3, "--prop", "proper",
+                        "--point", "1/0")
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "input"
+
+
+def test_audit_rejects_kmax_below_one(capsys, p3):
+    code, out = run_cli(capsys, "audit", "--graph", p3, "--prop", "proper",
+                        "--kmax", "-1")
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "input"
+
+
 def test_determinism_across_reruns_and_workers(capsys, k3):
     outputs = set()
     for workers in ("1", "2", "4"):

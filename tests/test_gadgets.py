@@ -5,6 +5,7 @@ import pytest
 
 from chromapoly.cnf import CnfInstance, count_models
 from chromapoly.counting import brute_count_at, pruned_count_at
+from chromapoly.errors import BudgetExceededError
 from chromapoly.gadgets import (
     alpha_sat_to_du, certify_alpha_du, certify_maxcut_cocircuits,
     certify_monotone_maxcut, certify_nae_mcc, gaussian_recover,
@@ -266,6 +267,19 @@ def test_pruned_counter_agrees_on_gadget_scale():
     g = nae_to_mcc(cnf, 2)
     assert pruned_count_at(g, mcc_property(2), 2) == brute_count_at(
         g, mcc_property(2), 2)
+
+
+def test_pruned_budget_counts_visited_nodes():
+    # the search on this 10-vertex gadget visits 78 nodes; the budget error
+    # reports that count, and a budget of exactly 78 completes
+    cnf = CnfInstance(4, ((1, 2, 3), (2, 3, 4)), "nae3")
+    g = nae_to_mcc(cnf, 2)
+    assert g.n == 10
+    with pytest.raises(BudgetExceededError) as info:
+        pruned_count_at(g, mcc_property(2), 2, budget=77)
+    assert str(info.value) == (
+        "pruned enumeration needs 78 operations, budget is 77")
+    assert pruned_count_at(g, mcc_property(2), 2, budget=78) == 10
 
 
 def _du2_two_colorings(g):
