@@ -21,10 +21,10 @@ from .gadgets import (
     stretch_identity_check,
 )
 from .graphs import (
-    CocircuitSummary, CutReport, Graph, box_join, build_graph,
-    complete_graph, connected_components, cycle_graph, disjoint_union,
-    edgeless_graph, enumerate_cocircuits, harmonious_gadget, induced_subgraph,
-    is_connected, is_isomorphic, join, line_graph, mcc_extension, path_graph,
+    CocircuitSummary, Graph, box_join, build_graph, complete_graph,
+    connected_components, cycle_graph, disjoint_union, edgeless_graph,
+    enumerate_cocircuits, harmonious_gadget, induced_subgraph, is_connected,
+    is_isomorphic, join, line_graph, mcc_extension, path_graph,
     standard_graph, star_graph, strip_isolated, stretch, t_pendant,
 )
 from .graphio import (

@@ -47,8 +47,6 @@ class Config:
             raise ValueError("enumeration budget must be at least 10^4")
         if self.worker_count < 1:
             raise ValueError("worker count must be at least 1")
-        if self.output_format not in ("json", "text"):
-            raise ValueError(f"unknown output format: {self.output_format!r}")
 
 
 def _emit(payload: dict, config: Config) -> None:
@@ -127,7 +125,7 @@ def _cmd_eval(args, config: Config) -> int:
             fast_value = harmonious_fast(g, k, config.enumeration_budget)
             payload["fast"] = "T(k)"
         elif prop.family == "convex" and k <= 2:
-            fast_value = convex_fast(g, k)
+            fast_value = convex_fast(g, k, config.enumeration_budget)
             payload["fast"] = "cocircuit"
     try:
         poly = chi_polynomial(g, prop, config.enumeration_budget)
@@ -154,7 +152,7 @@ def _cmd_eval(args, config: Config) -> int:
 
 def _cmd_cocircuits(args, config: Config) -> int:
     g = load_graph(args.graph)
-    summary = enumerate_cocircuits(g)
+    summary = enumerate_cocircuits(g, config.enumeration_budget)
     payload = {"graph": fingerprint(g), "total": str(summary.total),
                "by_size": {str(k): str(v) for k, v in summary.by_size.items()}}
     _emit(payload, config)
@@ -182,25 +180,28 @@ def _cmd_audit(args, config: Config) -> int:
 _GADGET_KINDS = ("nae_mcc", "alpha_du", "monotone_maxcut", "maxcut_cocirc")
 
 
-def _build_gadget(kind: str, args):
-    if kind == "maxcut_cocirc":
+def _gadget_input(args):
+    """The base graph for maxcut_cocirc, the parsed CNF for the other kinds."""
+    if args.kind == "maxcut_cocirc":
         if args.graph is None or args.k is None:
             raise ValueError("maxcut_cocirc needs --graph and --k")
-        g = load_graph(args.graph)
-        return gadgets.maxcut_to_cocircuits(g, args.k)
+        return load_graph(args.graph)
     if args.cnf is None:
-        raise ValueError(f"{kind} needs --cnf")
+        raise ValueError(f"{args.kind} needs --cnf")
     with open(args.cnf, "r", encoding="utf-8") as fh:
-        cnf = parse_cnf(fh.read())
-    if kind == "nae_mcc":
-        return gadgets.nae_to_mcc(cnf, args.t), None
-    if kind == "alpha_du":
-        return gadgets.alpha_sat_to_du(cnf), None
-    return gadgets.monotone2sat_to_maxcut(cnf)
+        return parse_cnf(fh.read())
 
 
 def _cmd_gadget_emit(args, config: Config) -> int:
-    graph, target = _build_gadget(args.kind, args)
+    source = _gadget_input(args)
+    if args.kind == "maxcut_cocirc":
+        graph, target = gadgets.maxcut_to_cocircuits(source, args.k)
+    elif args.kind == "nae_mcc":
+        graph, target = gadgets.nae_to_mcc(source, args.t), None
+    elif args.kind == "alpha_du":
+        graph, target = gadgets.alpha_sat_to_du(source), None
+    else:
+        graph, target = gadgets.monotone2sat_to_maxcut(source)
     text = emit_graph6(graph) + "\n"
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -217,23 +218,16 @@ def _cmd_gadget_emit(args, config: Config) -> int:
 
 
 def _cmd_gadget_certify(args, config: Config) -> int:
+    source = _gadget_input(args)
     budget = config.enumeration_budget
     if args.kind == "maxcut_cocirc":
-        if args.graph is None or args.k is None:
-            raise ValueError("maxcut_cocirc needs --graph and --k")
-        cert = gadgets.certify_maxcut_cocircuits(load_graph(args.graph),
-                                                 args.k, budget)
+        cert = gadgets.certify_maxcut_cocircuits(source, args.k, budget)
+    elif args.kind == "nae_mcc":
+        cert = gadgets.certify_nae_mcc(source, args.t, budget)
+    elif args.kind == "alpha_du":
+        cert = gadgets.certify_alpha_du(source, budget)
     else:
-        if args.cnf is None:
-            raise ValueError(f"{args.kind} needs --cnf")
-        with open(args.cnf, "r", encoding="utf-8") as fh:
-            cnf = parse_cnf(fh.read())
-        if args.kind == "nae_mcc":
-            cert = gadgets.certify_nae_mcc(cnf, args.t, budget)
-        elif args.kind == "alpha_du":
-            cert = gadgets.certify_alpha_du(cnf, budget)
-        else:
-            cert = gadgets.certify_monotone_maxcut(cnf, budget)
+        cert = gadgets.certify_monotone_maxcut(source, budget)
     _emit(cert.as_json_dict(), config)
     return OK if cert.match else CHECK_FAILED
 
@@ -245,20 +239,16 @@ def _bounds_from_args(args) -> identities.Bounds:
         samples=args.samples)
 
 
-def _identity_payload(result) -> dict:
-    return result.as_json_dict()
-
-
 def _cmd_identity_run(args, config: Config) -> int:
     result = identities.run_identity(args.name, _bounds_from_args(args),
                                      config.seed)
-    _emit(_identity_payload(result), config)
+    _emit(result.as_json_dict(), config)
     return OK if result.passed else CHECK_FAILED
 
 
 def _cmd_identity_run_all(args, config: Config) -> int:
     results = identities.run_all(_bounds_from_args(args), config.seed)
-    payload = {"identities": [_identity_payload(r) for r in results],
+    payload = {"identities": [r.as_json_dict() for r in results],
                "passed": all(r.passed for r in results)}
     _emit(payload, config)
     return OK if payload["passed"] else CHECK_FAILED

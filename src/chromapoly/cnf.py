@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import BudgetExceededError
+from .errors import check_budget
 
 _NAE = re.compile(r"^nae(\d+)$")
 _ALPHA = re.compile(r"^(\d+)of(\d+)$")
@@ -142,11 +142,8 @@ def _clause_ok(clause: tuple[int, ...], assignment: int, semantics: str) -> bool
 
 def count_models(cnf: CnfInstance, budget: int | None = None) -> int:
     """Exact model count under the instance's semantics, by enumeration."""
-    from .counting import DEFAULT_BUDGET
-    limit = DEFAULT_BUDGET if budget is None else budget
     cost = 2 ** cnf.num_vars
-    if cost > limit:
-        raise BudgetExceededError(cost, limit, "assignment enumeration")
+    check_budget(cost, budget, "assignment enumeration")
     total = 0
     for assignment in range(cost):
         if all(_clause_ok(cl, assignment, cnf.semantics) for cl in cnf.clauses):

@@ -21,7 +21,8 @@ from fractions import Fraction
 from itertools import product
 from math import comb, factorial
 
-from .errors import BudgetExceededError, NotPolynomialError
+# DEFAULT_BUDGET is re-exported: cli and the package root read it here
+from .errors import DEFAULT_BUDGET, NotPolynomialError, check_budget
 from .graphs import (
     Graph, bits, box_join, cocircuit_counts, complete_graph,
     connected_components, disjoint_union, fingerprint, induced_subgraph,
@@ -32,20 +33,8 @@ from .polynomials import (
 )
 from .properties import ColoringProperty, harmonious_property, proper_property
 
-DEFAULT_BUDGET = 10 ** 8
-
 _PROPER = proper_property()
 _HARMONIOUS = harmonious_property()
-
-
-def _budget(budget: int | None) -> int:
-    return DEFAULT_BUDGET if budget is None else budget
-
-
-def _check_budget(cost: int, budget: int | None, what: str):
-    limit = _budget(budget)
-    if cost > limit:
-        raise BudgetExceededError(cost, limit, what)
 
 
 def _domain_size(g: Graph, prop: ColoringProperty) -> int:
@@ -88,7 +77,6 @@ def _partition_counts(g: Graph, prop: ColoringProperty, lo: int, hi: int,
     counts = [0] * (hi + 1)
     if lo > min(d, hi):
         return counts
-    limit = _budget(budget)
     steps = 0
     checker = prop.checker
     bound, pattern = _prune_bound(prop)
@@ -108,8 +96,7 @@ def _partition_counts(g: Graph, prop: ColoringProperty, lo: int, hi: int,
     def rec(pos: int, used: int):
         nonlocal steps
         steps += 1
-        if steps > limit:
-            raise BudgetExceededError(steps, limit, what)
+        check_budget(steps, budget, what)
         if pos == d:
             if leaf_ok(used):
                 counts[used] += 1
@@ -180,7 +167,7 @@ def brute_count_at(g: Graph, prop: ColoringProperty, k: int,
     if k < 0:
         raise ValueError("palette size must be nonnegative")
     d = _domain_size(g, prop)
-    _check_budget(k ** d if k >= 2 else 1, budget, "coloring enumeration")
+    check_budget(k ** d if k >= 2 else 1, budget, "coloring enumeration")
     checker = prop.checker
     if d == 0:
         return 1 if checker(g, (), k) else 0
@@ -198,8 +185,8 @@ def exact_color_count(g: Graph, prop: ColoringProperty, i: int,
     if i < 0:
         raise ValueError("color count must be nonnegative")
     if prop.known_polynomial:
-        _check_budget(stirling2(_domain_size(g, prop), i), budget,
-                      "partition enumeration")
+        check_budget(stirling2(_domain_size(g, prop), i), budget,
+                     "partition enumeration")
     return _exact_counts(g, prop, i, i, budget)[i]
 
 
@@ -225,21 +212,19 @@ def hat_chi(g: Graph, prop: ColoringProperty, k: int,
 
 
 def chi_polynomial(g: Graph, prop: ColoringProperty,
-                   budget: int | None = None, audit: str = "auto") -> Poly:
+                   budget: int | None = None) -> Poly:
     """The counting polynomial in the binomial basis, coefficients c(0..D).
 
     Properties not known to be palette-stable are audited first; a failing
     audit raises NotPolynomialError because the counts then do not assemble
     into a polynomial (callers should report per-k counts instead).
     """
-    if audit not in ("auto", "always", "skip"):
-        raise ValueError(f"unknown audit mode: {audit!r}")
-    if audit == "always" or (audit == "auto" and not prop.known_polynomial):
+    if not prop.known_polynomial:
         report = polynomiality_audit(g, prop, k_max=4, budget=budget)
         if not report.passed():
             raise NotPolynomialError(report)
     d = _domain_size(g, prop)
-    _check_budget(bell_number(d), budget, "partition enumeration")
+    check_budget(bell_number(d), budget, "partition enumeration")
     return from_binomial(_exact_counts(g, prop, 0, d, budget))
 
 
@@ -289,8 +274,8 @@ def polynomiality_audit(g: Graph, prop: ColoringProperty, k_max: int = 4,
     if k_max < 1:
         raise ValueError("audit needs k_max >= 1")
     d = _domain_size(g, prop)
-    _check_budget(sum(k ** d if k >= 2 else 1 for k in range(1, k_max + 1)),
-                  budget, "audit enumeration")
+    check_budget(sum(k ** d if k >= 2 else 1 for k in range(1, k_max + 1)),
+                 budget, "audit enumeration")
     checker = prop.checker
     counts: dict[int, dict[frozenset, int]] = {}
     for k in range(1, k_max + 1):
@@ -345,7 +330,7 @@ def harmonious_fast(g: Graph, k: int, budget: int | None = None) -> int:
     return k ** isolated * brute_count_at(core, _HARMONIOUS, k, budget)
 
 
-def convex_fast(g: Graph, k: int) -> int:
+def convex_fast(g: Graph, k: int, budget: int | None = None) -> int:
     """Convex count for k <= 2 via components and cocircuits."""
     if k not in (0, 1, 2):
         raise ValueError("fast convex path covers k in {0, 1, 2}")
@@ -362,7 +347,7 @@ def convex_fast(g: Graph, k: int) -> int:
         return 2
     if g.n == 1:
         return 2
-    total, _ = cocircuit_counts(g)
+    total, _ = cocircuit_counts(g, budget)
     return 2 + 2 * total
 
 

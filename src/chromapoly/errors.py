@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types and the one operation-budget rule."""
+
+DEFAULT_BUDGET = 10 ** 8
 
 
 class ChromapolyError(Exception):
@@ -15,6 +17,14 @@ class BudgetExceededError(ChromapolyError):
         self.cost = cost
         self.budget = budget
         super().__init__(f"{what} needs {cost} operations, budget is {budget}")
+
+
+def check_budget(cost: int, budget: int | None, what: str) -> None:
+    """Raise BudgetExceededError when ``cost`` operations exceed ``budget``
+    (None means DEFAULT_BUDGET)."""
+    limit = DEFAULT_BUDGET if budget is None else budget
+    if cost > limit:
+        raise BudgetExceededError(cost, limit, what)
 
 
 class NotPolynomialError(ChromapolyError):

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import comb
 
 from .cnf import CnfInstance, alpha_of, clause_width, count_models
-from .counting import _check_budget, pruned_count_at
+from .counting import pruned_count_at
 from .graphs import (
     Graph, build_graph, cocircuit_counts, count_cuts_by_size, stretch,
 )
@@ -200,8 +200,7 @@ def certify_monotone_maxcut(cnf: CnfInstance,
     graph, k = monotone2sat_to_maxcut(cnf)
     models = count_models(cnf, budget)
     m = len(cnf.clauses)
-    _check_budget(2 ** (graph.n - 1), budget, "cut enumeration")
-    cuts = count_cuts_by_size(graph).get(k, 0)
+    cuts = count_cuts_by_size(graph, budget).get(k, 0)
     multiplier = None
     for c in (2, 3):
         if models * c ** m == cuts:
@@ -244,9 +243,8 @@ def certify_maxcut_cocircuits(g: Graph, k: int,
     """Size-k cuts of g versus size-k' cocircuits of the extended graph;
     the expected multiplier is 2^(n^2 + 1)."""
     gp, kp = maxcut_to_cocircuits(g, k)
-    _check_budget(2 ** (gp.n - 1), budget, "cocircuit enumeration")
-    cuts = count_cuts_by_size(g).get(k, 0)
-    _, by_size = cocircuit_counts(gp)
+    _, by_size = cocircuit_counts(gp, budget)
+    cuts = count_cuts_by_size(g, budget).get(k, 0)
     found = by_size.get(kp, 0)
     expected = 2 ** (g.n * g.n + 1) * cuts
     return Certification("maxcut_cocircuits", cuts, found, found == expected,
@@ -273,9 +271,8 @@ def stretch_identity_check(g: Graph, length: int,
     per-size cocircuit counts of g."""
     m = g.edge_count
     gl = stretch(g, length)
-    _check_budget(2 ** max(gl.n - 1, 0), budget, "cocircuit enumeration")
-    lhs, _ = cocircuit_counts(gl)
-    _, by_size = cocircuit_counts(g)
+    lhs, _ = cocircuit_counts(gl, budget)
+    _, by_size = cocircuit_counts(g, budget)
     rhs = sum(length ** size * cnt for size, cnt in by_size.items())
     rhs += comb(length, 2) * m
     return StretchCheck(length, lhs, rhs, lhs == rhs, by_size)

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from typing import Iterable, Sequence
 
+from .errors import check_budget
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -348,17 +350,9 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
 # cuts and cocircuits
 
 @dataclass(frozen=True)
-class CutReport:
-    shores: tuple[frozenset[int], frozenset[int]]
-    crossing_size: int
-    is_cocircuit: bool
-
-
-@dataclass(frozen=True)
 class CocircuitSummary:
     total: int
     by_size: dict[int, int]
-    reports: tuple[CutReport, ...]
 
 
 def _require_connected_simple(g: Graph):
@@ -368,49 +362,39 @@ def _require_connected_simple(g: Graph):
         raise ValueError("graph must be connected")
 
 
-def _shores(g: Graph):
+def _shores(g: Graph, budget: int | None, what: str):
     """Each of the 2^(n-1) - 1 bipartitions into two nonempty shores once,
-    as (shore holding vertex 0, other shore) bitmasks."""
-    if g.n < 2:
-        return
+    as (shore holding vertex 0, other shore) bitmasks.  The 2^(n-1) cost is
+    checked against the budget before anything is yielded."""
+    check_budget(2 ** max(g.n - 1, 0), budget, what)
     full = (1 << g.n) - 1
-    for t in range(2 ** (g.n - 1) - 1):
-        x = 1 | (t << 1)
-        yield x, full & ~x
+    return ((x, full & ~x) for x in range(1, full, 2))
 
 
 def _crossing_size(g: Graph, x: int) -> int:
     return sum(1 for u, v in g.edges if ((x >> u) ^ (x >> v)) & 1)
 
 
-def enumerate_cocircuits(g: Graph) -> CocircuitSummary:
-    """Classify all 2^(n-1) - 1 shore bipartitions of a connected simple graph.
+def enumerate_cocircuits(g: Graph,
+                         budget: int | None = None) -> CocircuitSummary:
+    """``cocircuit_counts`` as a record."""
+    return CocircuitSummary(*cocircuit_counts(g, budget))
+
+
+def cocircuit_counts(g: Graph,
+                     budget: int | None = None) -> tuple[int, dict[int, int]]:
+    """Total and per-size cocircuit counts over the 2^(n-1) - 1 shore
+    bipartitions of a connected simple graph.
 
     A cut is a cocircuit iff both induced shores are connected, equivalently
     removing the crossing set leaves exactly two components.
     """
-    _require_connected_simple(g)
-    adj = g.adj
-    by_size: dict[int, int] = {}
-    reports = []
-    total = 0
-    for x, y in _shores(g):
-        size = _crossing_size(g, x)
-        coc = mask_connected(adj, x) and mask_connected(adj, y)
-        if coc:
-            total += 1
-            by_size[size] = by_size.get(size, 0) + 1
-        reports.append(CutReport((frozenset(bits(x)), frozenset(bits(y))), size, coc))
-    return CocircuitSummary(total, dict(sorted(by_size.items())), tuple(reports))
-
-
-def cocircuit_counts(g: Graph) -> tuple[int, dict[int, int]]:
-    """Total and per-size cocircuit counts, without materializing reports."""
+    shores = _shores(g, budget, "cocircuit enumeration")
     _require_connected_simple(g)
     adj = g.adj
     by_size: dict[int, int] = {}
     total = 0
-    for x, y in _shores(g):
+    for x, y in shores:
         if mask_connected(adj, x) and mask_connected(adj, y):
             size = _crossing_size(g, x)
             total += 1
@@ -418,12 +402,13 @@ def cocircuit_counts(g: Graph) -> tuple[int, dict[int, int]]:
     return total, dict(sorted(by_size.items()))
 
 
-def count_cuts_by_size(g: Graph) -> dict[int, int]:
+def count_cuts_by_size(g: Graph, budget: int | None = None) -> dict[int, int]:
     """Number of vertex bipartitions (unordered, nonempty shores) per crossing size."""
+    shores = _shores(g, budget, "cut enumeration")
     if not g.simple:
         raise ValueError("cut counting is defined on simple graphs")
     out: dict[int, int] = {}
-    for x, _ in _shores(g):
+    for x, _ in shores:
         size = _crossing_size(g, x)
         out[size] = out.get(size, 0) + 1
     return dict(sorted(out.items()))

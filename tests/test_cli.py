@@ -183,6 +183,24 @@ def test_exit_code_budget(capsys, tmp_path):
     assert json.loads(out)["error"]["code"] == "budget"
 
 
+def test_cocircuits_budget(capsys, tmp_path):
+    path = tmp_path / "p15.el"
+    path.write_text(emit_edge_list(path_graph(15)))
+    code, out = run_cli(capsys, "cocircuits", "--graph", str(path),
+                        "--budget", "10000")
+    assert code == 3
+    assert json.loads(out) == {"error": {
+        "code": "budget",
+        "message": "cocircuit enumeration needs 16384 operations, "
+                   "budget is 10000"}}
+    code, out = run_cli(capsys, "eval", "--graph", str(path), "--prop",
+                        "convex", "--point", "2", "--budget", "10000")
+    assert code == 3
+    code, out = run_cli(capsys, "cocircuits", "--graph", str(path),
+                        "--budget", "16384")
+    assert code == 0 and json.loads(out)["total"] == "14"
+
+
 def test_budget_validation(capsys, k3):
     code, out = run_cli(capsys, "poly", "--graph", k3, "--prop", "proper",
                         "--budget", "10")

@@ -309,6 +309,17 @@ def test_convex_fast_examples():
         convex_fast(path_graph(3), 3)
 
 
+def test_convex_fast_budget():
+    # the cocircuit loop on P15 costs 2^14 = 16384 operations
+    with pytest.raises(BudgetExceededError) as info:
+        convex_fast(path_graph(15), 2, budget=10 ** 4)
+    assert str(info.value) == (
+        "cocircuit enumeration needs 16384 operations, budget is 10000")
+    assert convex_fast(path_graph(15), 2, budget=16384) == 2 + 2 * 14
+    # no cut loop runs on a disconnected graph
+    assert convex_fast(edgeless_graph(30), 2, budget=10 ** 4) == 0
+
+
 def test_convex_fast_matches_brute():
     rng = random.Random(53)
     for _ in range(20):

@@ -274,6 +274,28 @@ def test_pruned_budget_counts_visited_nodes():
     assert pruned_count_at(g, mcc_property(2), 2, budget=78) == 10
 
 
+def test_cut_certifications_trip_the_budget_before_enumerating():
+    # the cut loops charge 2^(n-1) up front: 16 vertices in the monotone
+    # gadget and in K4 stretched to length 3, 14 in the maxcut_cocirc
+    # extension of K3 (enumerated before the base graph)
+    cnf = CnfInstance(3, ((1, 2), (2, 3)), "monotone2sat")
+    with pytest.raises(BudgetExceededError) as info:
+        certify_monotone_maxcut(cnf, 10 ** 4)
+    assert str(info.value) == (
+        "cut enumeration needs 32768 operations, budget is 10000")
+    assert certify_monotone_maxcut(cnf, 32768).match
+    with pytest.raises(BudgetExceededError) as info:
+        stretch_identity_check(complete_graph(4), 3, 10 ** 4)
+    assert str(info.value) == (
+        "cocircuit enumeration needs 32768 operations, budget is 10000")
+    assert stretch_identity_check(complete_graph(4), 3, 32768).match
+    with pytest.raises(BudgetExceededError) as info:
+        certify_maxcut_cocircuits(complete_graph(3), 1, 5000)
+    assert str(info.value) == (
+        "cocircuit enumeration needs 8192 operations, budget is 5000")
+    assert certify_maxcut_cocircuits(complete_graph(3), 1, 8192).match
+
+
 def _du2_two_colorings(g):
     """Test-local enumerator of 2-colorings whose classes are disjoint
     unions of single edges: backtracking with a same-color-component cap,

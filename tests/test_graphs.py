@@ -1,11 +1,15 @@
 import random
+from collections import Counter
+from itertools import combinations
 from math import comb
 
 import pytest
 
+from chromapoly.errors import BudgetExceededError
 from chromapoly.graphs import (
-    automorphisms, box_join, build_graph, complete_graph,
-    connected_components, count_cuts_by_size, cycle_graph, disjoint_union,
+    _shores, automorphisms, box_join, build_graph, cocircuit_counts,
+    complete_graph, connected_components, count_cuts_by_size, cycle_graph,
+    disjoint_union,
     edgeless_graph, enumerate_cocircuits, harmonious_gadget, induced_subgraph,
     is_connected, is_isomorphic, join, line_graph, mcc_extension, path_graph,
     relabel, standard_graph, star_graph, stretch, strip_isolated, t_pendant,
@@ -194,7 +198,6 @@ def test_enumerate_cocircuits_examples():
     assert summary.total == 2 and summary.by_size == {1: 2}
     summary = enumerate_cocircuits(complete_graph(2))
     assert summary.total == 1 and summary.by_size == {1: 1}
-    assert len(summary.reports) == 1
 
 
 def test_enumerate_cocircuits_rejects_disconnected():
@@ -203,30 +206,46 @@ def test_enumerate_cocircuits_rejects_disconnected():
 
 
 def test_cocircuit_minimality_cross_check():
-    # a cocircuit's crossing set has no proper subset that is itself a
-    # crossing set; verified directly on small connected graphs
+    # a cocircuit is a crossing set with no proper subset that is itself a
+    # crossing set; the minimal ones are found directly from every shore
+    # choice on small connected graphs and counted by size
     rng = random.Random(17)
     for _ in range(12):
         g = random_connected_graph(rng, 6, min_n=2)
-        summary = enumerate_cocircuits(g)
-        crossings = []
-        for rep in summary.reports:
-            x, _ = rep.shores
-            crossings.append(frozenset(
-                i for i, (u, v) in enumerate(g.edges)
-                if (u in x) != (v in x)))
-        for rep, crossing in zip(summary.reports, crossings):
-            minimal = not any(other < crossing for other in crossings)
-            assert rep.is_cocircuit == minimal
-            assert rep.crossing_size == len(crossing)
+        crossings = [
+            frozenset(i for i, (u, v) in enumerate(g.edges)
+                      if (u in shore) != (v in shore))
+            for r in range(1, g.n)
+            for shore in combinations(range(g.n), r) if 0 in shore]
+        minimal = [c for c in crossings
+                   if not any(other < c for other in crossings)]
+        by_size = Counter(len(c) for c in minimal)
+        assert cocircuit_counts(g) == (len(minimal), dict(by_size))
 
 
 def test_cut_report_shores_partition():
-    g = cycle_graph(4)
-    for rep in enumerate_cocircuits(g).reports:
-        x, y = rep.shores
-        assert x and y and not (x & y)
-        assert x | y == set(range(4))
+    # C4 has 2^3 - 1 bipartitions into nonempty shores, each yielded once
+    # with vertex 0 on the first shore
+    shores = list(_shores(cycle_graph(4), None, "cut enumeration"))
+    assert len(shores) == 7
+    assert len({frozenset(pair) for pair in shores}) == 7
+    for x, y in shores:
+        assert x & 1 and y and not (x & y)
+        assert x | y == 0b1111
+
+
+def test_cut_loops_check_budget_before_connectivity():
+    # 2^19 bipartitions of an edgeless 20-vertex graph: the budget trips
+    # before the graph is found disconnected
+    g = edgeless_graph(20)
+    with pytest.raises(BudgetExceededError,
+                       match="^cocircuit enumeration needs 524288 operations, "
+                             "budget is 10000$"):
+        enumerate_cocircuits(g, budget=10 ** 4)
+    with pytest.raises(BudgetExceededError,
+                       match="^cut enumeration needs 524288 operations"):
+        count_cuts_by_size(g, budget=10 ** 4)
+    assert count_cuts_by_size(path_graph(4), budget=8) == {1: 3, 2: 3, 3: 1}
 
 
 def test_count_cuts_by_size():
