@@ -7,13 +7,16 @@ checks every supported polynomial identity exactly.
 """
 
 from .counting import (
-    AuditReport, CountProfile, DEFAULT_BUDGET, brute_count_at, chi_polynomial,
+    AuditReport, CountProfile, brute_count_at, chi_polynomial,
     convex_fast, count_clique_partitions, count_profile, edge_chi,
     edge_chi_polynomial, exact_color_count, harmonious_fast, hat_chi,
     interpolation_chain, polynomiality_audit, pruned_count_at,
 )
 from .cnf import CnfInstance, count_models, parse_cnf
-from .errors import BudgetExceededError, ChromapolyError, NotPolynomialError
+from .errors import (
+    DEFAULT_BUDGET, BudgetExceededError, ChromapolyError, NotPolynomialError,
+    budget,
+)
 from .gadgets import (
     alpha_sat_to_du, certify_alpha_du, certify_maxcut_cocircuits,
     certify_monotone_maxcut, certify_nae_mcc, gaussian_recover,

@@ -15,16 +15,17 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
-from . import counting, gadgets, identities
+from . import gadgets, identities
 from .cnf import parse_cnf
 from .counting import (
     brute_count_at, chi_polynomial, convex_fast, harmonious_fast,
     polynomiality_audit,
 )
-from .errors import BudgetExceededError, NotPolynomialError
+from .errors import (
+    DEFAULT_BUDGET, BudgetExceededError, NotPolynomialError, budget,
+)
 from .graphs import enumerate_cocircuits, fingerprint
 from .graphio import emit_graph6, label_comment_lines, load_graph
 from .polynomials import BINOMIAL, MONOMIAL
@@ -35,48 +36,34 @@ OK, INPUT_ERROR, BUDGET_ERROR, CHECK_FAILED = 0, 2, 3, 4
 BUDGET_ENV = "CHROMAPOLY_BUDGET"
 
 
-@dataclass(frozen=True)
-class Config:
-    enumeration_budget: int = counting.DEFAULT_BUDGET
-    worker_count: int = 1
-    output_format: str = "json"
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.enumeration_budget < 10 ** 4:
-            raise ValueError("enumeration budget must be at least 10^4")
-        if self.worker_count < 1:
-            raise ValueError("worker count must be at least 1")
-
-
-def _emit(payload: dict, config: Config) -> None:
-    if config.output_format == "json":
+def _emit(payload: dict, fmt: str) -> None:
+    if fmt == "json":
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     else:
         for key in sorted(payload):
             print(f"{key}: {payload[key]}")
 
 
-def _fail(message: str, config: Config, code: int) -> int:
+def _fail(message: str, fmt: str, code: int) -> int:
     kind = {INPUT_ERROR: "input", BUDGET_ERROR: "budget",
             CHECK_FAILED: "mismatch"}[code]
-    _emit({"error": {"code": kind, "message": message}}, config)
+    _emit({"error": {"code": kind, "message": message}}, fmt)
     return code
 
 
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
-def _cmd_poly(args, config: Config) -> int:
+def _cmd_poly(args) -> int:
     g = load_graph(args.graph)
     prop = parse_property(args.prop)
     payload = {"graph": fingerprint(g), "property": prop.name}
     try:
-        poly = chi_polynomial(g, prop, config.enumeration_budget)
+        poly = chi_polynomial(g, prop)
     except NotPolynomialError as exc:
         payload["audit"] = _audit_payload(exc.report)
-        payload["counts_at"] = _counts_at(g, prop, config)
-        _emit(payload, config)
+        payload["counts_at"] = _counts_at(g, prop)
+        _emit(payload, args.format)
         return OK
     poly = poly.in_basis(args.basis)
     payload.update(poly.to_json_dict())
@@ -85,30 +72,29 @@ def _cmd_poly(args, config: Config) -> int:
     for k in range(4):
         payload["counts_at"][str(k)] = str(int(poly.eval(k)))
         try:
-            direct = brute_count_at(g, prop, k, config.enumeration_budget)
+            direct = brute_count_at(g, prop, k)
         except BudgetExceededError:
             cross_checked = False
             continue
         if direct != int(poly.eval(k)):
-            return _fail(f"internal cross-check failed at k={k}", config,
+            return _fail(f"internal cross-check failed at k={k}", args.format,
                          CHECK_FAILED)
     payload["cross_checked"] = cross_checked
-    _emit(payload, config)
+    _emit(payload, args.format)
     return OK
 
 
-def _counts_at(g, prop, config: Config) -> dict:
+def _counts_at(g, prop) -> dict:
     out = {}
     for k in range(4):
         try:
-            out[str(k)] = str(brute_count_at(g, prop, k,
-                                             config.enumeration_budget))
+            out[str(k)] = str(brute_count_at(g, prop, k))
         except BudgetExceededError:
             break
     return out
 
 
-def _cmd_eval(args, config: Config) -> int:
+def _cmd_eval(args) -> int:
     g = load_graph(args.graph)
     prop = parse_property(args.prop)
     try:
@@ -122,40 +108,39 @@ def _cmd_eval(args, config: Config) -> int:
     if point.denominator == 1 and point >= 0:
         k = int(point)
         if prop.family == "harmonious":
-            fast_value = harmonious_fast(g, k, config.enumeration_budget)
+            fast_value = harmonious_fast(g, k)
             payload["fast"] = "T(k)"
         elif prop.family == "convex" and k <= 2:
-            fast_value = convex_fast(g, k, config.enumeration_budget)
+            fast_value = convex_fast(g, k)
             payload["fast"] = "cocircuit"
     try:
-        poly = chi_polynomial(g, prop, config.enumeration_budget)
+        poly = chi_polynomial(g, prop)
         value = poly.eval(point)
     except NotPolynomialError as exc:
         if point.denominator != 1 or point < 0:
             return _fail("property is not a polynomial on this graph; "
-                         "only integer palettes are countable", config,
+                         "only integer palettes are countable", args.format,
                          INPUT_ERROR)
-        value = Fraction(brute_count_at(g, prop, int(point),
-                                        config.enumeration_budget))
+        value = Fraction(brute_count_at(g, prop, int(point)))
         payload["audit"] = _audit_payload(exc.report)
     except BudgetExceededError:
         if fast_value is None:
             raise
         value = Fraction(fast_value)
     if fast_value is not None and Fraction(fast_value) != value:
-        return _fail("fast path disagrees with the polynomial", config,
+        return _fail("fast path disagrees with the polynomial", args.format,
                      CHECK_FAILED)
     payload["value"] = str(value)
-    _emit(payload, config)
+    _emit(payload, args.format)
     return OK
 
 
-def _cmd_cocircuits(args, config: Config) -> int:
+def _cmd_cocircuits(args) -> int:
     g = load_graph(args.graph)
-    summary = enumerate_cocircuits(g, config.enumeration_budget)
+    summary = enumerate_cocircuits(g)
     payload = {"graph": fingerprint(g), "total": str(summary.total),
                "by_size": {str(k): str(v) for k, v in summary.by_size.items()}}
-    _emit(payload, config)
+    _emit(payload, args.format)
     return OK
 
 
@@ -166,14 +151,14 @@ def _audit_payload(report) -> dict:
     }
 
 
-def _cmd_audit(args, config: Config) -> int:
+def _cmd_audit(args) -> int:
     g = load_graph(args.graph)
     prop = parse_property(args.prop)
-    report = polynomiality_audit(g, prop, args.kmax, config.enumeration_budget)
+    report = polynomiality_audit(g, prop, args.kmax)
     payload = {"graph": fingerprint(g), "property": prop.name,
                "k_max": str(args.kmax)}
     payload.update(_audit_payload(report))
-    _emit(payload, config)
+    _emit(payload, args.format)
     return OK
 
 
@@ -192,7 +177,7 @@ def _gadget_input(args):
         return parse_cnf(fh.read())
 
 
-def _cmd_gadget_emit(args, config: Config) -> int:
+def _cmd_gadget_emit(args) -> int:
     source = _gadget_input(args)
     if args.kind == "maxcut_cocirc":
         graph, target = gadgets.maxcut_to_cocircuits(source, args.k)
@@ -213,22 +198,21 @@ def _cmd_gadget_emit(args, config: Config) -> int:
                "labels": sidecar}
     if target is not None:
         payload["target_size"] = str(target)
-    _emit(payload, config)
+    _emit(payload, args.format)
     return OK
 
 
-def _cmd_gadget_certify(args, config: Config) -> int:
+def _cmd_gadget_certify(args) -> int:
     source = _gadget_input(args)
-    budget = config.enumeration_budget
     if args.kind == "maxcut_cocirc":
-        cert = gadgets.certify_maxcut_cocircuits(source, args.k, budget)
+        cert = gadgets.certify_maxcut_cocircuits(source, args.k)
     elif args.kind == "nae_mcc":
-        cert = gadgets.certify_nae_mcc(source, args.t, budget)
+        cert = gadgets.certify_nae_mcc(source, args.t)
     elif args.kind == "alpha_du":
-        cert = gadgets.certify_alpha_du(source, budget)
+        cert = gadgets.certify_alpha_du(source)
     else:
-        cert = gadgets.certify_monotone_maxcut(source, budget)
-    _emit(cert.as_json_dict(), config)
+        cert = gadgets.certify_monotone_maxcut(source)
+    _emit(cert.as_json_dict(), args.format)
     return OK if cert.match else CHECK_FAILED
 
 
@@ -239,18 +223,18 @@ def _bounds_from_args(args) -> identities.Bounds:
         samples=args.samples)
 
 
-def _cmd_identity_run(args, config: Config) -> int:
+def _cmd_identity_run(args) -> int:
     result = identities.run_identity(args.name, _bounds_from_args(args),
-                                     config.seed)
-    _emit(result.as_json_dict(), config)
+                                     args.seed)
+    _emit(result.as_json_dict(), args.format)
     return OK if result.passed else CHECK_FAILED
 
 
-def _cmd_identity_run_all(args, config: Config) -> int:
-    results = identities.run_all(_bounds_from_args(args), config.seed)
+def _cmd_identity_run_all(args) -> int:
+    results = identities.run_all(_bounds_from_args(args), args.seed)
     payload = {"identities": [r.as_json_dict() for r in results],
                "passed": all(r.passed for r in results)}
-    _emit(payload, config)
+    _emit(payload, args.format)
     return OK if payload["passed"] else CHECK_FAILED
 
 
@@ -338,34 +322,35 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _budget_from(args) -> int:
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get(BUDGET_ENV)
-    if not env:
-        return counting.DEFAULT_BUDGET
+    env = os.environ.get(BUDGET_ENV) or str(DEFAULT_BUDGET)
     try:
-        return int(env)
+        limit = int(env) if args.budget is None else args.budget
     except ValueError:
         raise ValueError(
             f"{BUDGET_ENV} must be an integer, got {env!r}") from None
+    if limit < 10 ** 4:
+        raise ValueError("enumeration budget must be at least 10^4")
+    return limit
 
 
 def main(argv=None) -> int:
+    """Run one command with every enumeration counted against one budget."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = Config(_budget_from(args), args.workers, args.format,
-                        args.seed)
+        limit = _budget_from(args)
+        if args.workers < 1:
+            raise ValueError("worker count must be at least 1")
     except ValueError as exc:
-        print(json.dumps({"error": {"code": "input", "message": str(exc)}},
-                         sort_keys=True, separators=(",", ":")))
-        return INPUT_ERROR
+        # reported as JSON whatever the --format
+        return _fail(str(exc), "json", INPUT_ERROR)
     try:
-        return args.handler(args, config)
+        with budget(limit):
+            return args.handler(args)
     except BudgetExceededError as exc:
-        return _fail(str(exc), config, BUDGET_ERROR)
+        return _fail(str(exc), args.format, BUDGET_ERROR)
     except (ValueError, OSError) as exc:
-        return _fail(str(exc), config, INPUT_ERROR)
+        return _fail(str(exc), args.format, INPUT_ERROR)
 
 
 if __name__ == "__main__":

@@ -140,10 +140,10 @@ def _clause_ok(clause: tuple[int, ...], assignment: int, semantics: str) -> bool
     return sum(values) == alpha_of(semantics)
 
 
-def count_models(cnf: CnfInstance, budget: int | None = None) -> int:
+def count_models(cnf: CnfInstance) -> int:
     """Exact model count under the instance's semantics, by enumeration."""
     cost = 2 ** cnf.num_vars
-    check_budget(cost, budget, "assignment enumeration")
+    check_budget(cost, "assignment enumeration")
     total = 0
     for assignment in range(cost):
         if all(_clause_ok(cl, assignment, cnf.semantics) for cl in cnf.clauses):

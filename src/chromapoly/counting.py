@@ -21,8 +21,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb, factorial
 
-# DEFAULT_BUDGET is re-exported: cli and the package root read it here
-from .errors import DEFAULT_BUDGET, NotPolynomialError, check_budget
+from .errors import NotPolynomialError, check_budget
 from .graphs import (
     Graph, bits, box_join, cocircuit_counts, complete_graph,
     connected_components, disjoint_union, fingerprint, induced_subgraph,
@@ -61,7 +60,6 @@ def _prune_bound(prop: ColoringProperty):
 
 
 def _partition_counts(g: Graph, prop: ColoringProperty, lo: int, hi: int,
-                      budget: int | None,
                       what: str = "partition enumeration") -> list[int]:
     """p[i] for 0 <= i <= hi: set partitions of the domain into exactly i
     blocks whose canonical block coloring satisfies the property, counted in
@@ -96,7 +94,7 @@ def _partition_counts(g: Graph, prop: ColoringProperty, lo: int, hi: int,
     def rec(pos: int, used: int):
         nonlocal steps
         steps += 1
-        check_budget(steps, budget, what)
+        check_budget(steps, what)
         if pos == d:
             if leaf_ok(used):
                 counts[used] += 1
@@ -139,8 +137,8 @@ def _partition_counts(g: Graph, prop: ColoringProperty, lo: int, hi: int,
     return counts
 
 
-def _exact_counts(g: Graph, prop: ColoringProperty, lo: int, hi: int,
-                  budget: int | None) -> list[int]:
+def _exact_counts(g: Graph, prop: ColoringProperty, lo: int,
+                  hi: int) -> list[int]:
     """c[i] for lo <= i <= hi, indexed by i: colorings whose range is
     exactly the first i colors.
 
@@ -150,24 +148,23 @@ def _exact_counts(g: Graph, prop: ColoringProperty, lo: int, hi: int,
     """
     if not prop.known_polynomial:
         top = min(hi, _domain_size(g, prop))
-        plain = [brute_count_at(g, prop, j, budget) for j in range(top + 1)]
+        plain = [brute_count_at(g, prop, j) for j in range(top + 1)]
         return [sum((-1) ** (i - j) * comb(i, j) * plain[j]
                     for j in range(i + 1))
                 for i in range(top + 1)] + [0] * (hi - top)
-    p = _partition_counts(g, prop, lo, hi, budget)
+    p = _partition_counts(g, prop, lo, hi)
     return [factorial(i) * c for i, c in enumerate(p)]
 
 
 # ---------------------------------------------------------------------------
 # the two exact routes
 
-def brute_count_at(g: Graph, prop: ColoringProperty, k: int,
-                   budget: int | None = None) -> int:
+def brute_count_at(g: Graph, prop: ColoringProperty, k: int) -> int:
     """Count colorings with palette [k] by full enumeration."""
     if k < 0:
         raise ValueError("palette size must be nonnegative")
     d = _domain_size(g, prop)
-    check_budget(k ** d if k >= 2 else 1, budget, "coloring enumeration")
+    check_budget(k ** d if k >= 2 else 1, "coloring enumeration")
     checker = prop.checker
     if d == 0:
         return 1 if checker(g, (), k) else 0
@@ -175,8 +172,7 @@ def brute_count_at(g: Graph, prop: ColoringProperty, k: int,
                if checker(g, colors, k))
 
 
-def exact_color_count(g: Graph, prop: ColoringProperty, i: int,
-                      budget: int | None = None) -> int:
+def exact_color_count(g: Graph, prop: ColoringProperty, i: int) -> int:
     """Number of colorings that use exactly i colors (all i present).
 
     Computed as i! times the number of set partitions of the domain into
@@ -185,9 +181,9 @@ def exact_color_count(g: Graph, prop: ColoringProperty, i: int,
     if i < 0:
         raise ValueError("color count must be nonnegative")
     if prop.known_polynomial:
-        check_budget(stirling2(_domain_size(g, prop), i), budget,
+        check_budget(stirling2(_domain_size(g, prop), i),
                      "partition enumeration")
-    return _exact_counts(g, prop, i, i, budget)[i]
+    return _exact_counts(g, prop, i, i)[i]
 
 
 @dataclass(frozen=True)
@@ -198,21 +194,18 @@ class CountProfile:
     graph: str
 
 
-def count_profile(g: Graph, prop: ColoringProperty,
-                  budget: int | None = None) -> CountProfile:
+def count_profile(g: Graph, prop: ColoringProperty) -> CountProfile:
     d = _domain_size(g, prop)
-    counts = tuple(_exact_counts(g, prop, 1, d, budget)[1:])
+    counts = tuple(_exact_counts(g, prop, 1, d)[1:])
     return CountProfile(counts, prop.name, fingerprint(g))
 
 
-def hat_chi(g: Graph, prop: ColoringProperty, k: int,
-            budget: int | None = None) -> int:
+def hat_chi(g: Graph, prop: ColoringProperty, k: int) -> int:
     """Colorings using exactly k colors; the binomial-basis coefficient c(k)."""
-    return exact_color_count(g, prop, k, budget)
+    return exact_color_count(g, prop, k)
 
 
-def chi_polynomial(g: Graph, prop: ColoringProperty,
-                   budget: int | None = None) -> Poly:
+def chi_polynomial(g: Graph, prop: ColoringProperty) -> Poly:
     """The counting polynomial in the binomial basis, coefficients c(0..D).
 
     Properties not known to be palette-stable are audited first; a failing
@@ -220,12 +213,12 @@ def chi_polynomial(g: Graph, prop: ColoringProperty,
     into a polynomial (callers should report per-k counts instead).
     """
     if not prop.known_polynomial:
-        report = polynomiality_audit(g, prop, k_max=4, budget=budget)
+        report = polynomiality_audit(g, prop, k_max=4)
         if not report.passed():
             raise NotPolynomialError(report)
     d = _domain_size(g, prop)
-    check_budget(bell_number(d), budget, "partition enumeration")
-    return from_binomial(_exact_counts(g, prop, 0, d, budget))
+    check_budget(bell_number(d), "partition enumeration")
+    return from_binomial(_exact_counts(g, prop, 0, d))
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +257,8 @@ def _subsets(k: int):
         yield frozenset(c + 1 for c in range(k) if (mask >> c) & 1)
 
 
-def polynomiality_audit(g: Graph, prop: ColoringProperty, k_max: int = 4,
-                        budget: int | None = None) -> AuditReport:
+def polynomiality_audit(g: Graph, prop: ColoringProperty,
+                        k_max: int = 4) -> AuditReport:
     """Empirically test the two conditions that make counts polynomial.
 
     (A) the exact-color count depends on a color set only through its size;
@@ -275,7 +268,7 @@ def polynomiality_audit(g: Graph, prop: ColoringProperty, k_max: int = 4,
         raise ValueError("audit needs k_max >= 1")
     d = _domain_size(g, prop)
     check_budget(sum(k ** d if k >= 2 else 1 for k in range(1, k_max + 1)),
-                 budget, "audit enumeration")
+                 "audit enumeration")
     checker = prop.checker
     counts: dict[int, dict[frozenset, int]] = {}
     for k in range(1, k_max + 1):
@@ -317,7 +310,7 @@ def polynomiality_audit(g: Graph, prop: ColoringProperty, k_max: int = 4,
 # ---------------------------------------------------------------------------
 # fast special cases
 
-def harmonious_fast(g: Graph, k: int, budget: int | None = None) -> int:
+def harmonious_fast(g: Graph, k: int) -> int:
     """Per-k harmonious count: edge-bound short circuit, strip isolated
     vertices, enumerate only on the small core, multiply by k**isolated."""
     if not g.simple:
@@ -327,10 +320,10 @@ def harmonious_fast(g: Graph, k: int, budget: int | None = None) -> int:
     if g.edge_count >= k * (k - 1) // 2 + 1:
         return 0
     core, isolated = strip_isolated(g)
-    return k ** isolated * brute_count_at(core, _HARMONIOUS, k, budget)
+    return k ** isolated * brute_count_at(core, _HARMONIOUS, k)
 
 
-def convex_fast(g: Graph, k: int, budget: int | None = None) -> int:
+def convex_fast(g: Graph, k: int) -> int:
     """Convex count for k <= 2 via components and cocircuits."""
     if k not in (0, 1, 2):
         raise ValueError("fast convex path covers k in {0, 1, 2}")
@@ -347,34 +340,33 @@ def convex_fast(g: Graph, k: int, budget: int | None = None) -> int:
         return 2
     if g.n == 1:
         return 2
-    total, _ = cocircuit_counts(g, budget)
+    total, _ = cocircuit_counts(g)
     return 2 + 2 * total
 
 
-def edge_chi_polynomial(g: Graph, budget: int | None = None) -> Poly:
+def edge_chi_polynomial(g: Graph) -> Poly:
     """Proper edge colorings, via the chromatic polynomial of the line graph."""
-    return chi_polynomial(line_graph(g), _PROPER, budget)
+    return chi_polynomial(line_graph(g), _PROPER)
 
 
-def edge_chi(g: Graph, k: int, budget: int | None = None) -> int:
-    value = edge_chi_polynomial(g, budget).eval(k)
+def edge_chi(g: Graph, k: int) -> int:
+    value = edge_chi_polynomial(g).eval(k)
     return int(value)
 
 
 # ---------------------------------------------------------------------------
 # per-palette counts from the partition engine (for larger gadget graphs)
 
-def pruned_count_at(g: Graph, prop: ColoringProperty, k: int,
-                    budget: int | None = None) -> int:
+def pruned_count_at(g: Graph, prop: ColoringProperty, k: int) -> int:
     """Same count as brute_count_at, from one pass of the partition engine:
     the sum over i <= k of C(k, i) * i! * p(i), where p(i) counts the valid
     partitions into i blocks.  Proper, mcc and du prune as they go.  A
     property not known to be polynomial falls back to plain enumeration.
     """
     if k < 0 or not prop.known_polynomial:
-        return brute_count_at(g, prop, k, budget)
+        return brute_count_at(g, prop, k)
     hi = min(k, _domain_size(g, prop))
-    p = _partition_counts(g, prop, 0, hi, budget, "pruned enumeration")
+    p = _partition_counts(g, prop, 0, hi, "pruned enumeration")
     return sum(comb(k, i) * factorial(i) * c for i, c in enumerate(p))
 
 
@@ -426,8 +418,7 @@ def _falling_value(x: int, m: int) -> int:
 
 
 def interpolation_chain(g: Graph, prop: ColoringProperty, construction: str,
-                        max_n: int, point: int | None = None,
-                        budget: int | None = None) -> Poly:
+                        max_n: int, point: int | None = None) -> Poly:
     """Recover the counting polynomial from evaluations of a constructed
     graph family at one fixed point, dividing out the known cofactor.
 
@@ -473,6 +464,6 @@ def interpolation_chain(g: Graph, prop: ColoringProperty, construction: str,
         if k < 0 or cof == 0:
             raise ValueError(
                 f"cofactor vanishes at point {a}; choose a different point")
-        val = brute_count_at(graph, prop, k, budget)
+        val = brute_count_at(graph, prop, k)
         pts.append((Fraction(x), Fraction(val, cof)))
     return lagrange_interpolate(pts)

@@ -1,6 +1,11 @@
-"""Shared exception types and the one operation-budget rule."""
+"""Shared exception types, the operation budget and its one rule."""
+
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 DEFAULT_BUDGET = 10 ** 8
+
+_LIMIT = ContextVar("chromapoly_budget", default=DEFAULT_BUDGET)
 
 
 class ChromapolyError(Exception):
@@ -13,16 +18,27 @@ class BudgetExceededError(ChromapolyError):
     Exceeding the budget is always an error, never a silent approximation.
     """
 
-    def __init__(self, cost: int, budget: int, what: str = "enumeration"):
+    def __init__(self, cost: int, limit: int, what: str = "enumeration"):
         self.cost = cost
-        self.budget = budget
-        super().__init__(f"{what} needs {cost} operations, budget is {budget}")
+        self.budget = limit
+        super().__init__(f"{what} needs {cost} operations, budget is {limit}")
 
 
-def check_budget(cost: int, budget: int | None, what: str) -> None:
-    """Raise BudgetExceededError when ``cost`` operations exceed ``budget``
-    (None means DEFAULT_BUDGET)."""
-    limit = DEFAULT_BUDGET if budget is None else budget
+@contextmanager
+def budget(limit: int):
+    """Within the block, every enumeration counts its work against
+    ``limit`` operations instead of DEFAULT_BUDGET."""
+    token = _LIMIT.set(limit)
+    try:
+        yield
+    finally:
+        _LIMIT.reset(token)
+
+
+def check_budget(cost: int, what: str) -> None:
+    """Raise BudgetExceededError when ``cost`` operations exceed the limit
+    of the innermost ``budget`` block (DEFAULT_BUDGET outside any)."""
+    limit = _LIMIT.get()
     if cost > limit:
         raise BudgetExceededError(cost, limit, what)
 

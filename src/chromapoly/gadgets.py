@@ -23,10 +23,6 @@ def _literal_token(lit: int) -> str:
     return f"x{lit}" if lit > 0 else f"!x{-lit}"
 
 
-def _negated_token(lit: int) -> str:
-    return _literal_token(-lit)
-
-
 # ---------------------------------------------------------------------------
 # not-all-equal -> bounded monochromatic components
 
@@ -94,15 +90,14 @@ class Certification:
         return out
 
 
-def certify_nae_mcc(cnf: CnfInstance, t: int | None = None,
-                    budget: int | None = None) -> Certification:
+def certify_nae_mcc(cnf: CnfInstance, t: int | None = None) -> Certification:
     """Model count versus 2-colorings with monochromatic components <= t."""
     width = clause_width(cnf.semantics)
     if t is None:
         t = width - 1
     gadget = nae_to_mcc(cnf, t)
-    models = count_models(cnf, budget)
-    colorings = pruned_count_at(gadget, mcc_property(t), 2, budget)
+    models = count_models(cnf)
+    colorings = pruned_count_at(gadget, mcc_property(t), 2)
     return Certification("nae_mcc", models, colorings, models == colorings)
 
 
@@ -152,13 +147,13 @@ def alpha_sat_to_du(cnf: CnfInstance) -> Graph:
     return build_graph(len(labels), edges, labels=labels)
 
 
-def certify_alpha_du(cnf: CnfInstance, budget: int | None = None) -> Certification:
+def certify_alpha_du(cnf: CnfInstance) -> Certification:
     """Model count versus 2-colorings whose classes are unions of a-cliques."""
     from .graphs import complete_graph
     a = alpha_of(cnf.semantics)
     gadget = alpha_sat_to_du(cnf)
-    models = count_models(cnf, budget)
-    colorings = pruned_count_at(gadget, du_property(complete_graph(a)), 2, budget)
+    models = count_models(cnf)
+    colorings = pruned_count_at(gadget, du_property(complete_graph(a)), 2)
     return Certification("alpha_du", models, colorings, models == colorings)
 
 
@@ -189,8 +184,7 @@ def monotone2sat_to_maxcut(cnf: CnfInstance) -> tuple[Graph, int]:
     return build_graph(len(labels), edges, labels=labels), 8 * len(cnf.clauses)
 
 
-def certify_monotone_maxcut(cnf: CnfInstance,
-                            budget: int | None = None) -> Certification:
+def certify_monotone_maxcut(cnf: CnfInstance) -> Certification:
     """Determine the per-clause multiplier empirically: the number of cuts at
     the target size divided by the model count, as c**(number of clauses).
 
@@ -198,9 +192,9 @@ def certify_monotone_maxcut(cnf: CnfInstance,
     reports which one (if either) fits exactly.
     """
     graph, k = monotone2sat_to_maxcut(cnf)
-    models = count_models(cnf, budget)
+    models = count_models(cnf)
     m = len(cnf.clauses)
-    cuts = count_cuts_by_size(graph, budget).get(k, 0)
+    cuts = count_cuts_by_size(graph).get(k, 0)
     multiplier = None
     for c in (2, 3):
         if models * c ** m == cuts:
@@ -225,6 +219,8 @@ def maxcut_to_cocircuits(g: Graph, k: int) -> tuple[Graph, int]:
     """
     if not g.simple:
         raise ValueError("construction is defined on simple graphs")
+    if k < 0:
+        raise ValueError("target cut size must be nonnegative")
     n = g.n
     x, xp = n, n + 1
     total = n + 2 + n * n
@@ -238,13 +234,12 @@ def maxcut_to_cocircuits(g: Graph, k: int) -> tuple[Graph, int]:
     return build_graph(total, edges, labels=labels), n * n + n + k
 
 
-def certify_maxcut_cocircuits(g: Graph, k: int,
-                              budget: int | None = None) -> Certification:
+def certify_maxcut_cocircuits(g: Graph, k: int) -> Certification:
     """Size-k cuts of g versus size-k' cocircuits of the extended graph;
     the expected multiplier is 2^(n^2 + 1)."""
     gp, kp = maxcut_to_cocircuits(g, k)
-    _, by_size = cocircuit_counts(gp, budget)
-    cuts = count_cuts_by_size(g, budget).get(k, 0)
+    _, by_size = cocircuit_counts(gp)
+    cuts = count_cuts_by_size(g).get(k, 0)
     found = by_size.get(kp, 0)
     expected = 2 ** (g.n * g.n + 1) * cuts
     return Certification("maxcut_cocircuits", cuts, found, found == expected,
@@ -264,15 +259,14 @@ class StretchCheck:
     by_size: dict[int, int]
 
 
-def stretch_identity_check(g: Graph, length: int,
-                           budget: int | None = None) -> StretchCheck:
+def stretch_identity_check(g: Graph, length: int) -> StretchCheck:
     """Both sides of the stretched-graph cocircuit count, independently:
     the left by enumeration on the stretched graph, the right from the
     per-size cocircuit counts of g."""
     m = g.edge_count
     gl = stretch(g, length)
-    lhs, _ = cocircuit_counts(gl, budget)
-    _, by_size = cocircuit_counts(g, budget)
+    lhs, _ = cocircuit_counts(gl)
+    _, by_size = cocircuit_counts(g)
     rhs = sum(length ** size * cnt for size, cnt in by_size.items())
     rhs += comb(length, 2) * m
     return StretchCheck(length, lhs, rhs, lhs == rhs, by_size)

@@ -362,11 +362,11 @@ def _require_connected_simple(g: Graph):
         raise ValueError("graph must be connected")
 
 
-def _shores(g: Graph, budget: int | None, what: str):
+def _shores(g: Graph, what: str):
     """Each of the 2^(n-1) - 1 bipartitions into two nonempty shores once,
     as (shore holding vertex 0, other shore) bitmasks.  The 2^(n-1) cost is
     checked against the budget before anything is yielded."""
-    check_budget(2 ** max(g.n - 1, 0), budget, what)
+    check_budget(2 ** max(g.n - 1, 0), what)
     full = (1 << g.n) - 1
     return ((x, full & ~x) for x in range(1, full, 2))
 
@@ -375,21 +375,19 @@ def _crossing_size(g: Graph, x: int) -> int:
     return sum(1 for u, v in g.edges if ((x >> u) ^ (x >> v)) & 1)
 
 
-def enumerate_cocircuits(g: Graph,
-                         budget: int | None = None) -> CocircuitSummary:
+def enumerate_cocircuits(g: Graph) -> CocircuitSummary:
     """``cocircuit_counts`` as a record."""
-    return CocircuitSummary(*cocircuit_counts(g, budget))
+    return CocircuitSummary(*cocircuit_counts(g))
 
 
-def cocircuit_counts(g: Graph,
-                     budget: int | None = None) -> tuple[int, dict[int, int]]:
+def cocircuit_counts(g: Graph) -> tuple[int, dict[int, int]]:
     """Total and per-size cocircuit counts over the 2^(n-1) - 1 shore
     bipartitions of a connected simple graph.
 
     A cut is a cocircuit iff both induced shores are connected, equivalently
     removing the crossing set leaves exactly two components.
     """
-    shores = _shores(g, budget, "cocircuit enumeration")
+    shores = _shores(g, "cocircuit enumeration")
     _require_connected_simple(g)
     adj = g.adj
     by_size: dict[int, int] = {}
@@ -402,9 +400,9 @@ def cocircuit_counts(g: Graph,
     return total, dict(sorted(by_size.items()))
 
 
-def count_cuts_by_size(g: Graph, budget: int | None = None) -> dict[int, int]:
+def count_cuts_by_size(g: Graph) -> dict[int, int]:
     """Number of vertex bipartitions (unordered, nonempty shores) per crossing size."""
-    shores = _shores(g, budget, "cut enumeration")
+    shores = _shores(g, "cut enumeration")
     if not g.simple:
         raise ValueError("cut counting is defined on simple graphs")
     out: dict[int, int] = {}

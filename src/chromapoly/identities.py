@@ -44,6 +44,15 @@ class Bounds:
     k_max: int = 3
     samples: int = 12
 
+    def __post_init__(self):
+        # below these a run checks nothing, or cannot draw a graph at all
+        for name, least in (("max_n", 0), ("max_e", 0), ("max_join", 0),
+                            ("max_l", 1), ("k_max", 0), ("samples", 1)):
+            value = getattr(self, name)
+            if value is not None and value < least:
+                raise ValueError(f"{name} must be at least {least}, "
+                                 f"got {value}")
+
 
 @dataclass
 class IdentityResult:
@@ -101,6 +110,10 @@ def _shrink(g: Graph, still_fails: Callable[[Graph], bool]) -> Graph:
     return g
 
 
+def _equal(lhs, rhs) -> bool:
+    return lhs.equals(rhs) if isinstance(lhs, Poly) else lhs == rhs
+
+
 def _poly_identity(name: str, bounds: Bounds, rng: random.Random,
                    sides: Callable[[Graph], tuple], sampler=None,
                    note: str = "") -> IdentityResult:
@@ -112,15 +125,12 @@ def _poly_identity(name: str, bounds: Bounds, rng: random.Random,
         g = sampler()
         for lhs, rhs in sides(g):
             instances += 1
-            equal = lhs.equals(rhs) if isinstance(lhs, Poly) else lhs == rhs
-            if not equal:
+            if not _equal(lhs, rhs):
                 def fails(h: Graph) -> bool:
-                    return any(
-                        not (l.equals(r) if isinstance(l, Poly) else l == r)
-                        for l, r in sides(h))
+                    return any(not _equal(l, r) for l, r in sides(h))
                 small = _shrink(g, fails)
                 pair = next((l, r) for l, r in sides(small)
-                            if not (l.equals(r) if isinstance(l, Poly) else l == r))
+                            if not _equal(l, r))
                 return IdentityResult(name, False, instances,
                                       _graph_witness(small, *pair), note,
                                       time.monotonic() - start)

@@ -164,6 +164,38 @@ def test_identity_run_all(capsys):
     assert len(payload["identities"]) == 12
 
 
+def test_identity_honors_budget(capsys, monkeypatch):
+    # join_shift at max_n 8 joins graphs of up to 10 vertices; the first
+    # over 10^4 has 9, and Bell(9) = 21147
+    argv = ("identity", "run", "--name", "join_shift", "--max-n", "8")
+    expected = {"error": {
+        "code": "budget",
+        "message": "partition enumeration needs 21147 operations, "
+                   "budget is 10000"}}
+    code, out = run_cli(capsys, *argv, "--budget", "10000")
+    assert code == 3 and json.loads(out) == expected
+    monkeypatch.setenv("CHROMAPOLY_BUDGET", "10000")
+    code, out = run_cli(capsys, *argv)
+    assert code == 3 and json.loads(out) == expected
+    # run-all reads the same limit
+    code, out = run_cli(capsys, "identity", "run-all", "--max-n", "8")
+    assert code == 3 and json.loads(out)["error"]["code"] == "budget"
+
+
+def test_identity_rejects_vacuous_bounds(capsys):
+    bad = (("--samples", "0"), ("--max-join", "-1"), ("--max-l", "0"),
+           ("--k-max", "-1"), ("--max-n", "-1"), ("--max-e", "-1"))
+    for flag, value in bad:
+        for command in (("run", "--name", "join_shift"), ("run-all",)):
+            code, out = run_cli(capsys, "identity", *command, flag, value)
+            assert code == 2, (flag, command)
+            error = json.loads(out)["error"]
+            assert error["code"] == "input"
+            assert error["message"] == (
+                f"{flag[2:].replace('-', '_')} must be at least "
+                f"{int(value) + 1}, got {value}")
+
+
 def test_exit_code_input_error(capsys, tmp_path):
     code, out = run_cli(capsys, "poly", "--graph", str(tmp_path / "nope.el"),
                         "--prop", "proper")
@@ -295,6 +327,10 @@ def test_gadget_certify_maxcut_cocirc(capsys, tmp_path):
     assert code == 0
     payload = json.loads(out)
     assert payload["match"] is True and payload["multiplier"] == "32"
+    code, out = run_cli(capsys, "gadget", "certify", "maxcut_cocirc",
+                        "--graph", str(path), "--k", "-1")
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "input"
 
 
 def test_gadget_missing_arguments(capsys, tmp_path):

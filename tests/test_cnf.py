@@ -1,7 +1,7 @@
 import pytest
 
 from chromapoly.cnf import CnfInstance, count_models, emit_cnf, parse_cnf
-from chromapoly.errors import BudgetExceededError
+from chromapoly.errors import BudgetExceededError, budget
 
 
 def test_parse_nae():
@@ -75,5 +75,5 @@ def test_count_models_free_variable_doubles():
 
 def test_count_models_budget():
     cnf = CnfInstance(30, (tuple(range(1, 4)),), "nae3")
-    with pytest.raises(BudgetExceededError):
-        count_models(cnf, budget=10 ** 4)
+    with budget(10 ** 4), pytest.raises(BudgetExceededError):
+        count_models(cnf)

@@ -10,7 +10,7 @@ from chromapoly.counting import (
     harmonious_fast, hat_chi, interpolation_chain, polynomiality_audit,
     pruned_count_at,
 )
-from chromapoly.errors import BudgetExceededError, NotPolynomialError
+from chromapoly.errors import BudgetExceededError, NotPolynomialError, budget
 from chromapoly.graphs import (
     complete_graph, cycle_graph, disjoint_union, edgeless_graph, line_graph,
     path_graph, star_graph,
@@ -44,8 +44,37 @@ def test_brute_count_degenerate_palettes():
 
 
 def test_brute_count_budget():
-    with pytest.raises(BudgetExceededError):
-        brute_count_at(edgeless_graph(30), TRIVIAL, 4, budget=10 ** 4)
+    with budget(10 ** 4), pytest.raises(BudgetExceededError):
+        brute_count_at(edgeless_graph(30), TRIVIAL, 4)
+
+
+def test_budget_scope_nests_and_restores():
+    # 3^9 = 19683 colorings: over 10^4, under the default and 10^5
+    g = edgeless_graph(9)
+    with budget(10 ** 4):
+        with budget(10 ** 5):
+            assert brute_count_at(g, TRIVIAL, 3) == 19683
+        with pytest.raises(BudgetExceededError) as info:
+            brute_count_at(g, TRIVIAL, 3)
+    assert str(info.value) == (
+        "coloring enumeration needs 19683 operations, budget is 10000")
+    assert brute_count_at(g, TRIVIAL, 3) == 19683
+
+
+def test_chi_polynomial_matches_networkx():
+    # a third, independent route: networkx's deletion-contraction
+    nx = pytest.importorskip("networkx")
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(4)
+    for n in [0] + [rng.randint(1, 7) for _ in range(19)]:
+        g = random_graph(rng, n, n, p=0.4)
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges)
+        expected = sympy.Poly(nx.chromatic_polynomial(h), x).all_coeffs()
+        ours = chi_polynomial(g, PROPER).to_monomial().coeffs
+        assert list(ours) == [int(c) for c in reversed(expected)], g
 
 
 def test_exact_color_count_examples():
@@ -311,13 +340,15 @@ def test_convex_fast_examples():
 
 def test_convex_fast_budget():
     # the cocircuit loop on P15 costs 2^14 = 16384 operations
-    with pytest.raises(BudgetExceededError) as info:
-        convex_fast(path_graph(15), 2, budget=10 ** 4)
+    with budget(10 ** 4):
+        with pytest.raises(BudgetExceededError) as info:
+            convex_fast(path_graph(15), 2)
+        # no cut loop runs on a disconnected graph
+        assert convex_fast(edgeless_graph(30), 2) == 0
     assert str(info.value) == (
         "cocircuit enumeration needs 16384 operations, budget is 10000")
-    assert convex_fast(path_graph(15), 2, budget=16384) == 2 + 2 * 14
-    # no cut loop runs on a disconnected graph
-    assert convex_fast(edgeless_graph(30), 2, budget=10 ** 4) == 0
+    with budget(16384):
+        assert convex_fast(path_graph(15), 2) == 2 + 2 * 14
 
 
 def test_convex_fast_matches_brute():

@@ -5,7 +5,7 @@ import pytest
 
 from chromapoly.cnf import CnfInstance, count_models
 from chromapoly.counting import brute_count_at, pruned_count_at
-from chromapoly.errors import BudgetExceededError
+from chromapoly.errors import BudgetExceededError, budget
 from chromapoly.gadgets import (
     alpha_sat_to_du, certify_alpha_du, certify_maxcut_cocircuits,
     certify_monotone_maxcut, certify_nae_mcc, gaussian_recover,
@@ -177,6 +177,15 @@ def test_maxcut_cocircuits_construction():
         assert maxcut_to_cocircuits(g, k)[1] > k
 
 
+def test_maxcut_cocircuits_rejects_negative_target():
+    # no cut has negative size: certifying k = -1 would match vacuously
+    with pytest.raises(ValueError, match="nonnegative"):
+        maxcut_to_cocircuits(complete_graph(2), -1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        certify_maxcut_cocircuits(complete_graph(2), -1)
+    assert not certify_maxcut_cocircuits(complete_graph(2), 0).match
+
+
 def test_maxcut_cocircuits_certification():
     cert = certify_maxcut_cocircuits(complete_graph(2), 1)
     assert cert.models == 1            # one size-1 cut of a single edge
@@ -267,11 +276,12 @@ def test_pruned_budget_counts_visited_nodes():
     cnf = CnfInstance(4, ((1, 2, 3), (2, 3, 4)), "nae3")
     g = nae_to_mcc(cnf, 2)
     assert g.n == 10
-    with pytest.raises(BudgetExceededError) as info:
-        pruned_count_at(g, mcc_property(2), 2, budget=77)
+    with budget(77), pytest.raises(BudgetExceededError) as info:
+        pruned_count_at(g, mcc_property(2), 2)
     assert str(info.value) == (
         "pruned enumeration needs 78 operations, budget is 77")
-    assert pruned_count_at(g, mcc_property(2), 2, budget=78) == 10
+    with budget(78):
+        assert pruned_count_at(g, mcc_property(2), 2) == 10
 
 
 def test_cut_certifications_trip_the_budget_before_enumerating():
@@ -279,21 +289,24 @@ def test_cut_certifications_trip_the_budget_before_enumerating():
     # gadget and in K4 stretched to length 3, 14 in the maxcut_cocirc
     # extension of K3 (enumerated before the base graph)
     cnf = CnfInstance(3, ((1, 2), (2, 3)), "monotone2sat")
-    with pytest.raises(BudgetExceededError) as info:
-        certify_monotone_maxcut(cnf, 10 ** 4)
+    with budget(10 ** 4), pytest.raises(BudgetExceededError) as info:
+        certify_monotone_maxcut(cnf)
     assert str(info.value) == (
         "cut enumeration needs 32768 operations, budget is 10000")
-    assert certify_monotone_maxcut(cnf, 32768).match
-    with pytest.raises(BudgetExceededError) as info:
-        stretch_identity_check(complete_graph(4), 3, 10 ** 4)
+    with budget(32768):
+        assert certify_monotone_maxcut(cnf).match
+    with budget(10 ** 4), pytest.raises(BudgetExceededError) as info:
+        stretch_identity_check(complete_graph(4), 3)
     assert str(info.value) == (
         "cocircuit enumeration needs 32768 operations, budget is 10000")
-    assert stretch_identity_check(complete_graph(4), 3, 32768).match
-    with pytest.raises(BudgetExceededError) as info:
-        certify_maxcut_cocircuits(complete_graph(3), 1, 5000)
+    with budget(32768):
+        assert stretch_identity_check(complete_graph(4), 3).match
+    with budget(5000), pytest.raises(BudgetExceededError) as info:
+        certify_maxcut_cocircuits(complete_graph(3), 1)
     assert str(info.value) == (
         "cocircuit enumeration needs 8192 operations, budget is 5000")
-    assert certify_maxcut_cocircuits(complete_graph(3), 1, 8192).match
+    with budget(8192):
+        assert certify_maxcut_cocircuits(complete_graph(3), 1).match
 
 
 def _du2_two_colorings(g):

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from chromapoly.errors import BudgetExceededError
+from chromapoly.errors import BudgetExceededError, budget
 from chromapoly.graphs import (
     _shores, automorphisms, box_join, build_graph, cocircuit_counts,
     complete_graph, connected_components, count_cuts_by_size, cycle_graph,
@@ -226,7 +226,7 @@ def test_cocircuit_minimality_cross_check():
 def test_cut_report_shores_partition():
     # C4 has 2^3 - 1 bipartitions into nonempty shores, each yielded once
     # with vertex 0 on the first shore
-    shores = list(_shores(cycle_graph(4), None, "cut enumeration"))
+    shores = list(_shores(cycle_graph(4), "cut enumeration"))
     assert len(shores) == 7
     assert len({frozenset(pair) for pair in shores}) == 7
     for x, y in shores:
@@ -238,14 +238,16 @@ def test_cut_loops_check_budget_before_connectivity():
     # 2^19 bipartitions of an edgeless 20-vertex graph: the budget trips
     # before the graph is found disconnected
     g = edgeless_graph(20)
-    with pytest.raises(BudgetExceededError,
-                       match="^cocircuit enumeration needs 524288 operations, "
-                             "budget is 10000$"):
-        enumerate_cocircuits(g, budget=10 ** 4)
-    with pytest.raises(BudgetExceededError,
-                       match="^cut enumeration needs 524288 operations"):
-        count_cuts_by_size(g, budget=10 ** 4)
-    assert count_cuts_by_size(path_graph(4), budget=8) == {1: 3, 2: 3, 3: 1}
+    with budget(10 ** 4):
+        with pytest.raises(BudgetExceededError,
+                           match="^cocircuit enumeration needs 524288 "
+                                 "operations, budget is 10000$"):
+            enumerate_cocircuits(g)
+        with pytest.raises(BudgetExceededError,
+                           match="^cut enumeration needs 524288 operations"):
+            count_cuts_by_size(g)
+    with budget(8):
+        assert count_cuts_by_size(path_graph(4)) == {1: 3, 2: 3, 3: 1}
 
 
 def test_count_cuts_by_size():
