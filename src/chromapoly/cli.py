@@ -182,7 +182,7 @@ def _cmd_gadget_emit(args) -> int:
     if args.kind == "maxcut_cocirc":
         graph, target = gadgets.maxcut_to_cocircuits(source, args.k)
     elif args.kind == "nae_mcc":
-        graph, target = gadgets.nae_to_mcc(source, args.t), None
+        graph, target = gadgets.nae_to_mcc(source), None
     elif args.kind == "alpha_du":
         graph, target = gadgets.alpha_sat_to_du(source), None
     else:
@@ -207,7 +207,7 @@ def _cmd_gadget_certify(args) -> int:
     if args.kind == "maxcut_cocirc":
         cert = gadgets.certify_maxcut_cocircuits(source, args.k)
     elif args.kind == "nae_mcc":
-        cert = gadgets.certify_nae_mcc(source, args.t)
+        cert = gadgets.certify_nae_mcc(source)
     elif args.kind == "alpha_du":
         cert = gadgets.certify_alpha_du(source)
     else:
@@ -291,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--cnf")
         q.add_argument("--graph")
         q.add_argument("--k", type=int)
-        q.add_argument("--t", type=int, default=None)
         if name == "emit":
             q.add_argument("--out", required=True)
         q.set_defaults(handler=handler)

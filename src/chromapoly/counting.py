@@ -28,7 +28,7 @@ from .graphs import (
     is_isomorphic, join, line_graph, star_graph, strip_isolated,
 )
 from .polynomials import (
-    Poly, bell_number, from_binomial, lagrange_interpolate, stirling2,
+    Poly, from_binomial, lagrange_interpolate, stirling2_row,
 )
 from .properties import ColoringProperty, harmonious_property, proper_property
 
@@ -68,8 +68,10 @@ def _partition_counts(g: Graph, prop: ColoringProperty, lo: int, hi: int,
 
     Proper, mcc and du are pruned as soon as a block's monochromatic
     component outgrows the family bound; components are kept incrementally
-    as disjoint bitmasks per block.  Every other property is checked on the
-    complete coloring.  Each node visited counts one step against the budget.
+    as disjoint bitmasks per block, and each node visited counts one step
+    against the budget.  Every other property is checked on the complete
+    coloring: that walk visits exactly the partitions into lo..hi blocks, so
+    it is charged their number, one checker call each, before it starts.
     """
     d = _domain_size(g, prop)
     counts = [0] * (hi + 1)
@@ -78,6 +80,8 @@ def _partition_counts(g: Graph, prop: ColoringProperty, lo: int, hi: int,
     steps = 0
     checker = prop.checker
     bound, pattern = _prune_bound(prop)
+    if bound is None:
+        check_budget(sum(stirling2_row(d, hi)[lo:]), what)
     adj = g.adj
     colors = [0] * d
     comps: list[list[int]] = []     # per block, disjoint component masks
@@ -93,8 +97,9 @@ def _partition_counts(g: Graph, prop: ColoringProperty, lo: int, hi: int,
 
     def rec(pos: int, used: int):
         nonlocal steps
-        steps += 1
-        check_budget(steps, what)
+        if bound is not None:
+            steps += 1
+            check_budget(steps, what)
         if pos == d:
             if leaf_ok(used):
                 counts[used] += 1
@@ -133,7 +138,11 @@ def _partition_counts(g: Graph, prop: ColoringProperty, lo: int, hi: int,
             rec(pos + 1, used + 1)
             comps.pop()
 
-    rec(0, 0)
+    try:
+        rec(0, 0)
+    except RecursionError:
+        raise ValueError(f"{what} over {d} domain elements "
+                         "exceeds the recursion limit") from None
     return counts
 
 
@@ -180,9 +189,6 @@ def exact_color_count(g: Graph, prop: ColoringProperty, i: int) -> int:
     """
     if i < 0:
         raise ValueError("color count must be nonnegative")
-    if prop.known_polynomial:
-        check_budget(stirling2(_domain_size(g, prop), i),
-                     "partition enumeration")
     return _exact_counts(g, prop, i, i)[i]
 
 
@@ -200,11 +206,6 @@ def count_profile(g: Graph, prop: ColoringProperty) -> CountProfile:
     return CountProfile(counts, prop.name, fingerprint(g))
 
 
-def hat_chi(g: Graph, prop: ColoringProperty, k: int) -> int:
-    """Colorings using exactly k colors; the binomial-basis coefficient c(k)."""
-    return exact_color_count(g, prop, k)
-
-
 def chi_polynomial(g: Graph, prop: ColoringProperty) -> Poly:
     """The counting polynomial in the binomial basis, coefficients c(0..D).
 
@@ -216,9 +217,7 @@ def chi_polynomial(g: Graph, prop: ColoringProperty) -> Poly:
         report = polynomiality_audit(g, prop, k_max=4)
         if not report.passed():
             raise NotPolynomialError(report)
-    d = _domain_size(g, prop)
-    check_budget(bell_number(d), "partition enumeration")
-    return from_binomial(_exact_counts(g, prop, 0, d))
+    return from_binomial(_exact_counts(g, prop, 0, _domain_size(g, prop)))
 
 
 # ---------------------------------------------------------------------------
@@ -347,11 +346,6 @@ def convex_fast(g: Graph, k: int) -> int:
 def edge_chi_polynomial(g: Graph) -> Poly:
     """Proper edge colorings, via the chromatic polynomial of the line graph."""
     return chi_polynomial(line_graph(g), _PROPER)
-
-
-def edge_chi(g: Graph, k: int) -> int:
-    value = edge_chi_polynomial(g).eval(k)
-    return int(value)
 
 
 # ---------------------------------------------------------------------------

@@ -26,23 +26,18 @@ def _literal_token(lit: int) -> str:
 # ---------------------------------------------------------------------------
 # not-all-equal -> bounded monochromatic components
 
-def nae_to_mcc(cnf: CnfInstance, t: int | None = None) -> Graph:
+def nae_to_mcc(cnf: CnfInstance) -> Graph:
     """Per clause a complete graph on 2t vertices, t+1 of them labeled by the
-    clause literals and t-1 by clause tokens; one fresh bridge vertex per
-    pair of same-literal occurrences in different clauses, adjacent to both.
+    clause literals and t-1 by clause tokens, where t + 1 is the clause
+    width; one fresh bridge vertex per pair of same-literal occurrences in
+    different clauses, adjacent to both.
 
     Vertex layout: clause gadgets in clause order (literal vertices first),
     then bridge vertices in pair-enumeration order.
     """
-    width = clause_width(cnf.semantics)
     if not cnf.semantics.startswith("nae"):
         raise ValueError("construction expects not-all-equal semantics")
-    if t is None:
-        t = width - 1
-    if width != t + 1:
-        raise ValueError(f"clause width {width} does not match t={t}")
-    if t < 2:
-        raise ValueError("construction needs t >= 2")
+    t = clause_width(cnf.semantics) - 1
 
     labels: list[str] = []
     edges: list[tuple[int, int]] = []
@@ -90,13 +85,11 @@ class Certification:
         return out
 
 
-def certify_nae_mcc(cnf: CnfInstance, t: int | None = None) -> Certification:
+def certify_nae_mcc(cnf: CnfInstance) -> Certification:
     """Model count versus 2-colorings with monochromatic components <= t."""
-    width = clause_width(cnf.semantics)
-    if t is None:
-        t = width - 1
-    gadget = nae_to_mcc(cnf, t)
+    gadget = nae_to_mcc(cnf)
     models = count_models(cnf)
+    t = clause_width(cnf.semantics) - 1
     colorings = pruned_count_at(gadget, mcc_property(t), 2)
     return Certification("nae_mcc", models, colorings, models == colorings)
 

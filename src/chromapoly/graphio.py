@@ -3,8 +3,8 @@
 Two formats are supported:
 
 * plain edge-list text: first line ``n m``, then m lines ``u v [mult]``;
-  any multiplicity column makes the graph a multigraph.  Label tables are
-  appended as ``# v label`` comment lines.
+  a multiplicity column or a ``# multigraph`` line makes the graph a
+  multigraph.  Label tables are appended as ``# v label`` comment lines.
 * graph6 strings for simple graphs (optionally prefixed ``>>graph6<<``).
 """
 
@@ -39,7 +39,7 @@ def parse_edge_list(text: str) -> Graph:
             raise ValueError(f"malformed edge line: {ln!r}")
     labels = _parse_label_comments(lines, n)
     return build_graph(n, edges, mult if has_mult else None, labels,
-                       simple=not has_mult)
+                       simple=not has_mult and "# multigraph" not in lines)
 
 
 def _parse_label_comments(lines, n) -> list[str] | None:
@@ -61,6 +61,8 @@ def emit_edge_list(g: Graph) -> str:
     out = [f"{g.n} {g.edge_count}"]
     for (u, v), m in zip(g.edges, g.mult):
         out.append(f"{u} {v}" if g.simple else f"{u} {v} {m}")
+    if not g.simple:    # also when no edge line carries a multiplicity
+        out.append("# multigraph")
     out.extend(label_comment_lines(g))
     return "\n".join(out) + "\n"
 

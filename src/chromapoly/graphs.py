@@ -97,6 +97,8 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]],
         else:
             agg[key] = m
     pairs = sorted(agg)
+    if n == 0 and labels is not None and not labels:
+        labels = None   # no vertex carries a label line to read back
     return Graph(n, tuple(pairs), tuple(agg[p] for p in pairs), simple,
                  None if labels is None else tuple(labels))
 

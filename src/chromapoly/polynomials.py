@@ -260,15 +260,19 @@ def lagrange_interpolate(points: Sequence[tuple]) -> Poly:
     return Poly(MONOMIAL, tuple(out))
 
 
-def stirling2(n: int, k: int) -> int:
-    """Number of partitions of an n-set into exactly k nonempty blocks."""
-    if k < 0 or k > n:
-        return 0
+def stirling2_row(n: int, k: int) -> list[int]:
+    """S(n, j) for 0 <= j <= k: partitions of an n-set into exactly j
+    nonempty blocks, in O(n k) steps."""
     row = [1] + [0] * k  # row for n = 0
     for _ in range(n):
         row = [0] + [j * row[j] + row[j - 1] for j in range(1, k + 1)]
-    return row[k]
+    return row
+
+
+def stirling2(n: int, k: int) -> int:
+    """Number of partitions of an n-set into exactly k nonempty blocks."""
+    return stirling2_row(n, k)[k] if 0 <= k <= n else 0
 
 
 def bell_number(n: int) -> int:
-    return sum(stirling2(n, k) for k in range(n + 1))
+    return sum(stirling2_row(n, n))

@@ -4,7 +4,7 @@ import pytest
 
 from chromapoly.cli import main
 from chromapoly.graphio import emit_edge_list
-from chromapoly.graphs import complete_graph, path_graph
+from chromapoly.graphs import complete_graph, edgeless_graph, path_graph
 
 
 @pytest.fixture
@@ -117,7 +117,7 @@ def test_gadget_certify(capsys, tmp_path):
     cnf = tmp_path / "one.cnf"
     cnf.write_text("c semantics nae3\np cnf 3 1\n1 2 3 0\n")
     code, out = run_cli(capsys, "gadget", "certify", "nae_mcc",
-                        "--cnf", str(cnf), "--t", "2")
+                        "--cnf", str(cnf))
     assert code == 0
     payload = json.loads(out)
     assert payload == {"colorings": "6", "kind": "nae_mcc", "match": True,
@@ -165,9 +165,9 @@ def test_identity_run_all(capsys):
 
 
 def test_identity_honors_budget(capsys, monkeypatch):
-    # join_shift at max_n 8 joins graphs of up to 10 vertices; the first
-    # over 10^4 has 9, and Bell(9) = 21147
-    argv = ("identity", "run", "--name", "join_shift", "--max-n", "8")
+    # acyclic_join at max_n 8 walks every partition of graphs of up to
+    # 9 vertices for the leaf-checked acyclic property; Bell(9) = 21147
+    argv = ("identity", "run", "--name", "acyclic_join", "--max-n", "8")
     expected = {"error": {
         "code": "budget",
         "message": "partition enumeration needs 21147 operations, "
@@ -207,12 +207,16 @@ def test_exit_code_input_error(capsys, tmp_path):
 
 
 def test_exit_code_budget(capsys, tmp_path):
+    # a leaf-checked walk is charged its Bell(14) checker calls up front
     path = tmp_path / "big.el"
     path.write_text(emit_edge_list(complete_graph(14)))
     code, out = run_cli(capsys, "poly", "--graph", str(path), "--prop",
-                        "proper", "--budget", "10000")
+                        "convex", "--budget", "10000")
     assert code == 3
-    assert json.loads(out)["error"]["code"] == "budget"
+    assert json.loads(out) == {"error": {
+        "code": "budget",
+        "message": "partition enumeration needs 190899322 operations, "
+                   "budget is 10000"}}
 
 
 def test_cocircuits_budget(capsys, tmp_path):
@@ -240,13 +244,42 @@ def test_budget_validation(capsys, k3):
 
 
 def test_budget_env_override(capsys, k3, monkeypatch):
+    # a pruned walk counts the nodes it visits and stops at the first one
+    # over the limit; on an edgeless graph nothing is pruned
     monkeypatch.setenv("CHROMAPOLY_BUDGET", "10000")
-    path_text = emit_edge_list(complete_graph(14))
+    path_text = emit_edge_list(edgeless_graph(20))
     big = k3 + ".big"
     with open(big, "w") as fh:
         fh.write(path_text)
     code, out = run_cli(capsys, "poly", "--graph", big, "--prop", "proper")
     assert code == 3
+    assert json.loads(out) == {"error": {
+        "code": "budget",
+        "message": "partition enumeration needs 10001 operations, "
+                   "budget is 10000"}}
+
+
+def test_pruned_walk_runs_on_what_an_estimate_refused(capsys, tmp_path):
+    # Bell(14) = 190899322 exceeds 10^4, but the walk on K14 visits 15 nodes
+    path = tmp_path / "k14.el"
+    path.write_text(emit_edge_list(complete_graph(14)))
+    code, out = run_cli(capsys, "poly", "--graph", str(path), "--prop",
+                        "proper", "--budget", "10000")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["counts_at"] == {"0": "0", "1": "0", "2": "0", "3": "0"}
+    assert payload["cross_checked"] is False
+
+
+def test_partition_walk_too_deep_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "p1200.el"
+    path.write_text(emit_edge_list(path_graph(1200)))
+    code, out = run_cli(capsys, "poly", "--graph", str(path), "--prop",
+                        "proper")
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["code"] == "input" and "1200 domain elements" in error[
+        "message"]
 
 
 def test_budget_env_not_an_integer(capsys, k3, monkeypatch):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from itertools import product
 from math import comb, factorial
 
@@ -6,8 +7,8 @@ import pytest
 
 from chromapoly.counting import (
     brute_count_at, chi_polynomial, convex_fast, count_clique_partitions,
-    count_profile, edge_chi, edge_chi_polynomial, exact_color_count,
-    harmonious_fast, hat_chi, interpolation_chain, polynomiality_audit,
+    count_profile, edge_chi_polynomial, exact_color_count,
+    harmonious_fast, interpolation_chain, polynomiality_audit,
     pruned_count_at,
 )
 from chromapoly.errors import BudgetExceededError, NotPolynomialError, budget
@@ -15,7 +16,9 @@ from chromapoly.graphs import (
     complete_graph, cycle_graph, disjoint_union, edgeless_graph, line_graph,
     path_graph, star_graph,
 )
-from chromapoly.polynomials import from_binomial, from_monomial
+from chromapoly.polynomials import (
+    bell_number, from_binomial, from_monomial, stirling2,
+)
 from chromapoly.properties import (
     Coloring, acyclic_property, check, cocolor_property, convex_property,
     degree_determined_property, du_property, edge_proper_property,
@@ -210,10 +213,10 @@ def test_convex_is_not_multiplicative():
 
 def test_hat_chi():
     k3 = complete_graph(3)
-    assert hat_chi(k3, PROPER, 3) == 6
-    assert hat_chi(k3, PROPER, 2) == 0
+    assert exact_color_count(k3, PROPER, 3) == 6
+    assert exact_color_count(k3, PROPER, 2) == 0
     two_k2 = disjoint_union(complete_graph(2), complete_graph(2))
-    assert hat_chi(two_k2, du_property(complete_graph(2)), 1) == 1
+    assert exact_color_count(two_k2, du_property(complete_graph(2)), 1) == 1
 
 
 def test_hat_chi_summation_identity():
@@ -223,7 +226,7 @@ def test_hat_chi_summation_identity():
         g = random_graph(rng, 5)
         prop = props[rng.randrange(len(props))]
         for k in range(5):
-            total = sum(comb(k, i) * hat_chi(g, prop, i)
+            total = sum(comb(k, i) * exact_color_count(g, prop, i)
                         for i in range(k + 1))
             assert total == brute_count_at(g, prop, k)
 
@@ -267,7 +270,8 @@ def test_clique_cover_relation():
     for g in (complete_graph(4), cycle_graph(4), cycle_graph(6),
               disjoint_union(complete_graph(2), complete_graph(2))):
         direct = count_clique_partitions(g, alpha)
-        assert hat_chi(g, du2, g.n // alpha) == factorial(g.n // alpha) * direct
+        assert exact_color_count(g, du2, g.n // alpha) == (
+            factorial(g.n // alpha) * direct)
 
 
 def test_count_clique_partitions_values():
@@ -364,9 +368,9 @@ def test_convex_fast_matches_brute():
 
 
 def test_edge_chi():
-    assert edge_chi(complete_graph(3), 3) == 6
-    assert edge_chi(path_graph(3), 2) == 2
-    assert edge_chi(complete_graph(2), 0) == 0
+    assert edge_chi_polynomial(complete_graph(3)).eval(3) == 6
+    assert edge_chi_polynomial(path_graph(3)).eval(2) == 2
+    assert edge_chi_polynomial(complete_graph(2)).eval(0) == 0
     assert edge_chi_polynomial(star_graph(3)).equals(
         chi_polynomial(complete_graph(3), PROPER))
 
@@ -377,7 +381,8 @@ def test_edge_chi_matches_direct_edge_enumeration():
     for _ in range(10):
         g = random_graph(rng, 5)
         for k in range(4):
-            assert edge_chi(g, k) == brute_count_at(g, edge_prop, k)
+            assert edge_chi_polynomial(g).eval(k) == brute_count_at(
+                g, edge_prop, k)
         assert chi_polynomial(g, edge_prop).equals(
             chi_polynomial(line_graph(g), PROPER))
 
@@ -393,6 +398,58 @@ def test_pruned_count_matches_brute():
         for k in (0, 1, 2, 3):
             assert pruned_count_at(g, prop, k) == brute_count_at(g, prop, k), (
                 prop.name, g.edges, k)
+
+
+def _counting_checker(prop):
+    """``prop`` with its checker wrapped, and the list of calls it made."""
+    calls = []
+
+    def checker(g, colors, k):
+        calls.append(colors)
+        return prop.checker(g, colors, k)
+    return replace(prop, checker=checker), calls
+
+
+def _charge(run):
+    """The operations ``run`` is charged: the cost its budget error reports
+    under a budget of zero."""
+    with budget(0), pytest.raises(BudgetExceededError) as info:
+        run()
+    return info.value.cost
+
+
+def test_leaf_checked_walk_charges_its_checker_calls():
+    g = random_graph(random.Random(89), 8, min_n=8)
+    prop, calls = _counting_checker(CONVEX)
+    runs = [(lambda: chi_polynomial(g, prop), bell_number(8))]
+    runs += [(lambda i=i: exact_color_count(g, prop, i), stirling2(8, i))
+             for i in range(10)]
+    runs += [(lambda k=k: pruned_count_at(g, prop, k),
+              sum(stirling2(8, i) for i in range(k + 1))) for k in range(10)]
+    for run, expected in runs:
+        calls.clear()
+        run()
+        assert len(calls) == expected
+        if expected:
+            assert _charge(run) == expected
+        with budget(expected):
+            run()
+    assert bell_number(8) == 4140
+
+
+def test_leaf_checked_walk_refused_before_its_first_checker_call():
+    g = random_graph(random.Random(89), 8, min_n=8)
+    prop, calls = _counting_checker(CONVEX)
+    with budget(4139), pytest.raises(BudgetExceededError) as info:
+        pruned_count_at(g, prop, 8)
+    assert str(info.value) == (
+        "pruned enumeration needs 4140 operations, budget is 4139")
+    assert calls == []
+
+
+def test_partition_walk_too_deep_is_an_input_error():
+    with pytest.raises(ValueError, match="1200 domain elements"):
+        pruned_count_at(path_graph(1200), mcc_property(2), 2)
 
 
 def test_rainbow_and_edge_polynomials():

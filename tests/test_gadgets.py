@@ -22,7 +22,7 @@ from helpers import nae_coloring_oracle, nonisomorphic_connected
 
 def test_nae_gadget_single_clause_is_clique():
     cnf = CnfInstance(4, ((1, 2, 3, 4),), "nae4")
-    g = nae_to_mcc(cnf, 3)
+    g = nae_to_mcc(cnf)
     assert (g.n, g.edge_count) == (6, 15)
     assert is_isomorphic(build_graph(g.n, g.edges), complete_graph(6))
     assert g.labels[:4] == ("x1", "x2", "x3", "x4")
@@ -30,19 +30,22 @@ def test_nae_gadget_single_clause_is_clique():
 
 def test_nae_gadget_bridges():
     cnf = CnfInstance(4, ((1, 2, 3), (1, 2, 4)), "nae3")
-    g = nae_to_mcc(cnf, 2)
+    g = nae_to_mcc(cnf)
     # two K_4 gadgets plus one bridge per shared variable occurrence pair
     assert (g.n, g.edge_count) == (8 + 2, 12 + 4)
     cnf1 = CnfInstance(4, ((1, 2, 3), (-1, 2, 4)), "nae3")
-    g1 = nae_to_mcc(cnf1, 2)
+    g1 = nae_to_mcc(cnf1)
     # only the x2 pair bridges: x1 and its negation carry different labels
     assert (g1.n, g1.edge_count) == (9, 14)
 
 
 def test_nae_gadget_width_mismatch():
-    cnf = CnfInstance(3, ((1, 2, 3),), "nae3")
-    with pytest.raises(ValueError):
-        nae_to_mcc(cnf, 3)
+    # t follows from the nae clause width; any other semantics has none
+    cnf = CnfInstance(4, ((1, 2, 3, 4),), "2of4")
+    with pytest.raises(ValueError, match="not-all-equal"):
+        nae_to_mcc(cnf)
+    with pytest.raises(ValueError, match="not-all-equal"):
+        certify_nae_mcc(cnf)
 
 
 def test_nae_certification_monotone_width3_is_parsimonious():
@@ -80,7 +83,7 @@ def test_nae_certification_negated_example():
     # occurrence is a fresh label and the counts genuinely diverge; both
     # sides here are frozen from independent enumeration
     cnf = CnfInstance(4, ((1, 2, 3), (-1, 2, 4)), "nae3")
-    cert = certify_nae_mcc(cnf, 2)
+    cert = certify_nae_mcc(cnf)
     assert cert.models == 8
     assert cert.graph_count == 18
     assert not cert.match
@@ -265,7 +268,7 @@ def test_gaussian_recover_inconsistent():
 def test_pruned_counter_agrees_on_gadget_scale():
     # one mid-size certification recomputed with the plain oracle
     cnf = CnfInstance(4, ((1, 2, 3), (1, 2, 4)), "nae3")
-    g = nae_to_mcc(cnf, 2)
+    g = nae_to_mcc(cnf)
     assert pruned_count_at(g, mcc_property(2), 2) == brute_count_at(
         g, mcc_property(2), 2)
 
@@ -274,7 +277,7 @@ def test_pruned_budget_counts_visited_nodes():
     # the search on this 10-vertex gadget visits 78 nodes; the budget error
     # reports that count, and a budget of exactly 78 completes
     cnf = CnfInstance(4, ((1, 2, 3), (2, 3, 4)), "nae3")
-    g = nae_to_mcc(cnf, 2)
+    g = nae_to_mcc(cnf)
     assert g.n == 10
     with budget(77), pytest.raises(BudgetExceededError) as info:
         pruned_count_at(g, mcc_property(2), 2)

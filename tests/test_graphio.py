@@ -5,7 +5,8 @@ from chromapoly.graphio import (
     parse_graph_text,
 )
 from chromapoly.graphs import (
-    build_graph, complete_graph, cycle_graph, is_isomorphic, path_graph,
+    build_graph, complete_graph, cycle_graph, fingerprint, is_isomorphic,
+    path_graph,
 )
 
 
@@ -20,6 +21,15 @@ def test_edge_list_round_trip_multigraph():
     assert "0 1 2" in text
     back = parse_edge_list(text)
     assert back == g and not back.simple
+
+
+def test_edge_list_round_trip_edgeless_multigraph_and_empty_graph():
+    g = build_graph(3, [], multiplicities=[])
+    back = parse_edge_list(emit_edge_list(g))
+    assert back == g and fingerprint(back) == "n3m0-10b527b6e276"
+    empty = build_graph(0, [], labels=[])
+    assert empty.labels is None
+    assert parse_edge_list(emit_edge_list(empty)) == empty
 
 
 def test_edge_list_labels():

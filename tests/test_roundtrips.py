@@ -24,17 +24,14 @@ LABEL = st.text(string.ascii_letters + string.digits + "!^_'", min_size=1,
 
 @st.composite
 def graphs(draw, max_n: int = 12, multi: bool = False):
-    # only an edge line marks a multigraph, so a multigraph needs an edge
-    n = draw(st.integers(2 if multi else 0, max_n))
+    n = draw(st.integers(0, max_n))
     pairs = [(u, v) for v in range(n) for u in range(v)]
-    edges = draw(st.lists(st.sampled_from(pairs), unique=True,
-                          min_size=1 if multi else 0, max_size=40)
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=40)
                  if pairs else st.just([]))
     mult = draw(st.lists(st.integers(1, 5), min_size=len(edges),
                          max_size=len(edges))) if multi else None
-    # a graph without vertices has no label line to carry an empty table
     labels = (draw(st.lists(LABEL, min_size=n, max_size=n))
-              if n and draw(st.booleans()) else None)
+              if draw(st.booleans()) else None)
     return build_graph(n, edges, mult, labels)
 
 
