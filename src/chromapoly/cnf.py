@@ -31,6 +31,9 @@ class CnfInstance:
     semantics: str
 
     def __post_init__(self):
+        if self.num_vars < 0:
+            raise ValueError(
+                f"variable count must be nonnegative, got {self.num_vars}")
         object.__setattr__(self, "semantics", _canonical_tag(self.semantics))
         width = clause_width(self.semantics)
         for clause in self.clauses:

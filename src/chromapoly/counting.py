@@ -7,7 +7,12 @@ The two independent routes everything else is checked against:
   domain into exactly i blocks whose canonical coloring satisfies the
   property, for every i in one pass.  Valid whenever the property passes the
   polynomiality audit; ``chi_polynomial``, ``count_profile``,
-  ``exact_color_count`` and ``pruned_count_at`` all read it.
+  ``exact_color_count`` and ``pruned_count_at`` all read it.  It walks the
+  partitions in one of three ways: mask-pruned (proper, mcc, du),
+  prefix-pruned (the other hereditary properties) or leaf-checked (the
+  rest).  The pruned walks charge the budget one step per node visited;
+  the leaf-checked walk is charged its exact number of checker calls before
+  it starts.
 
 Fast special cases (the harmonious per-k algorithm, the convex/cocircuit
 count) and the interpolation chains that recover a polynomial from shifted
@@ -23,7 +28,7 @@ from math import comb, factorial
 
 from .errors import NotPolynomialError, check_budget
 from .graphs import (
-    Graph, bits, box_join, cocircuit_counts, complete_graph,
+    Graph, bits, box_join, build_graph, cocircuit_counts, complete_graph,
     connected_components, disjoint_union, fingerprint, induced_subgraph,
     is_isomorphic, join, line_graph, star_graph, strip_isolated,
 )
@@ -48,7 +53,7 @@ def _prune_bound(prop: ColoringProperty):
     """(bound, pattern) for the class-local families whose violations only
     grow: a monochromatic component larger than ``bound`` never recovers.
     ``pattern`` is the graph every du component must match at the leaf.
-    The bound is None for properties checked on complete colorings only."""
+    The bound is None for every other property."""
     if prop.domain == "vertex":
         if prop.family == "proper":
             return 1, None
@@ -59,6 +64,15 @@ def _prune_bound(prop: ColoringProperty):
     return None, None
 
 
+def _prefix_graphs(g: Graph, prop: ColoringProperty) -> list[Graph]:
+    """G[0..pos) for pos = 0..D: the first pos vertices, or the first pos
+    edges on the whole vertex set.  The last entry is g itself."""
+    if prop.domain == "vertex":
+        return [induced_subgraph(g, range(pos)) for pos in range(g.n)] + [g]
+    return [build_graph(g.n, g.edges[:pos])
+            for pos in range(g.edge_count)] + [g]
+
+
 def _partition_counts(g: Graph, prop: ColoringProperty, lo: int, hi: int,
                       what: str = "partition enumeration") -> list[int]:
     """p[i] for 0 <= i <= hi: set partitions of the domain into exactly i
@@ -66,12 +80,21 @@ def _partition_counts(g: Graph, prop: ColoringProperty, lo: int, hi: int,
     one pass over restricted-growth strings (Knuth, TAOCP 4A 7.2.1.5).
     Entries below ``lo`` are 0: branches that cannot reach lo blocks are cut.
 
-    Proper, mcc and du are pruned as soon as a block's monochromatic
-    component outgrows the family bound; components are kept incrementally
-    as disjoint bitmasks per block, and each node visited counts one step
-    against the budget.  Every other property is checked on the complete
-    coloring: that walk visits exactly the partitions into lo..hi blocks, so
-    it is charged their number, one checker call each, before it starts.
+    One of three walks runs, chosen here:
+
+    * mask-pruned (proper, mcc, du): a branch is cut as soon as a block's
+      monochromatic component outgrows the family bound; components are kept
+      incrementally as disjoint bitmasks per block.
+    * prefix-pruned (every other hereditary property): the checker runs on
+      the prefix graph at every node and a failing branch is cut; at the
+      leaf the prefix graph is g, so every counted partition is fully
+      checked.
+    * leaf-checked (the rest): the checker runs on complete colorings only.
+
+    The two pruned walks count each node visited as one step against the
+    budget.  The leaf-checked walk visits exactly the partitions into lo..hi
+    blocks, so it is charged their number, one checker call each, before it
+    starts.
     """
     d = _domain_size(g, prop)
     counts = [0] * (hi + 1)
@@ -80,15 +103,20 @@ def _partition_counts(g: Graph, prop: ColoringProperty, lo: int, hi: int,
     steps = 0
     checker = prop.checker
     bound, pattern = _prune_bound(prop)
+    prefixes = None
     if bound is None:
-        check_budget(sum(stirling2_row(d, hi)[lo:]), what)
+        if prop.hereditary:
+            prefixes = _prefix_graphs(g, prop)
+        else:
+            check_budget(sum(stirling2_row(d, hi)[lo:]), what)
+    per_node = bound is not None or prefixes is not None
     adj = g.adj
     colors = [0] * d
     comps: list[list[int]] = []     # per block, disjoint component masks
 
     def leaf_ok(used: int) -> bool:
         if bound is None:
-            return checker(g, tuple(colors), used)
+            return prefixes is not None or checker(g, tuple(colors), used)
         if pattern is None:
             return True
         return all(comp.bit_count() == pattern.n and is_isomorphic(
@@ -97,9 +125,12 @@ def _partition_counts(g: Graph, prop: ColoringProperty, lo: int, hi: int,
 
     def rec(pos: int, used: int):
         nonlocal steps
-        if bound is not None:
+        if per_node:
             steps += 1
             check_budget(steps, what)
+        if prefixes is not None and not checker(
+                prefixes[pos], tuple(colors[:pos]), used):
+            return
         if pos == d:
             if leaf_ok(used):
                 counts[used] += 1
@@ -339,7 +370,8 @@ def convex_fast(g: Graph, k: int) -> int:
         return 2
     if g.n == 1:
         return 2
-    total, _ = cocircuit_counts(g)
+    # convexity ignores multiplicities: count on the underlying simple graph
+    total, _ = cocircuit_counts(build_graph(g.n, g.edges))
     return 2 + 2 * total
 
 
@@ -354,8 +386,9 @@ def edge_chi_polynomial(g: Graph) -> Poly:
 def pruned_count_at(g: Graph, prop: ColoringProperty, k: int) -> int:
     """Same count as brute_count_at, from one pass of the partition engine:
     the sum over i <= k of C(k, i) * i! * p(i), where p(i) counts the valid
-    partitions into i blocks.  Proper, mcc and du prune as they go.  A
-    property not known to be polynomial falls back to plain enumeration.
+    partitions into i blocks.  Hereditary properties and du prune as they
+    go.  A property not known to be polynomial falls back to plain
+    enumeration.
     """
     if k < 0 or not prop.known_polynomial:
         return brute_count_at(g, prop, k)

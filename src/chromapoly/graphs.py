@@ -89,6 +89,8 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]],
     for (u, v), m in zip(edges, multiplicities):
         if u == v:
             raise ValueError(f"loop edge at vertex {u}")
+        if m < 1:   # checked per pair: a sum could hide it
+            raise ValueError("edge multiplicity must be >= 1")
         key = (u, v) if u < v else (v, u)
         if key in agg:
             if simple:

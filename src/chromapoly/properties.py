@@ -50,6 +50,10 @@ class ColoringProperty:
     family: str = ""           # machine tag for fast paths and pruning
     param: object = None       # t for mcc/t-improper, pattern graph otherwise
     known_polynomial: bool = True
+    # a coloring whose prefix fails the checker on the prefix graph (the
+    # first vertices, or the first edges on the whole vertex set) fails on
+    # every extension; the partition engine then cuts such branches
+    hereditary: bool = False
 
 
 def check(prop: ColoringProperty, g: Graph, coloring: Coloring) -> bool:
@@ -290,15 +294,18 @@ def _degree_determined(g, colors, k):
 # property constructors
 
 def trivial_property() -> ColoringProperty:
-    return ColoringProperty("trivial", "vertex", _trivial, family="trivial")
+    return ColoringProperty("trivial", "vertex", _trivial, family="trivial",
+                            hereditary=True)
 
 
 def proper_property() -> ColoringProperty:
-    return ColoringProperty("proper", "vertex", _proper, family="proper")
+    return ColoringProperty("proper", "vertex", _proper, family="proper",
+                            hereditary=True)
 
 
 def harmonious_property() -> ColoringProperty:
-    return ColoringProperty("harmonious", "vertex", _harmonious, family="harmonious")
+    return ColoringProperty("harmonious", "vertex", _harmonious,
+                            family="harmonious", hereditary=True)
 
 
 def convex_property() -> ColoringProperty:
@@ -308,7 +315,8 @@ def convex_property() -> ColoringProperty:
 def mcc_property(t: int) -> ColoringProperty:
     if t < 1:
         raise ValueError("mcc needs t >= 1")
-    return ColoringProperty(f"mcc:t={t}", "vertex", _make_mcc(t), family="mcc", param=t)
+    return ColoringProperty(f"mcc:t={t}", "vertex", _make_mcc(t), family="mcc",
+                            param=t, hereditary=True)
 
 
 def du_property(pattern: Graph) -> ColoringProperty:
@@ -318,30 +326,35 @@ def du_property(pattern: Graph) -> ColoringProperty:
 
 def h_free_property(pattern: Graph) -> ColoringProperty:
     return ColoringProperty(f"hfree:H={graph_token(pattern)}", "vertex",
-                            _make_hfree(pattern), family="hfree", param=pattern)
+                            _make_hfree(pattern), family="hfree", param=pattern,
+                            hereditary=True)
 
 
 def t_improper_property(t: int) -> ColoringProperty:
     if t < 0:
         raise ValueError("t must be nonnegative")
     return ColoringProperty(f"timp:t={t}", "vertex", _make_timproper(t),
-                            family="timp", param=t)
+                            family="timp", param=t, hereditary=True)
 
 
 def acyclic_property() -> ColoringProperty:
-    return ColoringProperty("acyclic", "vertex", _acyclic, family="acyclic")
+    return ColoringProperty("acyclic", "vertex", _acyclic, family="acyclic",
+                            hereditary=True)
 
 
 def cocolor_property() -> ColoringProperty:
-    return ColoringProperty("cocolor", "vertex", _cocolor, family="cocolor")
+    return ColoringProperty("cocolor", "vertex", _cocolor, family="cocolor",
+                            hereditary=True)
 
 
 def injective_property() -> ColoringProperty:
-    return ColoringProperty("injective", "vertex", _injective, family="injective")
+    return ColoringProperty("injective", "vertex", _injective,
+                            family="injective", hereditary=True)
 
 
 def edge_proper_property() -> ColoringProperty:
-    return ColoringProperty("edge", "edge", _edge_proper, family="edge")
+    return ColoringProperty("edge", "edge", _edge_proper, family="edge",
+                            hereditary=True)
 
 
 def rainbow_property() -> ColoringProperty:

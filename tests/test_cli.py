@@ -82,11 +82,16 @@ def test_eval_rational_point(capsys, k3):
 
 
 def test_eval_fast_paths(capsys, p3, tmp_path):
-    code, out = run_cli(capsys, "eval", "--graph", p3, "--prop", "convex",
-                        "--point", "2")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["value"] == "6" and payload["fast"] == "cocircuit"
+    # convexity ignores multiplicities, so P3 with a doubled edge counts
+    # the cocircuits of P3 (the multigraph exited 2 from cut enumeration)
+    multi = tmp_path / "p3multi.el"
+    multi.write_text("3 2\n0 1 2\n1 2\n")
+    for graph in (p3, str(multi)):
+        code, out = run_cli(capsys, "eval", "--graph", graph, "--prop",
+                            "convex", "--point", "2")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["value"] == "6" and payload["fast"] == "cocircuit"
 
     big = tmp_path / "core.el"
     big.write_text("7 1\n0 1\n")
@@ -165,12 +170,12 @@ def test_identity_run_all(capsys):
 
 
 def test_identity_honors_budget(capsys, monkeypatch):
-    # acyclic_join at max_n 8 walks every partition of graphs of up to
-    # 9 vertices for the leaf-checked acyclic property; Bell(9) = 21147
-    argv = ("identity", "run", "--name", "acyclic_join", "--max-n", "8")
+    # convex_pendant at max_n 9 walks every partition of G + K1 for the
+    # leaf-checked convex property, charged up front; Bell(10) = 115975
+    argv = ("identity", "run", "--name", "convex_pendant", "--max-n", "9")
     expected = {"error": {
         "code": "budget",
-        "message": "partition enumeration needs 21147 operations, "
+        "message": "partition enumeration needs 115975 operations, "
                    "budget is 10000"}}
     code, out = run_cli(capsys, *argv, "--budget", "10000")
     assert code == 3 and json.loads(out) == expected
@@ -244,19 +249,21 @@ def test_budget_validation(capsys, k3):
 
 
 def test_budget_env_override(capsys, k3, monkeypatch):
-    # a pruned walk counts the nodes it visits and stops at the first one
-    # over the limit; on an edgeless graph nothing is pruned
+    # a pruned walk, mask-pruned (proper) or prefix-pruned (harmonious),
+    # counts the nodes it visits and stops at the first one over the
+    # limit; on an edgeless graph nothing is pruned
     monkeypatch.setenv("CHROMAPOLY_BUDGET", "10000")
     path_text = emit_edge_list(edgeless_graph(20))
     big = k3 + ".big"
     with open(big, "w") as fh:
         fh.write(path_text)
-    code, out = run_cli(capsys, "poly", "--graph", big, "--prop", "proper")
-    assert code == 3
-    assert json.loads(out) == {"error": {
-        "code": "budget",
-        "message": "partition enumeration needs 10001 operations, "
-                   "budget is 10000"}}
+    for prop in ("proper", "harmonious"):
+        code, out = run_cli(capsys, "poly", "--graph", big, "--prop", prop)
+        assert code == 3
+        assert json.loads(out) == {"error": {
+            "code": "budget",
+            "message": "partition enumeration needs 10001 operations, "
+                       "budget is 10000"}}
 
 
 def test_pruned_walk_runs_on_what_an_estimate_refused(capsys, tmp_path):
