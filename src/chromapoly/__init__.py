@@ -10,7 +10,7 @@ from .counting import (
     AuditReport, CountProfile, brute_count_at, chi_polynomial,
     convex_fast, count_clique_partitions, count_profile,
     edge_chi_polynomial, exact_color_count, harmonious_fast,
-    interpolation_chain, polynomiality_audit, pruned_count_at,
+    interpolation_chain, polynomiality_audit, proper_fast, pruned_count_at,
 )
 from .cnf import CnfInstance, count_models, parse_cnf
 from .errors import (

@@ -1,22 +1,29 @@
 """Exact counting of colorings and assembly of counting polynomials.
 
-The two independent routes everything else is checked against:
+The exact routes everything else is checked against:
 
 * ``brute_count_at`` -- plain enumeration of all k^D colorings; the oracle.
 * the partition engine -- i! times the number of set partitions of the
   domain into exactly i blocks whose canonical coloring satisfies the
   property, for every i in one pass.  Valid whenever the property passes the
-  polynomiality audit; ``chi_polynomial``, ``count_profile``,
-  ``exact_color_count`` and ``pruned_count_at`` all read it.  It walks the
-  partitions in one of three ways: mask-pruned (proper, mcc, du),
-  prefix-pruned (the other hereditary properties) or leaf-checked (the
-  rest).  The pruned walks charge the budget one step per node visited;
-  the leaf-checked walk is charged its exact number of checker calls before
-  it starts.
+  polynomiality audit; ``pruned_count_at`` reads it, and so do
+  ``chi_polynomial``, ``count_profile`` and ``exact_color_count`` wherever
+  the next route does not apply.  It walks the partitions in one of three
+  ways: mask-pruned (proper, mcc, du), prefix-pruned (the other hereditary
+  properties) or leaf-checked (the rest).  The pruned walks charge the
+  budget one step per node visited; the leaf-checked walk is charged its
+  exact number of checker calls before it starts.
+* inclusion-exclusion -- the fourth way to the same counts, for the
+  class-local vertex properties the engine cannot mask-prune (convex, timp,
+  cocolor, hfree, trivial and ``pair:`` tokens whose pair predicate is
+  ``all``) on at most 20 vertices: one sum over the 2^n vertex subsets
+  (Bjorklund, Husfeldt and Koivisto, SIAM J. Comput. 2009).
+  ``_exact_counts`` picks it; it is charged 2^n*(n+1) steps, one per
+  subset and palette size, before its first predicate call.
 
 Fast special cases (the harmonious per-k algorithm, the convex/cocircuit
-count) and the interpolation chains that recover a polynomial from shifted
-evaluations live here too.
+count, proper at k <= 2) and the interpolation chains that recover a
+polynomial from shifted evaluations live here too.
 """
 
 from __future__ import annotations
@@ -35,7 +42,9 @@ from .graphs import (
 from .polynomials import (
     Poly, from_binomial, lagrange_interpolate, stirling2_row,
 )
-from .properties import ColoringProperty, harmonious_property, proper_property
+from .properties import (
+    ColoringProperty, harmonious_property, proper_property, table_pair_property,
+)
 
 _PROPER = proper_property()
 _HARMONIOUS = harmonious_property()
@@ -177,14 +186,87 @@ def _partition_counts(g: Graph, prop: ColoringProperty, lo: int, hi: int,
     return counts
 
 
+_SUBSET_MAX_N = 20
+
+
+def _class_predicate(g: Graph, prop: ColoringProperty):
+    """The class predicate of a class-local property the subset route
+    serves on g (vertex domain, pair predicate ``all``, no mask-prune
+    bound, at most _SUBSET_MAX_N vertices), or None."""
+    if (prop.domain != "vertex" or g.n > _SUBSET_MAX_N
+            or _prune_bound(prop)[0] is not None):
+        return None
+    if prop.family == "pair":
+        row = prop.param
+    else:
+        try:
+            row = table_pair_property(prop.family, prop.param)
+        except ValueError:      # no class/pair row for this family
+            return None
+    return row.class_pred if row.pair_name == "all" else None
+
+
+def _subset_counts(g: Graph, allowed, hereditary: bool,
+                   hi: int) -> list[int]:
+    """c[i] for 0 <= i <= hi: ordered partitions of the vertex set into i
+    nonempty classes that each induce a graph ``allowed`` accepts.
+
+    With f_S(z) = sum of z^|T| over the nonempty allowed T within S,
+    c(i) = sum over S of (-1)^(n-|S|) [z^n] f_S(z)^i.  Each f_S is packed
+    into one int, one slot per degree (Kronecker substitution): (n+1)-bit
+    slots hold the zeta transform, whose coefficients count subsets of S,
+    and each power runs on slots wide enough for any [z^j] f_S^i with
+    i, j <= n, which is at most C(n*n, n).  It is charged 2^n * (n+1)
+    steps, one per subset and palette size 0..n, before the first
+    predicate call.
+    """
+    n = g.n
+    full = 1 << n
+    check_budget(full * (n + 1), "inclusion-exclusion")
+    narrow, wide = n + 1, comb(n * n, n).bit_length() + 1
+    ok = bytearray(full)
+    ok[0] = 1       # the empty set, for the hereditary test below
+    f = [0] * full
+    for t in range(1, full):
+        # a hereditary property accepts no class whose set without its last
+        # vertex it rejects: that prefix fails on every extension
+        if hereditary and not ok[t ^ (1 << (t.bit_length() - 1))]:
+            continue
+        if allowed(induced_subgraph(g, bits(t))):
+            ok[t] = 1
+            f[t] = 1 << (narrow * t.bit_count())
+    for v in range(n):
+        bit = 1 << v
+        for s in range(full):
+            if s & bit:
+                f[s] += f[s ^ bit]
+    low, keep = (1 << narrow) - 1, (1 << (wide * (n + 1))) - 1
+    counts = [0] * (hi + 1)
+    counts[0] = int(n == 0)     # [z^n] f_S^0 is [n = 0] for every S
+    for s in range(1, full):    # f of the empty set is 0
+        packed = f[s]
+        fs = 0
+        for j in range(1, n + 1):
+            fs |= ((packed >> (narrow * j)) & low) << (wide * j)
+        sign = -1 if (n - s.bit_count()) & 1 else 1
+        power = 1
+        for i in range(1, min(hi, n) + 1):
+            power = power * fs & keep
+            counts[i] += sign * (power >> (wide * n))
+    return counts
+
+
 def _exact_counts(g: Graph, prop: ColoringProperty, lo: int,
                   hi: int) -> list[int]:
     """c[i] for lo <= i <= hi, indexed by i: colorings whose range is
     exactly the first i colors.
 
-    The partition route assumes the count depends only on |I|; for a suspect
-    property the plain counts are taken once and combined by
-    inclusion-exclusion instead.
+    A class-local property the partition engine cannot mask-prune takes the
+    inclusion-exclusion route over vertex subsets on at most _SUBSET_MAX_N
+    vertices, charged 2^n*(n+1) steps; every other property takes the
+    partition engine, charged as its walk prescribes.  Both assume the
+    count depends only on |I|; for a suspect property the plain counts are
+    taken once and combined by inclusion-exclusion over colors instead.
     """
     if not prop.known_polynomial:
         top = min(hi, _domain_size(g, prop))
@@ -192,6 +274,9 @@ def _exact_counts(g: Graph, prop: ColoringProperty, lo: int,
         return [sum((-1) ** (i - j) * comb(i, j) * plain[j]
                     for j in range(i + 1))
                 for i in range(top + 1)] + [0] * (hi - top)
+    allowed = _class_predicate(g, prop)
+    if allowed is not None:
+        return _subset_counts(g, allowed, prop.hereditary, hi)
     p = _partition_counts(g, prop, lo, hi)
     return [factorial(i) * c for i, c in enumerate(p)]
 
@@ -343,10 +428,10 @@ def polynomiality_audit(g: Graph, prop: ColoringProperty,
 def harmonious_fast(g: Graph, k: int) -> int:
     """Per-k harmonious count: edge-bound short circuit, strip isolated
     vertices, enumerate only on the small core, multiply by k**isolated."""
-    if not g.simple:
-        raise ValueError("harmonious counting is defined on simple graphs")
     if k < 0:
         raise ValueError("palette size must be nonnegative")
+    # harmony reads only the distinct pairs: count on the simple graph
+    g = build_graph(g.n, g.edges)
     if g.edge_count >= k * (k - 1) // 2 + 1:
         return 0
     core, isolated = strip_isolated(g)
@@ -373,6 +458,35 @@ def convex_fast(g: Graph, k: int) -> int:
     # convexity ignores multiplicities: count on the underlying simple graph
     total, _ = cocircuit_counts(build_graph(g.n, g.edges))
     return 2 + 2 * total
+
+
+def proper_fast(g: Graph, k: int) -> int:
+    """Proper count for k <= 2: none on a nonempty graph at k = 0, one on
+    an edgeless graph at k = 1, and at k = 2 two per component of a
+    bipartite graph (each component's sides swap), none otherwise."""
+    if k not in (0, 1, 2):
+        raise ValueError("fast proper path covers k in {0, 1, 2}")
+    if k == 0:
+        return 1 if g.n == 0 else 0
+    if k == 1:
+        return 1 if g.edge_count == 0 else 0
+    side = [None] * g.n
+    components = 0
+    for root in range(g.n):
+        if side[root] is not None:
+            continue
+        components += 1
+        side[root] = 0
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for w in bits(g.adj[v]):
+                if side[w] is None:
+                    side[w] = 1 - side[v]
+                    stack.append(w)
+                elif side[w] == side[v]:
+                    return 0
+    return 2 ** components
 
 
 def edge_chi_polynomial(g: Graph) -> Poly:

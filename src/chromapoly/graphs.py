@@ -346,8 +346,11 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
         if u in index and v in index:
             edges.append((index[u], index[v]))
             mult.append(m)
-    labels = None if g.labels is None else [g.labels[v] for v in keep]
-    return build_graph(len(keep), edges, mult, labels, simple=g.simple)
+    labels = (None if g.labels is None or not keep
+              else tuple(g.labels[v] for v in keep))
+    # g's pairs are sorted and distinct and the renumbering keeps their
+    # order, so they need no canonicalizing
+    return Graph(len(keep), tuple(edges), tuple(mult), g.simple, labels)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,12 @@ import json
 
 import pytest
 
+from chromapoly import cli
 from chromapoly.cli import main
 from chromapoly.graphio import emit_edge_list
-from chromapoly.graphs import complete_graph, edgeless_graph, path_graph
+from chromapoly.graphs import (
+    build_graph, complete_graph, cycle_graph, edgeless_graph, path_graph,
+)
 
 
 @pytest.fixture
@@ -102,6 +105,77 @@ def test_eval_fast_paths(capsys, p3, tmp_path):
     assert payload["value"] == "1458" and payload["fast"] == "T(k)"
 
 
+def test_eval_answers_easy_points_without_the_polynomial(
+        capsys, tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("eval built the polynomial")
+    monkeypatch.setattr(cli, "chi_polynomial", refuse)
+    # a connected 16-vertex graph: the cocircuit loop charges 2^15, the
+    # polynomial would need 2^16 * 17
+    g16 = tmp_path / "g16.el"
+    g16.write_text(emit_edge_list(build_graph(
+        16, [(v, v + 1) for v in range(15)] + [(0, 8), (3, 12), (5, 15)])))
+    # the edgeless 20-vertex graph: the prefix-pruned walk would take
+    # about 10^8 nodes before a fallback
+    e20 = tmp_path / "e20.el"
+    e20.write_text(emit_edge_list(edgeless_graph(20)))
+    c40 = tmp_path / "c40.el"
+    c40.write_text(emit_edge_list(cycle_graph(40)))
+    for graph, prop, fast, value in (
+            (g16, "convex", "cocircuit", None),
+            (e20, "harmonious", "T(k)", str(2 ** 20)),
+            (c40, "proper", "bipartite", "2")):
+        code, out = run_cli(capsys, "eval", "--graph", str(graph), "--prop",
+                            prop, "--point", "2", "--budget", "100000")
+        assert code == 0, out
+        payload = json.loads(out)
+        assert payload["fast"] == fast
+        assert value is None or payload["value"] == value
+    # other points still need the polynomial, out of reach here
+    monkeypatch.undo()
+    code, out = run_cli(capsys, "eval", "--graph", str(c40), "--prop",
+                        "proper", "--point", "3", "--budget", "100000")
+    assert code == 3
+
+
+def test_eval_proper_easy_points_match_the_polynomial(capsys, k3, p3):
+    for graph in (k3, p3):
+        for point in ("0", "1", "2"):
+            code, out = run_cli(capsys, "eval", "--graph", graph, "--prop",
+                                "proper", "--point", point)
+            payload = json.loads(out)
+            assert code == 0 and payload["fast"] == "bipartite"
+            code, out = run_cli(capsys, "poly", "--graph", graph, "--prop",
+                                "proper")
+            assert payload["value"] == json.loads(out)["counts_at"][point]
+
+
+def test_eval_harmonious_on_a_multigraph(capsys, tmp_path):
+    multi = tmp_path / "multi.el"
+    multi.write_text("3 2\n0 1 2\n1 2\n")
+    code, out = run_cli(capsys, "poly", "--graph", str(multi), "--prop",
+                        "harmonious")
+    assert code == 0
+    expected = json.loads(out)["counts_at"]["2"]
+    code, out = run_cli(capsys, "eval", "--graph", str(multi), "--prop",
+                        "harmonious", "--point", "2")
+    assert code == 0
+    assert json.loads(out)["value"] == expected
+
+
+def test_argparse_errors_are_json_input_errors(capsys):
+    code, out = run_cli(capsys, "eval", "--point", "-x")
+    assert code == 2
+    assert json.loads(out) == {"error": {
+        "code": "input",
+        "message": "argument --point: expected one argument"}}
+    for argv in (("--help",), ("eval", "--help")):
+        with pytest.raises(SystemExit) as info:
+            main(list(argv))
+        assert info.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
+
 def test_audit_command(capsys, p3):
     code, out = run_cli(capsys, "audit", "--graph", p3, "--prop",
                         "p1:surjective-proper", "--kmax", "3")
@@ -170,12 +244,13 @@ def test_identity_run_all(capsys):
 
 
 def test_identity_honors_budget(capsys, monkeypatch):
-    # convex_pendant at max_n 9 walks every partition of G + K1 for the
-    # leaf-checked convex property, charged up front; Bell(10) = 115975
+    # convex_pendant at max_n 9 counts convex colorings of G + K1 by
+    # inclusion-exclusion over its vertex subsets, charged up front:
+    # 2^10 * 11 = 11264
     argv = ("identity", "run", "--name", "convex_pendant", "--max-n", "9")
     expected = {"error": {
         "code": "budget",
-        "message": "partition enumeration needs 115975 operations, "
+        "message": "inclusion-exclusion needs 11264 operations, "
                    "budget is 10000"}}
     code, out = run_cli(capsys, *argv, "--budget", "10000")
     assert code == 3 and json.loads(out) == expected
@@ -212,7 +287,7 @@ def test_exit_code_input_error(capsys, tmp_path):
 
 
 def test_exit_code_budget(capsys, tmp_path):
-    # a leaf-checked walk is charged its Bell(14) checker calls up front
+    # inclusion-exclusion is charged 2^14 * 15 steps up front
     path = tmp_path / "big.el"
     path.write_text(emit_edge_list(complete_graph(14)))
     code, out = run_cli(capsys, "poly", "--graph", str(path), "--prop",
@@ -220,7 +295,7 @@ def test_exit_code_budget(capsys, tmp_path):
     assert code == 3
     assert json.loads(out) == {"error": {
         "code": "budget",
-        "message": "partition enumeration needs 190899322 operations, "
+        "message": "inclusion-exclusion needs 245760 operations, "
                    "budget is 10000"}}
 
 

@@ -6,23 +6,24 @@ from math import comb, factorial
 import pytest
 
 from chromapoly.counting import (
-    brute_count_at, chi_polynomial, convex_fast, count_clique_partitions,
-    count_profile, edge_chi_polynomial, exact_color_count,
-    harmonious_fast, interpolation_chain, polynomiality_audit,
-    pruned_count_at,
+    _class_predicate, _exact_counts, _partition_counts, brute_count_at,
+    chi_polynomial, convex_fast, count_clique_partitions, count_profile,
+    edge_chi_polynomial, exact_color_count, harmonious_fast,
+    interpolation_chain, polynomiality_audit, proper_fast, pruned_count_at,
 )
 from chromapoly.errors import BudgetExceededError, NotPolynomialError, budget
 from chromapoly.graphs import (
-    complete_graph, cycle_graph, disjoint_union, edgeless_graph, line_graph,
-    path_graph, star_graph,
+    build_graph, complete_graph, cycle_graph, disjoint_union, edgeless_graph,
+    is_connected, line_graph, path_graph, star_graph,
 )
 from chromapoly.polynomials import (
     bell_number, from_binomial, from_monomial, stirling2,
 )
 from chromapoly.properties import (
-    Coloring, acyclic_property, check, cocolor_property, convex_property,
-    degree_determined_property, du_property, edge_proper_property,
-    h_free_property, harmonious_property, injective_property, mcc_property,
+    Coloring, PairProperty, acyclic_property, check, cocolor_property,
+    convex_property, degree_determined_property, du_property,
+    edge_proper_property, h_free_property, harmonious_property,
+    injective_property, mcc_property, pair_property, parse_property,
     proper_property, rainbow_property, surjective_proper_property,
     t_improper_property, trivial_property,
 )
@@ -331,6 +332,28 @@ def test_harmonious_fast_matches_brute():
                 g.edges, g.n, k)
 
 
+def test_harmonious_fast_on_multigraphs():
+    # harmony reads only the distinct pairs, as the checker does
+    g = build_graph(4, [(0, 1), (1, 2), (2, 3)], [2, 1, 3], simple=False)
+    for k in range(5):
+        assert harmonious_fast(g, k) == brute_count_at(g, HARM, k)
+
+
+def test_proper_fast_matches_brute():
+    for g in all_graphs_up_to(6):
+        for k in (0, 1, 2):
+            assert proper_fast(g, k) == brute_count_at(g, PROPER, k), (
+                g.n, g.edges, k)
+    k2020 = build_graph(40, [(u, v) for u in range(20)
+                             for v in range(20, 40)])
+    for g, at_two in ((cycle_graph(40), 2), (cycle_graph(41), 0),
+                      (path_graph(100), 2), (k2020, 2)):
+        assert [proper_fast(g, k) for k in (0, 1, 2)] == [0, 0, at_two]
+    assert proper_fast(edgeless_graph(5), 2) == 32
+    with pytest.raises(ValueError):
+        proper_fast(path_graph(3), 3)
+
+
 def test_convex_fast_examples():
     assert convex_fast(path_graph(3), 2) == 6
     assert convex_fast(disjoint_union(complete_graph(2), complete_graph(2)), 2) == 2
@@ -419,14 +442,19 @@ def _charge(run):
 
 
 def test_leaf_checked_walk_charges_its_checker_calls():
+    # chi_polynomial and exact_color_count count convex by
+    # inclusion-exclusion, so they run a property still leaf-checked there
     g = random_graph(random.Random(89), 8, min_n=8)
-    prop, calls = _counting_checker(CONVEX)
-    runs = [(lambda: chi_polynomial(g, prop), bell_number(8))]
-    runs += [(lambda i=i: exact_color_count(g, prop, i), stirling2(8, i))
-             for i in range(10)]
-    runs += [(lambda k=k: pruned_count_at(g, prop, k),
-              sum(stirling2(8, i) for i in range(k + 1))) for k in range(10)]
-    for run, expected in runs:
+    leaf, leaf_calls = _counting_checker(
+        parse_property("pair:p1=edgeless,p2=forest"))
+    convex, convex_calls = _counting_checker(CONVEX)
+    runs = [(lambda: chi_polynomial(g, leaf), bell_number(8), leaf_calls)]
+    runs += [(lambda i=i: exact_color_count(g, leaf, i), stirling2(8, i),
+              leaf_calls) for i in range(10)]
+    runs += [(lambda k=k: pruned_count_at(g, convex, k),
+              sum(stirling2(8, i) for i in range(k + 1)), convex_calls)
+             for k in range(10)]
+    for run, expected, calls in runs:
         calls.clear()
         run()
         assert len(calls) == expected
@@ -444,6 +472,70 @@ def test_leaf_checked_walk_refused_before_its_first_checker_call():
         pruned_count_at(g, prop, 8)
     assert str(info.value) == (
         "pruned enumeration needs 4140 operations, budget is 4139")
+    assert calls == []
+
+
+CLASS_LOCAL = ("trivial", "convex", "timp:t=1", "timp:t=2", "cocolor",
+               "hfree:H=P3", "hfree:H=K1", "pair:p1=forest,p2=all",
+               "pair:p1=maxdeg1,p2=all")
+
+
+def _counts_or_error(run):
+    try:
+        return run()
+    except ValueError as exc:    # hfree's isomorphism test on a multigraph
+        return str(exc)
+
+
+def test_subset_route_matches_partition_engine():
+    rng = random.Random(61)
+    for trial in range(40):
+        g = random_graph(rng, 8)
+        if trial % 3 == 0 and g.edges:
+            g = build_graph(g.n, g.edges,
+                            [rng.randint(1, 3) for _ in g.edges],
+                            simple=False)
+        for token in CLASS_LOCAL:
+            prop = parse_property(token)
+            assert _class_predicate(g, prop) is not None, token
+            engine = _counts_or_error(lambda: [
+                factorial(i) * c
+                for i, c in enumerate(_partition_counts(g, prop, 0, g.n))])
+            assert _counts_or_error(
+                lambda: _exact_counts(g, prop, 0, g.n)) == engine, (
+                    token, g)
+    for token in ("proper", "mcc:t=2", "du:H=K2", "harmonious", "acyclic",
+                  "injective", "pair:p1=edgeless,p2=forest"):
+        assert _class_predicate(path_graph(3), parse_property(token)) is None
+    assert _class_predicate(edgeless_graph(21), CONVEX) is None
+
+
+def test_subset_route_slot_width():
+    # every class is allowed and every coefficient is as large as it gets
+    assert count_profile(edgeless_graph(12), TRIVIAL).exact_counts == tuple(
+        factorial(i) * stirling2(12, i) for i in range(1, 13))
+
+
+def test_subset_route_charged_before_its_first_predicate_call():
+    calls = []
+
+    def counted(h):
+        calls.append(h)
+        return is_connected(h)
+    prop = pair_property(PairProperty(counted, lambda h: True,
+                                      "counted", "all"))
+    g = random_graph(random.Random(89), 8, min_n=8)
+    run = lambda: chi_polynomial(g, prop)
+    cost = 2 ** 8 * 9
+    assert _charge(run) == cost
+    with budget(cost):
+        assert run().equals(chi_polynomial(g, CONVEX))
+    assert len(calls) == 2 ** 8 - 1
+    calls.clear()
+    with budget(cost - 1), pytest.raises(BudgetExceededError) as info:
+        run()
+    assert str(info.value) == (
+        f"inclusion-exclusion needs {cost} operations, budget is {cost - 1}")
     assert calls == []
 
 
