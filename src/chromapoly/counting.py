@@ -14,12 +14,12 @@ The exact routes everything else is checked against:
   budget one step per node visited; the leaf-checked walk is charged its
   exact number of checker calls before it starts.
 * inclusion-exclusion -- the fourth way to the same counts, for the
-  class-local vertex properties the engine cannot mask-prune (convex, timp,
-  cocolor, hfree, trivial and ``pair:`` tokens whose pair predicate is
-  ``all``) on at most 20 vertices: one sum over the 2^n vertex subsets
-  (Bjorklund, Husfeldt and Koivisto, SIAM J. Comput. 2009).
-  ``_exact_counts`` picks it; it is charged 2^n*(n+1) steps, one per
-  subset and palette size, before its first predicate call.
+  class-local vertex properties the engine cannot mask-prune (a ``row``
+  whose pair predicate is ``all`` and no ``bound``: convex, timp, cocolor,
+  hfree, trivial and such ``pair:`` tokens) on at most 20 vertices: one
+  sum over the 2^n vertex subsets (Bjorklund, Husfeldt and Koivisto, SIAM
+  J. Comput. 2009).  ``_exact_counts`` picks it; it is charged 2^n*(n+1)
+  steps, one per subset and palette size, before its first predicate call.
 
 Fast special cases (the harmonious per-k algorithm, the convex/cocircuit
 count, proper at k <= 2) and the interpolation chains that recover a
@@ -42,9 +42,7 @@ from .graphs import (
 from .polynomials import (
     Poly, from_binomial, lagrange_interpolate, stirling2_row,
 )
-from .properties import (
-    ColoringProperty, harmonious_property, proper_property, table_pair_property,
-)
+from .properties import ColoringProperty, harmonious_property, proper_property
 
 _PROPER = proper_property()
 _HARMONIOUS = harmonious_property()
@@ -56,21 +54,6 @@ def _domain_size(g: Graph, prop: ColoringProperty) -> int:
     if not g.simple:
         raise ValueError("edge colorings are defined on simple graphs")
     return g.edge_count
-
-
-def _prune_bound(prop: ColoringProperty):
-    """(bound, pattern) for the class-local families whose violations only
-    grow: a monochromatic component larger than ``bound`` never recovers.
-    ``pattern`` is the graph every du component must match at the leaf.
-    The bound is None for every other property."""
-    if prop.domain == "vertex":
-        if prop.family == "proper":
-            return 1, None
-        if prop.family == "mcc":
-            return prop.param, None
-        if prop.family == "du":
-            return prop.param.n, prop.param
-    return None, None
 
 
 def _prefix_graphs(g: Graph, prop: ColoringProperty) -> list[Graph]:
@@ -91,9 +74,10 @@ def _partition_counts(g: Graph, prop: ColoringProperty, lo: int, hi: int,
 
     One of three walks runs, chosen here:
 
-    * mask-pruned (proper, mcc, du): a branch is cut as soon as a block's
-      monochromatic component outgrows the family bound; components are kept
-      incrementally as disjoint bitmasks per block.
+    * mask-pruned (properties with a ``bound``: proper, mcc, du): a branch
+      is cut as soon as a block's monochromatic component outgrows the
+      bound; components are kept incrementally as disjoint bitmasks per
+      block.
     * prefix-pruned (every other hereditary property): the checker runs on
       the prefix graph at every node and a failing branch is cut; at the
       leaf the prefix graph is g, so every counted partition is fully
@@ -111,7 +95,9 @@ def _partition_counts(g: Graph, prop: ColoringProperty, lo: int, hi: int,
         return counts
     steps = 0
     checker = prop.checker
-    bound, pattern = _prune_bound(prop)
+    bound = prop.bound
+    # every du component must match the pattern graph at the leaf
+    pattern = prop.param if prop.family == "du" else None
     prefixes = None
     if bound is None:
         if prop.hereditary:
@@ -191,19 +177,13 @@ _SUBSET_MAX_N = 20
 
 def _class_predicate(g: Graph, prop: ColoringProperty):
     """The class predicate of a class-local property the subset route
-    serves on g (vertex domain, pair predicate ``all``, no mask-prune
+    serves on g (a row whose pair predicate is ``all``, no mask-prune
     bound, at most _SUBSET_MAX_N vertices), or None."""
-    if (prop.domain != "vertex" or g.n > _SUBSET_MAX_N
-            or _prune_bound(prop)[0] is not None):
+    row = prop.row
+    if (row is None or row.pair_name != "all" or prop.bound is not None
+            or g.n > _SUBSET_MAX_N):
         return None
-    if prop.family == "pair":
-        row = prop.param
-    else:
-        try:
-            row = table_pair_property(prop.family, prop.param)
-        except ValueError:      # no class/pair row for this family
-            return None
-    return row.class_pred if row.pair_name == "all" else None
+    return row.class_pred
 
 
 def _subset_counts(g: Graph, allowed, hereditary: bool,
@@ -282,7 +262,7 @@ def _exact_counts(g: Graph, prop: ColoringProperty, lo: int,
 
 
 # ---------------------------------------------------------------------------
-# the two exact routes
+# the brute oracle and the exact-count entry points
 
 def brute_count_at(g: Graph, prop: ColoringProperty, k: int) -> int:
     """Count colorings with palette [k] by full enumeration."""

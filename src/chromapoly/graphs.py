@@ -427,9 +427,9 @@ def _adj_sets(g: Graph) -> list[set[int]]:
 
 
 def is_isomorphic(g1: Graph, g2: Graph) -> bool:
-    """Backtracking isomorphism test for simple graphs; intended for n <= 8."""
-    if not (g1.simple and g2.simple):
-        raise ValueError("isomorphism test is defined on simple graphs")
+    """Backtracking isomorphism test of the underlying simple graphs: it
+    reads n, the distinct pairs and adjacency, so multiplicities are
+    ignored.  Intended for n <= 8."""
     if g1.n != g2.n or g1.edge_count != g2.edge_count:
         return False
     deg1 = sorted(g1.adj[v].bit_count() for v in range(g1.n))

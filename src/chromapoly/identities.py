@@ -1,9 +1,10 @@
 """A named battery of exact identity checks with counterexample witnesses.
 
-Every identity is tested as an exact polynomial equality when both sides fit
-the partition budget, otherwise pointwise at degree + 1 integer points (which
-pins the polynomial identity with the same logical strength).  There are no
-tolerances; a failure carries a witness graph shrunk by greedy vertex removal.
+Each identity compares its two sides exactly: as polynomials, or as counts
+at integer palettes where the identity is stated pointwise.  There is no
+fallback when a side does not fit the budget: the BudgetExceededError
+propagates, and the CLI exits 3.  There are no tolerances; a failure
+carries a witness graph shrunk by greedy vertex removal.
 """
 
 from __future__ import annotations

@@ -2,12 +2,16 @@
 
 A property is a predicate on (graph, coloring) pairs, closed under color
 permutations and graph automorphisms.  The named properties here are the
-concrete families the counting engine supports; the two-level class/pair
-framework (`PairProperty`) expresses most of them uniformly and is kept as an
-independent cross-check.
+concrete families the counting routes support, and each constructor states
+the facts those routes read: ``hereditary`` (prefix pruning), ``bound``
+(component-size pruning) and ``row``, the two-level class/pair
+instantiation (`PairProperty`) the property equals.  A row whose pair
+predicate is ``all`` feeds its class predicate to the inclusion-exclusion
+route; the tests check every row against the property's own checker.
 
 Checkers receive the raw color tuple plus the palette size; colors are 1..k.
-Only the t-improper checker honors edge multiplicities.
+Only the t-improper checker honors edge multiplicities; the others read the
+distinct pairs.
 """
 
 from __future__ import annotations
@@ -47,13 +51,18 @@ class ColoringProperty:
     name: str
     domain: str
     checker: Checker
-    family: str = ""           # machine tag for fast paths and pruning
-    param: object = None       # t for mcc/t-improper, pattern graph otherwise
+    family: str = ""           # tag for eval easy routes, chains, du leaf
+    param: object = None       # t for mcc/timp, pattern graph for du/hfree
     known_polynomial: bool = True
     # a coloring whose prefix fails the checker on the prefix graph (the
     # first vertices, or the first edges on the whole vertex set) fails on
     # every extension; the partition engine then cuts such branches
     hereditary: bool = False
+    # no valid coloring has a monochromatic component of more vertices;
+    # the partition engine cuts a branch as soon as a block outgrows it
+    bound: int | None = None
+    # the class/pair instantiation the property equals, if it has one
+    row: PairProperty | None = None
 
 
 def check(prop: ColoringProperty, g: Graph, coloring: Coloring) -> bool:
@@ -291,87 +300,6 @@ def _degree_determined(g, colors, k):
 
 
 # ---------------------------------------------------------------------------
-# property constructors
-
-def trivial_property() -> ColoringProperty:
-    return ColoringProperty("trivial", "vertex", _trivial, family="trivial",
-                            hereditary=True)
-
-
-def proper_property() -> ColoringProperty:
-    return ColoringProperty("proper", "vertex", _proper, family="proper",
-                            hereditary=True)
-
-
-def harmonious_property() -> ColoringProperty:
-    return ColoringProperty("harmonious", "vertex", _harmonious,
-                            family="harmonious", hereditary=True)
-
-
-def convex_property() -> ColoringProperty:
-    return ColoringProperty("convex", "vertex", _convex, family="convex")
-
-
-def mcc_property(t: int) -> ColoringProperty:
-    if t < 1:
-        raise ValueError("mcc needs t >= 1")
-    return ColoringProperty(f"mcc:t={t}", "vertex", _make_mcc(t), family="mcc",
-                            param=t, hereditary=True)
-
-
-def du_property(pattern: Graph) -> ColoringProperty:
-    return ColoringProperty(f"du:H={graph_token(pattern)}", "vertex",
-                            _make_du(pattern), family="du", param=pattern)
-
-
-def h_free_property(pattern: Graph) -> ColoringProperty:
-    return ColoringProperty(f"hfree:H={graph_token(pattern)}", "vertex",
-                            _make_hfree(pattern), family="hfree", param=pattern,
-                            hereditary=True)
-
-
-def t_improper_property(t: int) -> ColoringProperty:
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    return ColoringProperty(f"timp:t={t}", "vertex", _make_timproper(t),
-                            family="timp", param=t, hereditary=True)
-
-
-def acyclic_property() -> ColoringProperty:
-    return ColoringProperty("acyclic", "vertex", _acyclic, family="acyclic",
-                            hereditary=True)
-
-
-def cocolor_property() -> ColoringProperty:
-    return ColoringProperty("cocolor", "vertex", _cocolor, family="cocolor",
-                            hereditary=True)
-
-
-def injective_property() -> ColoringProperty:
-    return ColoringProperty("injective", "vertex", _injective,
-                            family="injective", hereditary=True)
-
-
-def edge_proper_property() -> ColoringProperty:
-    return ColoringProperty("edge", "edge", _edge_proper, family="edge",
-                            hereditary=True)
-
-
-def rainbow_property() -> ColoringProperty:
-    return ColoringProperty("rainbow", "edge", _rainbow, family="rainbow")
-
-
-def surjective_proper_property() -> ColoringProperty:
-    return ColoringProperty("surjective-proper", "vertex", _surjective_proper,
-                            family="counterexample", known_polynomial=False)
-
-
-def degree_determined_property() -> ColoringProperty:
-    return ColoringProperty("degree-determined", "vertex", _degree_determined,
-                            family="counterexample", known_polynomial=False)
-
-
-# ---------------------------------------------------------------------------
 # class/pair framework
 
 GraphPredicate = Callable[[Graph], bool]
@@ -399,13 +327,6 @@ def pair_check(pp: PairProperty, g: Graph, colors, k: int) -> bool:
         if not pp.pair_pred(induced_subgraph(g, bits(union))):
             return False
     return True
-
-
-def pair_property(pp: PairProperty) -> ColoringProperty:
-    name = f"pair:p1={pp.class_name},p2={pp.pair_name}"
-    return ColoringProperty(name, "vertex",
-                            lambda g, colors, k: pair_check(pp, g, colors, k),
-                            family="pair", param=pp)
 
 
 def _pred_all(h: Graph) -> bool:
@@ -460,34 +381,112 @@ def _pred_hfree(pattern: Graph) -> GraphPredicate:
     return pred
 
 
-def table_pair_property(name: str, param=None) -> PairProperty:
-    """The class/pair instantiation of a named property family."""
-    rows: dict[str, tuple[GraphPredicate, str, GraphPredicate, str]] = {
-        "trivial": (_pred_all, "all", _pred_all, "all"),
-        "proper": (_pred_edgeless, "edgeless", _pred_all, "all"),
-        "acyclic": (_pred_edgeless, "edgeless", _pred_forest, "forest"),
-        "convex": (_pred_connected, "connected", _pred_all, "all"),
-        "harmonious": (_pred_edgeless, "edgeless", _pred_max1edge, "max1edge"),
-    }
-    if name in rows:
-        p1, n1, p2, n2 = rows[name]
-        return PairProperty(p1, p2, n1, n2)
-    if name == "mcc":
-        return PairProperty(_pred_component_size(param), _pred_all,
-                            f"compsize{param}", "all")
-    if name == "du":
-        return PairProperty(_pred_du(param), _pred_all,
-                            f"du{graph_token(param)}", "all")
-    if name == "timp":
-        return PairProperty(_pred_max_degree(param), _pred_all,
-                            f"maxdeg{param}", "all")
-    if name == "cocolor":
-        return PairProperty(_pred_clique_or_edgeless, _pred_all,
-                            "cliqueoredgeless", "all")
-    if name == "hfree":
-        return PairProperty(_pred_hfree(param), _pred_all,
-                            f"hfree{graph_token(param)}", "all")
-    raise ValueError(f"no class/pair row for {name!r}")
+# ---------------------------------------------------------------------------
+# property constructors: each states the facts the counting routes read
+
+def _class_row(pred: GraphPredicate, name: str) -> PairProperty:
+    # a class-local row: every two-class union is allowed
+    return PairProperty(pred, _pred_all, name, "all")
+
+
+def trivial_property() -> ColoringProperty:
+    return ColoringProperty("trivial", "vertex", _trivial, family="trivial",
+                            hereditary=True, row=_class_row(_pred_all, "all"))
+
+
+def proper_property() -> ColoringProperty:
+    return ColoringProperty("proper", "vertex", _proper, family="proper",
+                            hereditary=True, bound=1,
+                            row=_class_row(_pred_edgeless, "edgeless"))
+
+
+def harmonious_property() -> ColoringProperty:
+    return ColoringProperty("harmonious", "vertex", _harmonious,
+                            family="harmonious", hereditary=True,
+                            row=PairProperty(_pred_edgeless, _pred_max1edge,
+                                             "edgeless", "max1edge"))
+
+
+def convex_property() -> ColoringProperty:
+    return ColoringProperty("convex", "vertex", _convex, family="convex",
+                            row=_class_row(_pred_connected, "connected"))
+
+
+def mcc_property(t: int) -> ColoringProperty:
+    if t < 1:
+        raise ValueError("mcc needs t >= 1")
+    return ColoringProperty(f"mcc:t={t}", "vertex", _make_mcc(t), family="mcc",
+                            param=t, hereditary=True, bound=t,
+                            row=_class_row(_pred_component_size(t),
+                                           f"compsize{t}"))
+
+
+def du_property(pattern: Graph) -> ColoringProperty:
+    token = graph_token(pattern)
+    return ColoringProperty(f"du:H={token}", "vertex", _make_du(pattern),
+                            family="du", param=pattern, bound=pattern.n,
+                            row=_class_row(_pred_du(pattern), f"du{token}"))
+
+
+def h_free_property(pattern: Graph) -> ColoringProperty:
+    token = graph_token(pattern)
+    return ColoringProperty(f"hfree:H={token}", "vertex", _make_hfree(pattern),
+                            family="hfree", param=pattern, hereditary=True,
+                            row=_class_row(_pred_hfree(pattern),
+                                           f"hfree{token}"))
+
+
+def t_improper_property(t: int) -> ColoringProperty:
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    return ColoringProperty(f"timp:t={t}", "vertex", _make_timproper(t),
+                            family="timp", param=t, hereditary=True,
+                            row=_class_row(_pred_max_degree(t), f"maxdeg{t}"))
+
+
+def acyclic_property() -> ColoringProperty:
+    return ColoringProperty("acyclic", "vertex", _acyclic, family="acyclic",
+                            hereditary=True,
+                            row=PairProperty(_pred_edgeless, _pred_forest,
+                                             "edgeless", "forest"))
+
+
+def cocolor_property() -> ColoringProperty:
+    return ColoringProperty("cocolor", "vertex", _cocolor, family="cocolor",
+                            hereditary=True,
+                            row=_class_row(_pred_clique_or_edgeless,
+                                           "cliqueoredgeless"))
+
+
+def injective_property() -> ColoringProperty:
+    return ColoringProperty("injective", "vertex", _injective,
+                            family="injective", hereditary=True)
+
+
+def edge_proper_property() -> ColoringProperty:
+    return ColoringProperty("edge", "edge", _edge_proper, family="edge",
+                            hereditary=True)
+
+
+def rainbow_property() -> ColoringProperty:
+    return ColoringProperty("rainbow", "edge", _rainbow, family="rainbow")
+
+
+def surjective_proper_property() -> ColoringProperty:
+    return ColoringProperty("surjective-proper", "vertex", _surjective_proper,
+                            family="counterexample", known_polynomial=False)
+
+
+def degree_determined_property() -> ColoringProperty:
+    return ColoringProperty("degree-determined", "vertex", _degree_determined,
+                            family="counterexample", known_polynomial=False)
+
+
+def pair_property(pp: PairProperty) -> ColoringProperty:
+    name = f"pair:p1={pp.class_name},p2={pp.pair_name}"
+    return ColoringProperty(name, "vertex",
+                            lambda g, colors, k: pair_check(pp, g, colors, k),
+                            family="pair", row=pp)
 
 
 # ---------------------------------------------------------------------------

@@ -163,6 +163,22 @@ def test_eval_harmonious_on_a_multigraph(capsys, tmp_path):
     assert json.loads(out)["value"] == expected
 
 
+def test_pattern_properties_count_a_multigraph_on_its_distinct_pairs(
+        capsys, tmp_path, p3):
+    # the doubled edge 0-1 changes nothing the pattern tests read
+    multi = tmp_path / "multi.el"
+    multi.write_text("3 2\n0 1 2\n1 2\n")
+
+    def poly(path, prop):
+        code, out = run_cli(capsys, "poly", "--graph", path, "--prop", prop)
+        assert code == 0, out
+        payload = json.loads(out)
+        return payload["coeffs"], payload["counts_at"]
+    for prop in ("hfree:H=P3", "du:H=K1", "du:H=K2"):
+        assert poly(str(multi), prop) == poly(p3, prop), prop
+    assert poly(str(multi), "du:H=K1") == poly(str(multi), "proper")
+
+
 def test_argparse_errors_are_json_input_errors(capsys):
     code, out = run_cli(capsys, "eval", "--point", "-x")
     assert code == 2

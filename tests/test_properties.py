@@ -14,7 +14,7 @@ from chromapoly.properties import (
     induces_copy_union, injective_property, mcc_property, pair_check,
     pair_property, parse_graph_token, parse_property, proper_property,
     rainbow_property, surjective_proper_property, t_improper_property,
-    table_pair_property, trivial_property,
+    trivial_property,
 )
 from helpers import all_graphs_up_to, random_graph
 
@@ -142,7 +142,7 @@ def test_h_free():
 
 
 def test_pair_check_reproduces_harmonious():
-    pp = table_pair_property("harmonious")
+    pp = harmonious_property().row
     direct = harmonious_property()
     p3 = path_graph(3)
     for k in (1, 2, 3):
@@ -152,8 +152,8 @@ def test_pair_check_reproduces_harmonious():
 
 
 def test_pair_check_reproduces_proper_and_trivial():
-    proper_pp = table_pair_property("proper")
-    trivial_pp = table_pair_property("trivial")
+    proper_pp = proper_property().row
+    trivial_pp = trivial_property().row
     for g in all_graphs_up_to(4):
         for colors in product((1, 2), repeat=g.n):
             c = Coloring("vertex", colors, 2)
@@ -181,8 +181,8 @@ def test_table_rows_match_direct_checkers(name, param, prop_factory):
     if name == "hfree":
         param = path_graph(3)
         prop_factory = lambda: h_free_property(param)
-    pp = table_pair_property(name, param)
     prop = prop_factory()
+    pp = prop.row
     for g in all_graphs_up_to(4):
         for k in (1, 2, 3):
             for colors in product(range(1, k + 1), repeat=g.n):
@@ -272,14 +272,30 @@ def test_used_colors():
         Coloring("vertex", (3,), 2)
 
 
-def test_every_documented_token_parses():
-    tokens = ["proper", "harmonious", "convex", "edge", "mcc:t=2", "du:H=K3",
+CLI_TOKENS = ["proper", "harmonious", "convex", "edge", "mcc:t=2", "du:H=K3",
               "hfree:H=P3", "timp:t=1", "acyclic", "cocolor", "injective",
               "rainbow", "trivial", "pair:p1=edgeless,p2=max1edge",
               "surjective-proper", "degree-determined"]
-    for token in tokens:
+
+
+def test_every_documented_token_parses():
+    for token in CLI_TOKENS:
         prop = parse_property(token)
         assert prop.domain in ("vertex", "edge")
+
+
+def test_every_token_states_its_counting_facts():
+    bounds = {"proper": 1, "mcc:t=2": 2, "du:H=K3": 3}
+    rowless = {"injective", "edge", "rainbow", "surjective-proper",
+               "degree-determined"}
+    for token in CLI_TOKENS:
+        prop = parse_property(token)
+        assert prop.bound == bounds.get(token), token
+        assert (prop.row is None) == (token in rowless), token
+    pair = parse_property("pair:p1=edgeless,p2=max1edge")
+    assert pair.param is None
+    assert (pair.row.class_name, pair.row.pair_name) == ("edgeless",
+                                                         "max1edge")
 
 
 def test_parse_property_tokens():
