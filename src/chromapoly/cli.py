@@ -259,13 +259,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--budget", type=int, default=None,
+    # the root parser and every subparser share these actions, so none may
+    # carry a default: a subparser would write it over the value the root
+    # parser read; ``main`` passes the defaults in its starting namespace
+    common = _Parser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--budget", type=int,
                         help=f"enumeration budget (or env {BUDGET_ENV})")
-    common.add_argument("--workers", type=int, default=1,
+    common.add_argument("--workers", type=int,
                         help="accepted and validated; runs single-threaded")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--format", choices=("json", "text"), default="json")
+    common.add_argument("--seed", type=int)
+    common.add_argument("--format", choices=("json", "text"))
     common.add_argument("--json", action="store_const", const="json",
                         dest="format", help="shorthand for --format json")
 
@@ -342,7 +345,9 @@ def _budget_from(args) -> int:
 def main(argv=None) -> int:
     """Run one command with every enumeration counted against one budget."""
     try:
-        args = build_parser().parse_args(argv)
+        # global flags count before or after the subcommand; the later wins
+        args = build_parser().parse_args(argv, argparse.Namespace(
+            budget=None, workers=1, seed=0, format="json"))
         limit = _budget_from(args)
         if args.workers < 1:
             raise ValueError("worker count must be at least 1")

@@ -7,12 +7,12 @@ The exact routes everything else is checked against:
   domain into exactly i blocks whose canonical coloring satisfies the
   property, for every i in one pass.  Valid whenever the property passes the
   polynomiality audit; ``pruned_count_at`` reads it, and so do
-  ``chi_polynomial``, ``count_profile`` and ``exact_color_count`` wherever
-  the next route does not apply.  It walks the partitions in one of three
-  ways: mask-pruned (proper, mcc, du), prefix-pruned (the other hereditary
-  properties) or leaf-checked (the rest).  The pruned walks charge the
-  budget one step per node visited; the leaf-checked walk is charged its
-  exact number of checker calls before it starts.
+  ``chi_polynomial`` and ``exact_color_count`` wherever the next route does
+  not apply.  It walks the partitions in one of three ways: mask-pruned
+  (proper, mcc, du), prefix-pruned (the other hereditary properties) or
+  leaf-checked (the rest).  The pruned walks charge the budget one step per
+  node visited; the leaf-checked walk is charged its exact number of
+  checker calls before it starts.
 * inclusion-exclusion -- the fourth way to the same counts, for the
   class-local vertex properties the engine cannot mask-prune (a ``row``
   whose pair predicate is ``all`` and no ``bound``: convex, timp, cocolor,
@@ -36,8 +36,8 @@ from math import comb, factorial
 from .errors import NotPolynomialError, check_budget
 from .graphs import (
     Graph, bits, box_join, build_graph, cocircuit_counts, complete_graph,
-    connected_components, disjoint_union, fingerprint, induced_subgraph,
-    is_isomorphic, join, line_graph, star_graph, strip_isolated,
+    connected_components, disjoint_union, induced_subgraph, is_isomorphic,
+    join, line_graph, star_graph, strip_isolated,
 )
 from .polynomials import (
     Poly, from_binomial, lagrange_interpolate, stirling2_row,
@@ -193,17 +193,17 @@ def _subset_counts(g: Graph, allowed, hereditary: bool,
 
     With f_S(z) = sum of z^|T| over the nonempty allowed T within S,
     c(i) = sum over S of (-1)^(n-|S|) [z^n] f_S(z)^i.  Each f_S is packed
-    into one int, one slot per degree (Kronecker substitution): (n+1)-bit
-    slots hold the zeta transform, whose coefficients count subsets of S,
-    and each power runs on slots wide enough for any [z^j] f_S^i with
-    i, j <= n, which is at most C(n*n, n).  It is charged 2^n * (n+1)
-    steps, one per subset and palette size 0..n, before the first
-    predicate call.
+    once into one int, one slot per degree (Kronecker substitution), with
+    slots of comb(n*n, n).bit_length() + 1 bits: wide enough for every
+    coefficient of the zeta transform (at most C(n, j)) and of every power
+    ([z^j] f_S^i with i, j <= n is at most C(n*n, n)).  It is charged
+    2^n * (n+1) steps, one per subset and palette size 0..n, before the
+    first predicate call.
     """
     n = g.n
     full = 1 << n
     check_budget(full * (n + 1), "inclusion-exclusion")
-    narrow, wide = n + 1, comb(n * n, n).bit_length() + 1
+    width = comb(n * n, n).bit_length() + 1
     ok = bytearray(full)
     ok[0] = 1       # the empty set, for the hereditary test below
     f = [0] * full
@@ -214,25 +214,22 @@ def _subset_counts(g: Graph, allowed, hereditary: bool,
             continue
         if allowed(induced_subgraph(g, bits(t))):
             ok[t] = 1
-            f[t] = 1 << (narrow * t.bit_count())
+            f[t] = 1 << (width * t.bit_count())
     for v in range(n):
         bit = 1 << v
         for s in range(full):
             if s & bit:
                 f[s] += f[s ^ bit]
-    low, keep = (1 << narrow) - 1, (1 << (wide * (n + 1))) - 1
+    keep = (1 << (width * (n + 1))) - 1
     counts = [0] * (hi + 1)
     counts[0] = int(n == 0)     # [z^n] f_S^0 is [n = 0] for every S
     for s in range(1, full):    # f of the empty set is 0
-        packed = f[s]
-        fs = 0
-        for j in range(1, n + 1):
-            fs |= ((packed >> (narrow * j)) & low) << (wide * j)
+        fs = f[s]
         sign = -1 if (n - s.bit_count()) & 1 else 1
         power = 1
         for i in range(1, min(hi, n) + 1):
             power = power * fs & keep
-            counts[i] += sign * (power >> (wide * n))
+            counts[i] += sign * (power >> (width * n))
     return counts
 
 
@@ -271,8 +268,6 @@ def brute_count_at(g: Graph, prop: ColoringProperty, k: int) -> int:
     d = _domain_size(g, prop)
     check_budget(k ** d if k >= 2 else 1, "coloring enumeration")
     checker = prop.checker
-    if d == 0:
-        return 1 if checker(g, (), k) else 0
     return sum(1 for colors in product(range(1, k + 1), repeat=d)
                if checker(g, colors, k))
 
@@ -280,26 +275,14 @@ def brute_count_at(g: Graph, prop: ColoringProperty, k: int) -> int:
 def exact_color_count(g: Graph, prop: ColoringProperty, i: int) -> int:
     """Number of colorings that use exactly i colors (all i present).
 
-    Computed as i! times the number of set partitions of the domain into
-    exactly i blocks whose canonical block coloring satisfies the property.
+    Read from ``_exact_counts``: by inclusion-exclusion over vertex subsets
+    for a class-local property on at most _SUBSET_MAX_N vertices, otherwise
+    as i! times the number of set partitions of the domain into exactly i
+    blocks whose canonical block coloring satisfies the property.
     """
     if i < 0:
         raise ValueError("color count must be nonnegative")
     return _exact_counts(g, prop, i, i)[i]
-
-
-@dataclass(frozen=True)
-class CountProfile:
-    """The exact-i-color counts c(1..D) for one graph and property."""
-    exact_counts: tuple[int, ...]
-    property_name: str
-    graph: str
-
-
-def count_profile(g: Graph, prop: ColoringProperty) -> CountProfile:
-    d = _domain_size(g, prop)
-    counts = tuple(_exact_counts(g, prop, 1, d)[1:])
-    return CountProfile(counts, prop.name, fingerprint(g))
 
 
 def chi_polynomial(g: Graph, prop: ColoringProperty) -> Poly:
@@ -321,28 +304,17 @@ def chi_polynomial(g: Graph, prop: ColoringProperty) -> Poly:
 
 @dataclass(frozen=True)
 class AuditReport:
-    property_name: str
-    graph: str
-    k_max: int
-    a_violations: tuple
-    b_violations: tuple
-
-    @property
-    def condition_a_ok(self) -> bool:
-        return not self.a_violations
-
-    @property
-    def condition_b_ok(self) -> bool:
-        return not self.b_violations
+    condition_a_ok: bool
+    condition_b_ok: bool
 
     def passed(self) -> bool:
         return self.condition_a_ok and self.condition_b_ok
 
     def summary(self) -> str:
         flags = []
-        if self.a_violations:
+        if not self.condition_a_ok:
             flags.append("size-symmetry (A) violated")
-        if self.b_violations:
+        if not self.condition_b_ok:
             flags.append("palette-independence (B) violated")
         return "; ".join(flags) if flags else "pass"
 
@@ -354,10 +326,14 @@ def _subsets(k: int):
 
 def polynomiality_audit(g: Graph, prop: ColoringProperty,
                         k_max: int = 4) -> AuditReport:
-    """Empirically test the two conditions that make counts polynomial.
+    """Empirically test the two conditions that make counts polynomial, at
+    every palette 1..k_max, and return the two verdicts.
 
-    (A) the exact-color count depends on a color set only through its size;
-    (B) the count for a fixed color set does not depend on the palette size.
+    (A) the exact-color count depends on a color set only through its size:
+    at palette k the (size, count) pairs number k + 1;
+    (B) the count for a fixed color set does not depend on the palette size:
+    consecutive palettes agree on every color set of the smaller one, which
+    by transitivity covers every pair of palettes.
     """
     if k_max < 1:
         raise ValueError("audit needs k_max >= 1")
@@ -365,41 +341,17 @@ def polynomiality_audit(g: Graph, prop: ColoringProperty,
     check_budget(sum(k ** d if k >= 2 else 1 for k in range(1, k_max + 1)),
                  "audit enumeration")
     checker = prop.checker
-    counts: dict[int, dict[frozenset, int]] = {}
+    a_ok = b_ok = True
+    previous: dict[frozenset, int] = {}
     for k in range(1, k_max + 1):
-        table = {s: 0 for s in _subsets(k)}
-        if d == 0:
-            if checker(g, (), k):
-                table[frozenset()] += 1
-        else:
-            for colors in product(range(1, k + 1), repeat=d):
-                if checker(g, colors, k):
-                    table[frozenset(colors)] += 1
-        counts[k] = table
-
-    a_violations = []
-    for k in range(1, k_max + 1):
-        by_size: dict[int, dict[frozenset, int]] = {}
-        for subset, c in counts[k].items():
-            by_size.setdefault(len(subset), {})[subset] = c
-        for size, table in sorted(by_size.items()):
-            if len(set(table.values())) > 1:
-                a_violations.append(
-                    (k, size, tuple(sorted((tuple(sorted(s)), c)
-                                           for s, c in table.items()))))
-
-    b_violations = []
-    for k1 in range(1, k_max + 1):
-        for k2 in range(k1 + 1, k_max + 1):
-            for subset, c1 in counts[k1].items():
-                c2 = counts[k2][subset]
-                if c1 != c2:
-                    b_violations.append(
-                        (tuple(sorted(subset)), k1, k2, c1, c2))
-
-    return AuditReport(prop.name, fingerprint(g), k_max,
-                       tuple(a_violations), tuple(b_violations))
-
+        table = dict.fromkeys(_subsets(k), 0)
+        for colors in product(range(1, k + 1), repeat=d):
+            if checker(g, colors, k):
+                table[frozenset(colors)] += 1
+        a_ok = a_ok and len({(len(s), c) for s, c in table.items()}) == k + 1
+        b_ok = b_ok and all(table[s] == c for s, c in previous.items())
+        previous = table
+    return AuditReport(a_ok, b_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -547,16 +499,15 @@ def interpolation_chain(g: Graph, prop: ColoringProperty, construction: str,
     default evaluation point is the smallest integer >= max_n + 1 at which
     every cofactor in the chain is nonzero.
     """
-    c = construction.lower()
     e = g.edge_count
-    if c in ("join_kn", "join"):
+    if construction == "join_kn":
         name, family, default = "join", "proper", max_n + 1
 
         def chain(a: int):
             for m in range(max_n + 1):
                 yield (join(g, complete_graph(m)), a, a - m,
                        _falling_value(a, m))
-    elif c in ("box_join", "box_join_h", "box"):
+    elif construction == "box_join":
         name, family, default = "box-join", "du", max_n + 1
 
         def chain(a: int):
@@ -565,7 +516,7 @@ def interpolation_chain(g: Graph, prop: ColoringProperty, construction: str,
                 yield gi, a, a - i, _falling_value(a, i)
                 if i < max_n:
                     gi = box_join(gi, prop.param, 0)
-    elif c in ("disjoint_star", "star"):
+    elif construction == "disjoint_star":
         name, family, default = "star", "proper", e + max_n + 2
 
         def chain(a: int):

@@ -65,9 +65,6 @@ class Graph:
     def isolated_count(self) -> int:
         return sum(1 for v in range(self.n) if self.adj[v] == 0)
 
-    def label_of(self, v: int) -> str | None:
-        return None if self.labels is None else self.labels[v]
-
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]],
                 multiplicities: Sequence[int] | None = None,

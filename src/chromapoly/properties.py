@@ -22,9 +22,8 @@ from itertools import combinations
 from typing import Callable
 
 from .graphs import (
-    Graph, bits, complete_graph, cycle_graph, edgeless_graph, induced_subgraph,
-    is_connected, is_isomorphic, mask_components, mask_connected, path_graph,
-    star_graph,
+    Graph, bits, induced_subgraph, is_connected, is_isomorphic,
+    mask_components, mask_connected, standard_graph,
 )
 
 Checker = Callable[[Graph, tuple, int], bool]
@@ -499,12 +498,7 @@ def parse_graph_token(token: str) -> Graph:
     m = _GRAPH_TOKEN.match(token.strip())
     if not m:
         raise ValueError(f"unknown graph token: {token!r}")
-    if m.group(3) is not None:
-        return star_graph(int(m.group(3)))
-    kind, size = m.group(1).upper(), int(m.group(2))
-    makers = {"K": complete_graph, "P": path_graph,
-              "C": cycle_graph, "E": edgeless_graph}
-    return makers[kind](size)
+    return standard_graph(m.group(1) or "star", int(m.group(2) or m.group(3)))
 
 
 def graph_token(g: Graph) -> str:

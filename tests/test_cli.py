@@ -419,6 +419,30 @@ def test_determinism_across_reruns_and_workers(capsys, k3):
     assert len(outputs) == 1
 
 
+def test_global_flags_count_before_the_subcommand(capsys, tmp_path, k3):
+    p15 = tmp_path / "p15.el"
+    p15.write_text(emit_edge_list(path_graph(15)))
+    cases = [
+        (["--budget", "10000"], ["cocircuits", "--graph", str(p15)]),
+        (["--format", "text"], ["poly", "--graph", k3, "--prop", "proper"]),
+        (["--workers", "0"], ["poly", "--graph", k3, "--prop", "proper"]),
+        # the sampled instance count depends on the seed
+        (["--seed", "1"], ["identity", "run", "--name", "acyclic_join",
+                           "--samples", "3"]),
+    ]
+    for flag, command in cases:
+        after = run_cli(capsys, *command, *flag)
+        assert run_cli(capsys, *flag, *command) == after, flag
+        assert after != run_cli(capsys, *command), flag
+    # given on both sides, the later one wins
+    code, out = run_cli(capsys, "--budget", "20000", "cocircuits",
+                        "--graph", str(p15), "--budget", "10000")
+    assert code == 3
+    code, out = run_cli(capsys, "--format", "text", "poly", "--graph", k3,
+                        "--prop", "proper", "--json")
+    assert code == 0 and json.loads(out)["coeffs"] == ["0", "0", "0", "6"]
+
+
 def test_text_format(capsys, k3):
     code, out = run_cli(capsys, "poly", "--graph", k3, "--prop", "proper",
                         "--format", "text")

@@ -7,7 +7,7 @@ import pytest
 
 from chromapoly.counting import (
     _class_predicate, _exact_counts, _partition_counts, brute_count_at,
-    chi_polynomial, convex_fast, count_clique_partitions, count_profile,
+    chi_polynomial, convex_fast, count_clique_partitions,
     edge_chi_polynomial, exact_color_count, harmonious_fast,
     interpolation_chain, polynomiality_audit, proper_fast, pruned_count_at,
 )
@@ -131,8 +131,7 @@ def test_exact_color_count_divisibility():
     rng = random.Random(31)
     for _ in range(10):
         g = random_graph(rng, 5)
-        profile = count_profile(g, PROPER)
-        for i, c in enumerate(profile.exact_counts, start=1):
+        for i, c in enumerate(_exact_counts(g, PROPER, 1, g.n)[1:], start=1):
             assert c % factorial(i) == 0
 
 
@@ -502,8 +501,8 @@ def test_subset_route_matches_partition_engine():
 
 def test_subset_route_slot_width():
     # every class is allowed and every coefficient is as large as it gets
-    assert count_profile(edgeless_graph(12), TRIVIAL).exact_counts == tuple(
-        factorial(i) * stirling2(12, i) for i in range(1, 13))
+    assert _exact_counts(edgeless_graph(12), TRIVIAL, 1, 12)[1:] == [
+        factorial(i) * stirling2(12, i) for i in range(1, 13)]
 
 
 def test_injective_is_proper_on_the_common_neighbour_graph():
