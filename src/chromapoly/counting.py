@@ -21,6 +21,12 @@ The exact routes everything else is checked against:
   J. Comput. 2009).  ``_exact_counts`` picks it; it is charged 2^n*(n+1)
   steps, one per subset and palette size, before its first predicate call.
 
+The last two check each other: ``other_route_count_at`` counts at one
+palette by the engine where inclusion-exclusion built the polynomial, and by
+inclusion-exclusion where the engine built it for a class-local row with a
+``bound`` (proper, mcc, du).  Harmonious is checked by its per-k algorithm
+below; every other property only by the oracle.
+
 Fast special cases (the harmonious per-k algorithm, the convex/cocircuit
 count, proper at k <= 2) and the interpolation chains that recover a
 polynomial from shifted evaluations live here too.
@@ -256,6 +262,32 @@ def _exact_counts(g: Graph, prop: ColoringProperty, lo: int,
         return _subset_counts(g, allowed, prop.hereditary, hi)
     p = _partition_counts(g, prop, lo, hi)
     return [factorial(i) * c for i, c in enumerate(p)]
+
+
+def other_route_count_at(g: Graph, prop: ColoringProperty,
+                         k: int) -> int | None:
+    """The count at palette k by an exact route ``_exact_counts`` did not
+    take on g, or None when there is none.
+
+    Where inclusion-exclusion built the polynomial, the partition engine
+    counts (``pruned_count_at``); where the engine built it for a
+    class-local row with a ``bound`` on at most _SUBSET_MAX_N vertices,
+    inclusion-exclusion counts; harmonious takes its per-k algorithm.
+    Acyclic, injective, the other ``pair:`` tokens, edge-domain and
+    audit-gated properties, and larger inputs, have no second route.
+    """
+    if prop.family == "harmonious":
+        return harmonious_fast(g, k)
+    if not prop.known_polynomial:
+        return None
+    if _class_predicate(g, prop) is not None:
+        return pruned_count_at(g, prop, k)
+    row = prop.row
+    if row is None or row.pair_name != "all" or g.n > _SUBSET_MAX_N:
+        return None
+    # a class-local row the engine mask-pruned, by its bound
+    c = _subset_counts(g, row.class_pred, prop.hereditary, k)
+    return sum(comb(k, i) * ci for i, ci in enumerate(c))
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
 import json
+import random
 
 import pytest
 
-from chromapoly import cli
+from chromapoly import cli, counting
 from chromapoly.cli import main
 from chromapoly.graphio import emit_edge_list
 from chromapoly.graphs import (
-    build_graph, complete_graph, cycle_graph, edgeless_graph, path_graph,
+    build_graph, complete_graph, cycle_graph, edgeless_graph, is_connected,
+    path_graph,
 )
+from helpers import random_graph
 
 
 @pytest.fixture
@@ -21,6 +24,16 @@ def k3(tmp_path):
 def p3(tmp_path):
     path = tmp_path / "p3.el"
     path.write_text(emit_edge_list(path_graph(3)))
+    return str(path)
+
+
+@pytest.fixture
+def g12(tmp_path):
+    # a connected G(12, 0.4): 3^12 = 531441 brute colorings at k = 3
+    g = random_graph(random.Random(6), 12, min_n=12, p=0.4)
+    assert is_connected(g)
+    path = tmp_path / "g12.el"
+    path.write_text(emit_edge_list(g))
     return str(path)
 
 
@@ -367,6 +380,38 @@ def test_pruned_walk_runs_on_what_an_estimate_refused(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["counts_at"] == {"0": "0", "1": "0", "2": "0", "3": "0"}
     assert payload["cross_checked"] is False
+
+
+@pytest.mark.parametrize("route", ["_subset_counts", "_partition_counts"])
+def test_each_exact_route_is_caught_by_the_other(capsys, g12, monkeypatch,
+                                                 route):
+    # convex is built by inclusion-exclusion and checked at k = 3 by the
+    # partition engine, mcc the other way round: a wrong count at i = 3
+    # shows only at k = 3, whichever route carries it
+    original = getattr(counting, route)
+
+    def corrupted(*args, **kwargs):
+        counts = original(*args, **kwargs)
+        counts[3] += 1
+        return counts
+
+    monkeypatch.setattr(counting, route, corrupted)
+    for token in ("convex", "mcc:t=2"):
+        code, out = run_cli(capsys, "poly", "--graph", g12, "--prop", token)
+        assert code == 4, token
+        assert json.loads(out)["error"]["message"] == (
+            "internal cross-check failed at k=3"), token
+
+
+@pytest.mark.parametrize("token", ["convex", "proper", "cocolor"])
+def test_other_route_cross_checks_where_brute_trips(capsys, g12, token):
+    # brute force at k = 3 needs 3^12 = 531441 steps; the other exact route
+    # fits (88574 engine checker calls for convex, 2^12 * 13 = 53248
+    # inclusion-exclusion steps for proper)
+    code, out = run_cli(capsys, "poly", "--graph", g12, "--prop", token,
+                        "--budget", "100000")
+    assert code == 0
+    assert json.loads(out)["cross_checked"] is True
 
 
 def test_partition_walk_too_deep_is_an_input_error(capsys, tmp_path):

@@ -9,7 +9,8 @@ from chromapoly.counting import (
     _class_predicate, _exact_counts, _partition_counts, brute_count_at,
     chi_polynomial, convex_fast, count_clique_partitions,
     edge_chi_polynomial, exact_color_count, harmonious_fast,
-    interpolation_chain, polynomiality_audit, proper_fast, pruned_count_at,
+    interpolation_chain, other_route_count_at, polynomiality_audit,
+    proper_fast, pruned_count_at,
 )
 from chromapoly.errors import BudgetExceededError, NotPolynomialError, budget
 from chromapoly.graphs import (
@@ -497,6 +498,34 @@ def test_subset_route_matches_partition_engine():
                   "injective", "pair:p1=edgeless,p2=forest"):
         assert _class_predicate(path_graph(3), parse_property(token)) is None
     assert _class_predicate(edgeless_graph(21), CONVEX) is None
+
+
+SECOND_ROUTE = ("proper", "mcc:t=1", "mcc:t=2", "mcc:t=3", "du:H=K1",
+                "du:H=K2", "du:H=P3", "du:H=K3", "convex", "timp:t=1",
+                "timp:t=2", "cocolor", "hfree:H=P3", "hfree:H=K3", "trivial",
+                "harmonious")
+
+
+def test_other_route_matches_brute():
+    rng = random.Random(67)
+    for trial in range(30):
+        g = random_graph(rng, 7)
+        if trial % 3 == 0 and g.edges:
+            g = build_graph(g.n, g.edges,
+                            [rng.randint(1, 3) for _ in g.edges],
+                            simple=False)
+        for token in SECOND_ROUTE:
+            prop = parse_property(token)
+            for k in range(4):
+                assert other_route_count_at(g, prop, k) == brute_count_at(
+                    g, prop, k), (token, k, g)
+    g = path_graph(4)
+    for prop in (acyclic_property(), injective_property(),
+                 edge_proper_property(), surjective_proper_property(),
+                 degree_determined_property()):
+        assert other_route_count_at(g, prop, 3) is None, prop.name
+    for prop in (CONVEX, PROPER):
+        assert other_route_count_at(edgeless_graph(21), prop, 3) is None
 
 
 def test_subset_route_slot_width():
