@@ -82,8 +82,9 @@ def _counts_at(g, prop) -> dict:
     """Counts at k = 0..3, up to the first budget trip.  Brute force counts
     k = 0, 1 and 2, running the checker on every coloring; k = 3 is counted
     by the exact route that did not build the polynomial where one exists
-    (``other_route_count_at``), by brute force otherwise.  Stopping at the
-    first trip loses nothing: ``cross_checked`` needs all four counts."""
+    and brute force at k = 3 would fit the budget (``other_route_count_at``),
+    by brute force otherwise.  Stopping at the first trip loses nothing:
+    ``cross_checked`` needs all four counts."""
     out = {}
     for k in range(4):
         try:

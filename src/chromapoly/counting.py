@@ -25,7 +25,9 @@ The last two check each other: ``other_route_count_at`` counts at one
 palette by the engine where inclusion-exclusion built the polynomial, and by
 inclusion-exclusion where the engine built it for a class-local row with a
 ``bound`` (proper, mcc, du).  Harmonious is checked by its per-k algorithm
-below; every other property only by the oracle.
+below; every other property only by the oracle.  The second route runs only
+where the oracle at that palette would fit the budget, so it never reaches
+further than the oracle does.
 
 Fast special cases (the harmonious per-k algorithm, the convex/cocircuit
 count, proper at k <= 2) and the interpolation chains that recover a
@@ -39,7 +41,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb, factorial
 
-from .errors import NotPolynomialError, check_budget
+from .errors import BudgetExceededError, NotPolynomialError, check_budget
 from .graphs import (
     Graph, bits, box_join, build_graph, cocircuit_counts, complete_graph,
     connected_components, disjoint_union, induced_subgraph, is_isomorphic,
@@ -182,12 +184,12 @@ _SUBSET_MAX_N = 20
 
 
 def _class_predicate(g: Graph, prop: ColoringProperty):
-    """The class predicate of a class-local property the subset route
-    serves on g (a row whose pair predicate is ``all``, no mask-prune
-    bound, at most _SUBSET_MAX_N vertices), or None."""
+    """The class predicate of a class-local property the subset route can
+    count on g (a row whose pair predicate is ``all``, at most
+    _SUBSET_MAX_N vertices), or None.  It builds the polynomial only where
+    the row has no mask-prune ``bound``; with one, it checks the engine."""
     row = prop.row
-    if (row is None or row.pair_name != "all" or prop.bound is not None
-            or g.n > _SUBSET_MAX_N):
+    if row is None or row.pair_name != "all" or g.n > _SUBSET_MAX_N:
         return None
     return row.class_pred
 
@@ -258,7 +260,7 @@ def _exact_counts(g: Graph, prop: ColoringProperty, lo: int,
                     for j in range(i + 1))
                 for i in range(top + 1)] + [0] * (hi - top)
     allowed = _class_predicate(g, prop)
-    if allowed is not None:
+    if allowed is not None and prop.bound is None:
         return _subset_counts(g, allowed, prop.hereditary, hi)
     p = _partition_counts(g, prop, lo, hi)
     return [factorial(i) * c for i, c in enumerate(p)]
@@ -267,26 +269,35 @@ def _exact_counts(g: Graph, prop: ColoringProperty, lo: int,
 def other_route_count_at(g: Graph, prop: ColoringProperty,
                          k: int) -> int | None:
     """The count at palette k by an exact route ``_exact_counts`` did not
-    take on g, or None when there is none.
+    take on g, or None where brute force should count instead.
 
     Where inclusion-exclusion built the polynomial, the partition engine
     counts (``pruned_count_at``); where the engine built it for a
-    class-local row with a ``bound`` on at most _SUBSET_MAX_N vertices,
-    inclusion-exclusion counts; harmonious takes its per-k algorithm.
-    Acyclic, injective, the other ``pair:`` tokens, edge-domain and
-    audit-gated properties, and larger inputs, have no second route.
+    class-local row with a ``bound``, inclusion-exclusion counts;
+    harmonious takes its per-k algorithm.  Acyclic, injective, the other
+    ``pair:`` tokens, edge-domain and audit-gated properties, and
+    class-local rows above _SUBSET_MAX_N vertices, have no second route.
+
+    None too where brute force at k would not fit the budget: the pruned
+    walks charge per node, so they would trip only after the work brute
+    force refuses up front.  And None where the route itself trips it,
+    although brute force fits: inclusion-exclusion's 2^n*(n+1) steps
+    exceed 3^n on n <= 3.
     """
-    if prop.family == "harmonious":
-        return harmonious_fast(g, k)
-    if not prop.known_polynomial:
+    harmonious = prop.family == "harmonious"
+    allowed = _class_predicate(g, prop) if prop.known_polynomial else None
+    if not harmonious and allowed is None:
         return None
-    if _class_predicate(g, prop) is not None:
-        return pruned_count_at(g, prop, k)
-    row = prop.row
-    if row is None or row.pair_name != "all" or g.n > _SUBSET_MAX_N:
+    try:
+        # brute force's charge on the vertex domain
+        check_budget(k ** g.n, "coloring enumeration")
+        if harmonious:
+            return harmonious_fast(g, k)
+        if prop.bound is None:
+            return pruned_count_at(g, prop, k)
+        c = _subset_counts(g, allowed, prop.hereditary, k)
+    except BudgetExceededError:
         return None
-    # a class-local row the engine mask-pruned, by its bound
-    c = _subset_counts(g, row.class_pred, prop.hereditary, k)
     return sum(comb(k, i) * ci for i, ci in enumerate(c))
 
 

@@ -404,14 +404,15 @@ def test_each_exact_route_is_caught_by_the_other(capsys, g12, monkeypatch,
 
 
 @pytest.mark.parametrize("token", ["convex", "proper", "cocolor"])
-def test_other_route_cross_checks_where_brute_trips(capsys, g12, token):
-    # brute force at k = 3 needs 3^12 = 531441 steps; the other exact route
-    # fits (88574 engine checker calls for convex, 2^12 * 13 = 53248
-    # inclusion-exclusion steps for proper)
-    code, out = run_cli(capsys, "poly", "--graph", g12, "--prop", token,
-                        "--budget", "100000")
-    assert code == 0
-    assert json.loads(out)["cross_checked"] is True
+def test_k3_check_fits_wherever_brute_force_fits(capsys, g12, token):
+    # the other exact route counts k = 3 only where brute force's
+    # 3^12 = 531441 steps fit, so cross_checked is what it was with brute
+    # force at k = 3
+    for limit, checked in ((100000, False), (3 ** 12, True)):
+        code, out = run_cli(capsys, "poly", "--graph", g12, "--prop", token,
+                            "--budget", str(limit))
+        assert code == 0
+        assert json.loads(out)["cross_checked"] is checked, limit
 
 
 def test_partition_walk_too_deep_is_an_input_error(capsys, tmp_path):

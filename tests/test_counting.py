@@ -494,9 +494,14 @@ def test_subset_route_matches_partition_engine():
             engine = [factorial(i) * c for i, c in
                       enumerate(_partition_counts(g, prop, 0, g.n))]
             assert _exact_counts(g, prop, 0, g.n) == engine, (token, g)
-    for token in ("proper", "mcc:t=2", "du:H=K2", "harmonious", "acyclic",
-                  "injective", "pair:p1=edgeless,p2=forest"):
+    for token in ("harmonious", "acyclic", "injective",
+                  "pair:p1=edgeless,p2=forest"):
         assert _class_predicate(path_graph(3), parse_property(token)) is None
+    for token in ("proper", "mcc:t=2", "du:H=K2"):
+        # class-local with a bound: the engine builds, the subset route checks
+        prop = parse_property(token)
+        assert _class_predicate(path_graph(3), prop) is not None, token
+        assert prop.bound is not None, token
     assert _class_predicate(edgeless_graph(21), CONVEX) is None
 
 
@@ -526,6 +531,21 @@ def test_other_route_matches_brute():
         assert other_route_count_at(g, prop, 3) is None, prop.name
     for prop in (CONVEX, PROPER):
         assert other_route_count_at(edgeless_graph(21), prop, 3) is None
+
+
+def test_other_route_runs_only_where_brute_fits():
+    g = path_graph(4)
+    for token in ("convex", "proper", "cocolor", "harmonious"):
+        prop = parse_property(token)
+        with budget(3 ** 4 - 1):
+            assert other_route_count_at(g, prop, 3) is None, token
+        with budget(3 ** 4):
+            assert other_route_count_at(g, prop, 3) == brute_count_at(
+                g, prop, 3), token
+    # inclusion-exclusion's 2^2 * 3 steps exceed brute force's 3^2 on K2
+    with budget(3 ** 2):
+        assert other_route_count_at(complete_graph(2), PROPER, 3) is None
+        assert brute_count_at(complete_graph(2), PROPER, 3) == 6
 
 
 def test_subset_route_slot_width():
