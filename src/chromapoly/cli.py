@@ -126,9 +126,12 @@ def _cmd_eval(args) -> int:
 
 
 def _easy_point(g, prop, point: Fraction):
-    """(label, value) when a polynomial-time route counts the colorings at
-    this palette size, else None.  Each route is exact where it applies, so
-    ``eval`` reports it without building the polynomial."""
+    """(label, value) when a route that counts at this one palette size
+    applies, else None: harmonious at every k (0 while C(k, 2) < m, brute
+    force on the graph without its isolated vertices otherwise), convex at
+    k <= 2 (cocircuits, 2^(n-1) shore bipartitions) and proper at k <= 2
+    (two-coloring).  Each route is exact where it applies, so ``eval``
+    reports it without building the polynomial."""
     if point.denominator != 1 or point < 0:
         return None
     k = int(point)

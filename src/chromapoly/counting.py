@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import comb, factorial
 
 from .errors import BudgetExceededError, NotPolynomialError, check_budget
@@ -197,7 +197,7 @@ def _class_predicate(g: Graph, prop: ColoringProperty):
 def _subset_counts(g: Graph, allowed, hereditary: bool,
                    hi: int) -> list[int]:
     """c[i] for 0 <= i <= hi: ordered partitions of the vertex set into i
-    nonempty classes that each induce a graph ``allowed`` accepts.
+    nonempty classes whose vertex bitmasks ``allowed(g, mask)`` accepts.
 
     With f_S(z) = sum of z^|T| over the nonempty allowed T within S,
     c(i) = sum over S of (-1)^(n-|S|) [z^n] f_S(z)^i.  Each f_S is packed
@@ -220,7 +220,7 @@ def _subset_counts(g: Graph, allowed, hereditary: bool,
         # vertex it rejects: that prefix fails on every extension
         if hereditary and not ok[t ^ (1 << (t.bit_length() - 1))]:
             continue
-        if allowed(induced_subgraph(g, bits(t))):
+        if allowed(g, t):
             ok[t] = 1
             f[t] = 1 << (width * t.bit_count())
     for v in range(n):
@@ -491,11 +491,10 @@ def count_clique_partitions(g: Graph, alpha: int) -> int:
     graph on alpha vertices, counted directly."""
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
-    if g.n % alpha:
-        return 0
     if not g.simple:
         raise ValueError("defined on simple graphs")
-    from itertools import combinations
+    if g.n % alpha:
+        return 0
     adj = g.adj
 
     def rec(mask: int) -> int:

@@ -217,11 +217,7 @@ def box_join(g: Graph, h: Graph, v: int) -> Graph:
 
 def strip_isolated(g: Graph) -> tuple[Graph, int]:
     keep = [v for v in range(g.n) if g.adj[v] != 0]
-    index = {v: i for i, v in enumerate(keep)}
-    edges = [(index[u], index[v]) for u, v in g.edges]
-    labels = None if g.labels is None else [g.labels[v] for v in keep]
-    out = build_graph(len(keep), edges, list(g.mult), labels, simple=g.simple)
-    return out, g.n - len(keep)
+    return induced_subgraph(g, keep), g.n - len(keep)
 
 
 def mcc_extension(g: Graph, t: int, k: int) -> Graph:
@@ -272,12 +268,9 @@ def relabel(g: Graph, perm: Sequence[int]) -> Graph:
 # ---------------------------------------------------------------------------
 # connectivity
 
-def mask_connected(adj: Sequence[int], mask: int) -> bool:
-    """Is the induced subgraph on the vertex bitmask connected?  Empty is connected."""
-    if mask == 0:
-        return True
-    seen = mask & -mask
-    frontier = seen
+def _reach(adj: Sequence[int], mask: int, seed: int) -> int:
+    """The part of the vertex bitmask reachable from the seed bit inside it."""
+    seen = frontier = seed
     while frontier:
         reach = 0
         m = frontier
@@ -287,28 +280,21 @@ def mask_connected(adj: Sequence[int], mask: int) -> bool:
             m &= m - 1
         frontier = reach & mask & ~seen
         seen |= frontier
-    return seen == mask
+    return seen
+
+
+def mask_connected(adj: Sequence[int], mask: int) -> bool:
+    """Is the induced subgraph on the vertex bitmask connected?  Empty is connected."""
+    return mask == 0 or _reach(adj, mask, mask & -mask) == mask
 
 
 def mask_components(adj: Sequence[int], mask: int) -> list[int]:
     """Connected components of the induced subgraph, as vertex bitmasks."""
     comps = []
-    rest = mask
-    while rest:
-        seed = rest & -rest
-        comp = seed
-        frontier = seed
-        while frontier:
-            reach = 0
-            m = frontier
-            while m:
-                v = (m & -m).bit_length() - 1
-                reach |= adj[v]
-                m &= m - 1
-            frontier = reach & mask & ~comp
-            comp |= frontier
+    while mask:
+        comp = _reach(adj, mask, mask & -mask)
         comps.append(comp)
-        rest &= ~comp
+        mask &= ~comp
     return comps
 
 

@@ -10,8 +10,9 @@ predicate is ``all`` feeds its class predicate to the inclusion-exclusion
 route; the tests check every row against the property's own checker.
 
 Checkers receive the raw color tuple plus the palette size; colors are 1..k.
-Only the t-improper checker honors edge multiplicities; the others read the
-distinct pairs.
+Row predicates receive g and a vertex bitmask of it.  Only the t-improper
+checker and the ``maxdeg`` predicate honor edge multiplicities; the others
+read the distinct pairs.
 """
 
 from __future__ import annotations
@@ -301,7 +302,8 @@ def _degree_determined(g, colors, k):
 # ---------------------------------------------------------------------------
 # class/pair framework
 
-GraphPredicate = Callable[[Graph], bool]
+# a predicate on the graph g induces on a vertex bitmask of g
+GraphPredicate = Callable[[Graph, int], bool]
 
 
 @dataclass(frozen=True)
@@ -316,68 +318,68 @@ class PairProperty:
 
 def pair_check(pp: PairProperty, g: Graph, colors, k: int) -> bool:
     masks = _class_masks(colors)
-    subs = {}
-    for c in range(1, k + 1):
-        subs[c] = induced_subgraph(g, bits(masks.get(c, 0)))
-        if not pp.class_pred(subs[c]):
-            return False
-    for a, b in combinations(range(1, k + 1), 2):
-        union = masks.get(a, 0) | masks.get(b, 0)
-        if not pp.pair_pred(induced_subgraph(g, bits(union))):
-            return False
+    classes = [masks.get(c, 0) for c in range(1, k + 1)]
+    return (all(pp.class_pred(g, m) for m in classes)
+            and all(pp.pair_pred(g, a | b)
+                    for a, b in combinations(classes, 2)))
+
+
+def _inner_edges(g: Graph, mask: int) -> int:
+    # distinct pairs with both ends in the mask
+    return sum((g.adj[v] & mask).bit_count() for v in bits(mask)) // 2
+
+
+def _pred_all(g: Graph, mask: int) -> bool:
     return True
 
 
-def _pred_all(h: Graph) -> bool:
-    return True
+def _pred_edgeless(g: Graph, mask: int) -> bool:
+    return not any(g.adj[v] & mask for v in bits(mask))
 
 
-def _pred_edgeless(h: Graph) -> bool:
-    return h.edge_count == 0
+def _pred_connected(g: Graph, mask: int) -> bool:
+    return mask_connected(g.adj, mask)
 
 
-def _pred_connected(h: Graph) -> bool:
-    return is_connected(h)
+def _pred_forest(g: Graph, mask: int) -> bool:
+    return _inner_edges(g, mask) == (
+        mask.bit_count() - len(mask_components(g.adj, mask)))
 
 
-def _pred_forest(h: Graph) -> bool:
-    from .graphs import connected_components
-    comps = connected_components(h) if h.n else []
-    return h.edge_count == h.n - len(comps) if h.n else True
+def _pred_max1edge(g: Graph, mask: int) -> bool:
+    return _inner_edges(g, mask) <= 1
 
 
-def _pred_max1edge(h: Graph) -> bool:
-    return h.edge_count <= 1
-
-
-def _pred_clique_or_edgeless(h: Graph) -> bool:
-    return h.edge_count == 0 or h.edge_count == h.n * (h.n - 1) // 2
+def _pred_clique_or_edgeless(g: Graph, mask: int) -> bool:
+    e, size = _inner_edges(g, mask), mask.bit_count()
+    return e == 0 or e == size * (size - 1) // 2
 
 
 def _pred_max_degree(t: int) -> GraphPredicate:
-    return lambda h: all(h.degree(v) <= t for v in range(h.n))
+    def pred(g: Graph, mask: int) -> bool:
+        # degree counts parallel edges, as Graph.degree does
+        load = [0] * g.n
+        for (u, v), m in zip(g.edges, g.mult):
+            if (mask >> u) & (mask >> v) & 1:
+                load[u] += m
+                load[v] += m
+        return max(load, default=0) <= t
+    return pred
 
 
 def _pred_component_size(t: int) -> GraphPredicate:
-    def pred(h: Graph) -> bool:
-        full = (1 << h.n) - 1
-        return all(c.bit_count() <= t for c in mask_components(h.adj, full))
-    return pred
+    return lambda g, mask: all(c.bit_count() <= t
+                               for c in mask_components(g.adj, mask))
 
 
 def _pred_du(pattern: Graph) -> GraphPredicate:
-    return lambda h: induces_copy_union(h, range(h.n), pattern)
+    return lambda g, mask: induces_copy_union(g, bits(mask), pattern)
 
 
 def _pred_hfree(pattern: Graph) -> GraphPredicate:
-    def pred(h: Graph) -> bool:
-        if h.n < pattern.n:
-            return True
-        for sub in combinations(range(h.n), pattern.n):
-            if is_isomorphic(induced_subgraph(h, sub), pattern):
-                return False
-        return True
-    return pred
+    return lambda g, mask: not any(
+        is_isomorphic(induced_subgraph(g, sub), pattern)
+        for sub in combinations(bits(mask), pattern.n))
 
 
 # ---------------------------------------------------------------------------

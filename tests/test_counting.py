@@ -15,7 +15,7 @@ from chromapoly.counting import (
 from chromapoly.errors import BudgetExceededError, NotPolynomialError, budget
 from chromapoly.graphs import (
     build_graph, complete_graph, cycle_graph, disjoint_union, edgeless_graph,
-    is_connected, line_graph, path_graph, star_graph,
+    line_graph, mask_connected, path_graph, star_graph,
 )
 from chromapoly.polynomials import (
     bell_number, from_binomial, from_monomial, stirling2,
@@ -284,6 +284,10 @@ def test_count_clique_partitions_values():
     assert count_clique_partitions(complete_graph(3), 2) == 0
     # two triangles out of K_6: choose one block of three, halve for order
     assert count_clique_partitions(complete_graph(6), 3) == 10
+    # a multigraph is refused whether or not alpha divides its vertex count
+    multi = build_graph(3, [(0, 1)], [2])
+    with pytest.raises(ValueError, match="simple graphs"):
+        count_clique_partitions(multi, 2)
 
 
 def test_audit_pass_and_counterexamples():
@@ -574,10 +578,10 @@ def test_injective_is_proper_on_the_common_neighbour_graph():
 def test_subset_route_charged_before_its_first_predicate_call():
     calls = []
 
-    def counted(h):
-        calls.append(h)
-        return is_connected(h)
-    prop = pair_property(PairProperty(counted, lambda h: True,
+    def counted(g, mask):
+        calls.append(mask)
+        return mask_connected(g.adj, mask)
+    prop = pair_property(PairProperty(counted, lambda g, mask: True,
                                       "counted", "all"))
     g = random_graph(random.Random(89), 8, min_n=8)
     run = lambda: chi_polynomial(g, prop)

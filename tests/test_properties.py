@@ -183,7 +183,11 @@ def test_table_rows_match_direct_checkers(name, param, prop_factory):
         prop_factory = lambda: h_free_property(param)
     prop = prop_factory()
     pp = prop.row
-    for g in all_graphs_up_to(4):
+    # multigraphs too: every edge at multiplicity 1 or 2
+    multigraphs = [build_graph(g.n, g.edges, mult, simple=False)
+                   for g in all_graphs_up_to(3)
+                   for mult in product((1, 2), repeat=g.edge_count)]
+    for g in list(all_graphs_up_to(4)) + multigraphs:
         for k in (1, 2, 3):
             for colors in product(range(1, k + 1), repeat=g.n):
                 c = Coloring("vertex", colors, k)
