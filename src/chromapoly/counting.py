@@ -44,8 +44,8 @@ from math import comb, factorial
 from .errors import BudgetExceededError, NotPolynomialError, check_budget
 from .graphs import (
     Graph, bits, box_join, build_graph, cocircuit_counts, complete_graph,
-    connected_components, disjoint_union, induced_subgraph, is_isomorphic,
-    join, line_graph, star_graph, strip_isolated,
+    connected_components, disjoint_union, induced_subgraph, join, line_graph,
+    mask_isomorphic, star_graph, strip_isolated,
 )
 from .polynomials import (
     Poly, from_binomial, lagrange_interpolate, stirling2_row,
@@ -122,9 +122,8 @@ def _partition_counts(g: Graph, prop: ColoringProperty, lo: int, hi: int,
             return prefixes is not None or checker(g, tuple(colors), used)
         if pattern is None:
             return True
-        return all(comp.bit_count() == pattern.n and is_isomorphic(
-            induced_subgraph(g, bits(comp)), pattern)
-            for per_block in comps for comp in per_block)
+        return all(mask_isomorphic(adj, comp, pattern)
+                   for per_block in comps for comp in per_block)
 
     def rec(pos: int, used: int):
         nonlocal steps

@@ -14,7 +14,8 @@ from math import comb
 from .cnf import CnfInstance, alpha_of, clause_width, count_models
 from .counting import pruned_count_at
 from .graphs import (
-    Graph, build_graph, cocircuit_counts, count_cuts_by_size, stretch,
+    Graph, build_graph, cocircuit_counts, complete_graph, count_cuts_by_size,
+    stretch,
 )
 from .properties import du_property, mcc_property
 
@@ -142,7 +143,6 @@ def alpha_sat_to_du(cnf: CnfInstance) -> Graph:
 
 def certify_alpha_du(cnf: CnfInstance) -> Certification:
     """Model count versus 2-colorings whose classes are unions of a-cliques."""
-    from .graphs import complete_graph
     a = alpha_of(cnf.semantics)
     gadget = alpha_sat_to_du(cnf)
     models = count_models(cnf)

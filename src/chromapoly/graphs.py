@@ -403,49 +403,47 @@ def count_cuts_by_size(g: Graph) -> dict[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# brute-force isomorphism (small graphs only)
+# induced copies of a small pattern (small graphs only)
 
-def _adj_sets(g: Graph) -> list[set[int]]:
-    return [set(bits(g.adj[v])) for v in range(g.n)]
+def has_induced_copy(adj: Sequence[int], mask: int, h: Graph) -> bool:
+    """Does the subgraph induced on the vertex bitmask contain an induced
+    copy of h?  Backtracking with adjacency filtering (Ullmann, J. ACM
+    23(1), 1976): h's vertices are placed in order, each on a free vertex
+    of the mask adjacent to the images of its earlier neighbours and not
+    adjacent to the images of its earlier non-neighbours.  Only distinct
+    pairs are read, so multiplicities are ignored."""
+    hadj, hn = h.adj, h.n
+    if hn > mask.bit_count():
+        return False
+    image = [0] * hn    # adjacency mask of each placed vertex's image
+
+    def place(i: int, free: int) -> bool:
+        if i == hn:
+            return True
+        cand = free
+        for j in range(i):
+            cand &= image[j] if (hadj[i] >> j) & 1 else ~image[j]
+        while cand:
+            low = cand & -cand
+            image[i] = adj[low.bit_length() - 1]
+            if place(i + 1, free ^ low):
+                return True
+            cand ^= low
+        return False
+
+    return place(0, mask)
+
+
+def mask_isomorphic(adj: Sequence[int], mask: int, h: Graph) -> bool:
+    """Is the subgraph induced on the vertex bitmask isomorphic to h?"""
+    return mask.bit_count() == h.n and has_induced_copy(adj, mask, h)
 
 
 def is_isomorphic(g1: Graph, g2: Graph) -> bool:
-    """Backtracking isomorphism test of the underlying simple graphs: it
-    reads n, the distinct pairs and adjacency, so multiplicities are
+    """Isomorphism of the underlying simple graphs: multiplicities are
     ignored.  Intended for n <= 8."""
-    if g1.n != g2.n or g1.edge_count != g2.edge_count:
-        return False
-    deg1 = sorted(g1.adj[v].bit_count() for v in range(g1.n))
-    deg2 = sorted(g2.adj[v].bit_count() for v in range(g2.n))
-    if deg1 != deg2:
-        return False
-    a1, a2 = _adj_sets(g1), _adj_sets(g2)
-    n = g1.n
-    mapping = [-1] * n
-    used = [False] * n
-
-    def extend(v: int) -> bool:
-        if v == n:
-            return True
-        dv = len(a1[v])
-        for w in range(n):
-            if used[w] or len(a2[w]) != dv:
-                continue
-            ok = True
-            for u in range(v):
-                if (u in a1[v]) != (mapping[u] in a2[w]):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = w
-                used[w] = True
-                if extend(v + 1):
-                    return True
-                used[w] = False
-                mapping[v] = -1
-        return False
-
-    return extend(0)
+    return (g1.n == g2.n and g1.edge_count == g2.edge_count
+            and has_induced_copy(g1.adj, (1 << g1.n) - 1, g2))
 
 
 def automorphisms(g: Graph) -> list[tuple[int, ...]]:

@@ -17,10 +17,11 @@ from typing import Callable
 
 from .counting import brute_count_at, chi_polynomial, convex_fast, pruned_count_at
 from .gadgets import stretch_identity_check
+from .graphio import emit_edge_list
 from .graphs import (
     Graph, box_join, build_graph, cocircuit_counts, complete_graph,
     disjoint_union, harmonious_gadget, induced_subgraph, is_connected, join,
-    line_graph, star_graph, t_pendant,
+    line_graph, mcc_extension, star_graph, t_pendant,
 )
 from .polynomials import Poly, constant, falling_factorial, multinomial, x_poly
 from .properties import (
@@ -89,7 +90,6 @@ def _random_graph(rng: random.Random, max_n: int, max_e: int | None = None,
 
 
 def _graph_witness(g: Graph, lhs, rhs) -> dict:
-    from .graphio import emit_edge_list
     render = (lambda s: s.to_json_dict() if isinstance(s, Poly) else str(s))
     return {"graph": emit_edge_list(g), "lhs": render(lhs), "rhs": render(rhs)}
 
@@ -233,8 +233,6 @@ def _du_box(bounds: Bounds, rng: random.Random) -> IdentityResult:
 
 
 def _mcc_ext(bounds: Bounds, rng: random.Random) -> IdentityResult:
-    from .graphs import mcc_extension
-
     def sides(g: Graph):
         for t, k in ((1, 1), (2, 2)):
             prop = mcc_property(t)

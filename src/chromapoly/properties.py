@@ -10,21 +10,22 @@ predicate is ``all`` feeds its class predicate to the inclusion-exclusion
 route; the tests check every row against the property's own checker.
 
 Checkers receive the raw color tuple plus the palette size; colors are 1..k.
-Row predicates receive g and a vertex bitmask of it.  Only the t-improper
-checker and the ``maxdeg`` predicate honor edge multiplicities; the others
-read the distinct pairs.
+Row predicates receive g and a vertex bitmask of it.  The du and hfree
+pattern tests run on such masks through ``graphs.has_induced_copy``.  Only
+the t-improper checker and the ``maxdeg`` predicate honor edge
+multiplicities; the others read the distinct pairs.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from typing import Callable
 
 from .graphs import (
-    Graph, bits, induced_subgraph, is_connected, is_isomorphic,
-    mask_components, mask_connected, standard_graph,
+    Graph, bits, has_induced_copy, is_connected, mask_components,
+    mask_connected, mask_isomorphic, standard_graph,
 )
 
 Checker = Callable[[Graph, tuple, int], bool]
@@ -125,13 +126,6 @@ def _make_mcc(t: int) -> Checker:
     return chk
 
 
-def _component_matches(g: Graph, comp_mask: int, pattern: Graph) -> bool:
-    verts = bits(comp_mask)
-    if len(verts) != pattern.n:
-        return False
-    return is_isomorphic(induced_subgraph(g, verts), pattern)
-
-
 def induces_copy_union(g: Graph, class_vertices, pattern: Graph) -> bool:
     """Does the class induce a disjoint union of copies of the pattern graph?
 
@@ -144,10 +138,8 @@ def induces_copy_union(g: Graph, class_vertices, pattern: Graph) -> bool:
     mask = 0
     for v in class_vertices:
         mask |= 1 << v
-    for comp in mask_components(g.adj, mask):
-        if not _component_matches(g, comp, pattern):
-            return False
-    return True
+    return all(mask_isomorphic(g.adj, comp, pattern)
+               for comp in mask_components(g.adj, mask))
 
 
 def _make_du(pattern: Graph) -> Checker:
@@ -155,12 +147,9 @@ def _make_du(pattern: Graph) -> Checker:
         raise ValueError("pattern graph must be connected and nonempty")
 
     def chk(g, colors, k):
-        pn = pattern.n
-        for mask in _class_masks(colors).values():
-            for comp in mask_components(g.adj, mask):
-                if comp.bit_count() != pn or not _component_matches(g, comp, pattern):
-                    return False
-        return True
+        return all(mask_isomorphic(g.adj, comp, pattern)
+                   for mask in _class_masks(colors).values()
+                   for comp in mask_components(g.adj, mask))
     return chk
 
 
@@ -170,15 +159,8 @@ def _make_hfree(pattern: Graph) -> Checker:
         raise ValueError("pattern graph must have at least one vertex")
 
     def chk(g, colors, k):
-        pn = pattern.n
-        for mask in _class_masks(colors).values():
-            verts = bits(mask)
-            if len(verts) < pn:
-                continue
-            for sub in combinations(verts, pn):
-                if is_isomorphic(induced_subgraph(g, sub), pattern):
-                    return False
-        return True
+        return not any(has_induced_copy(g.adj, mask, pattern)
+                       for mask in _class_masks(colors).values())
     return chk
 
 
@@ -309,7 +291,7 @@ GraphPredicate = Callable[[Graph, int], bool]
 @dataclass(frozen=True)
 class PairProperty:
     """Vertex colorings whose classes satisfy one graph predicate and whose
-    two-class unions satisfy another."""
+    classes and two-class unions satisfy another."""
     class_pred: GraphPredicate
     pair_pred: GraphPredicate
     class_name: str = ""
@@ -317,11 +299,13 @@ class PairProperty:
 
 
 def pair_check(pp: PairProperty, g: Graph, colors, k: int) -> bool:
+    # the pair predicate also runs on each class alone (i = j), so an empty
+    # class adds no condition and the count depends only on the used colors
     masks = _class_masks(colors)
     classes = [masks.get(c, 0) for c in range(1, k + 1)]
     return (all(pp.class_pred(g, m) for m in classes)
             and all(pp.pair_pred(g, a | b)
-                    for a, b in combinations(classes, 2)))
+                    for a, b in combinations_with_replacement(classes, 2)))
 
 
 def _inner_edges(g: Graph, mask: int) -> int:
@@ -377,9 +361,9 @@ def _pred_du(pattern: Graph) -> GraphPredicate:
 
 
 def _pred_hfree(pattern: Graph) -> GraphPredicate:
-    return lambda g, mask: not any(
-        is_isomorphic(induced_subgraph(g, sub), pattern)
-        for sub in combinations(bits(mask), pattern.n))
+    if pattern.n < 1:
+        raise ValueError("pattern graph must have at least one vertex")
+    return lambda g, mask: not has_induced_copy(g.adj, mask, pattern)
 
 
 # ---------------------------------------------------------------------------

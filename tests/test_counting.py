@@ -157,6 +157,18 @@ def test_chi_polynomial_oracle_consistency():
         poly = chi_polynomial(g, prop)
         for k in range(5):
             assert poly.eval(k) == brute_count_at(g, prop, k), (prop.name, g.edges, k)
+    # pair tokens whose pair predicate is not implied by the class
+    # predicate: it must also hold on each class alone, or the count would
+    # change with the number of unused colors
+    pairs = [parse_property(f"pair:p1={a},p2={b}") for a, b in (
+        ("all", "edgeless"), ("connected", "forest"), ("hfreeP3", "max1edge"),
+        ("duK2", "cliqueoredgeless"), ("edgeless", "compsize2"))]
+    for g in all_graphs_up_to(4):
+        for prop in pairs:
+            poly = chi_polynomial(g, prop)
+            for k in range(5):
+                assert poly.eval(k) == brute_count_at(g, prop, k), (
+                    prop.name, g.n, g.edges, k)
 
 
 def test_chi_polynomial_degree_bound():

@@ -10,11 +10,12 @@ from chromapoly.graphs import (
     _shores, automorphisms, box_join, build_graph, cocircuit_counts,
     complete_graph, connected_components, count_cuts_by_size, cycle_graph,
     disjoint_union,
-    edgeless_graph, enumerate_cocircuits, harmonious_gadget, induced_subgraph,
-    is_connected, is_isomorphic, join, line_graph, mcc_extension, path_graph,
-    relabel, standard_graph, star_graph, stretch, strip_isolated, t_pendant,
+    edgeless_graph, enumerate_cocircuits, harmonious_gadget,
+    has_induced_copy, induced_subgraph, is_connected, is_isomorphic, join,
+    line_graph, mask_isomorphic, mcc_extension, path_graph, relabel,
+    standard_graph, star_graph, stretch, strip_isolated, t_pendant,
 )
-from helpers import random_connected_graph
+from helpers import all_graphs_up_to, random_connected_graph
 
 
 def test_build_graph_examples():
@@ -262,6 +263,49 @@ def test_isomorphism():
     assert is_isomorphic(path_graph(4), relabel(path_graph(4), [3, 2, 1, 0]))
     assert not is_isomorphic(path_graph(4), star_graph(3))
     assert not is_isomorphic(complete_graph(3), path_graph(3))
+    # only the distinct pairs are read
+    multi = build_graph(3, [(0, 1), (1, 2)], [3, 1])
+    assert is_isomorphic(multi, path_graph(3))
+    assert is_isomorphic(path_graph(3), multi)
+    assert not is_isomorphic(multi, complete_graph(3))
+
+
+def _nx_graph(nx, g, vertices=None):
+    out = nx.Graph()
+    out.add_nodes_from(range(g.n) if vertices is None else vertices)
+    out.add_edges_from((u, v) for u, v in g.edges
+                       if vertices is None or {u, v} <= set(vertices))
+    return out
+
+
+def test_has_induced_copy_matches_networkx():
+    # networkx's VF2 subgraph_is_isomorphic tests for a node-induced copy
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+    patterns = [(h, _nx_graph(nx, h)) for h in all_graphs_up_to(4)]
+    rng = random.Random(41)
+    for _ in range(6):
+        g = build_graph(9, [(u, v) for u, v in combinations(range(9), 2)
+                            if rng.random() < 0.4])
+        for _ in range(100):
+            mask = rng.getrandbits(9)
+            verts = [v for v in range(9) if (mask >> v) & 1]
+            sub = _nx_graph(nx, g, verts)
+            for h, hx in patterns:
+                want = GraphMatcher(sub, hx).subgraph_is_isomorphic()
+                assert has_induced_copy(g.adj, mask, h) == want, (
+                    g.edges, verts, h.edges)
+                assert mask_isomorphic(g.adj, mask, h) == (
+                    want and len(verts) == h.n)
+
+
+def test_is_isomorphic_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    graphs = [(g, _nx_graph(nx, g)) for g in all_graphs_up_to(4)]
+    for g1, x1 in graphs:
+        for g2, x2 in graphs:
+            assert is_isomorphic(g1, g2) == nx.is_isomorphic(x1, x2), (
+                g1.n, g1.edges, g2.n, g2.edges)
 
 
 def test_automorphisms():
