@@ -9,10 +9,11 @@ The exact routes everything else is checked against:
   polynomiality audit; ``pruned_count_at`` reads it, and so do
   ``chi_polynomial`` and ``exact_color_count`` wherever the next route does
   not apply.  It walks the partitions in one of three ways: mask-pruned
-  (proper, mcc, du), prefix-pruned (the other hereditary properties) or
-  leaf-checked (the rest).  The pruned walks charge the budget one step per
-  node visited; the leaf-checked walk is charged its exact number of
-  checker calls before it starts.
+  (proper, mcc, du), prefix-pruned (the other hereditary properties;
+  acyclic tests only the vertex just placed) or leaf-checked (the rest).
+  The pruned walks charge the budget one step per node visited; the
+  leaf-checked walk is charged its exact number of checker calls before it
+  starts.
 * inclusion-exclusion -- the fourth way to the same counts, for the
   class-local vertex properties the engine cannot mask-prune (a ``row``
   whose pair predicate is ``all`` and no ``bound``: convex, timp, cocolor,
@@ -24,10 +25,11 @@ The exact routes everything else is checked against:
 The last two check each other: ``other_route_count_at`` counts at one
 palette by the engine where inclusion-exclusion built the polynomial, and by
 inclusion-exclusion where the engine built it for a class-local row with a
-``bound`` (proper, mcc, du).  Harmonious is checked by its per-k algorithm
-below; every other property only by the oracle.  The second route runs only
-where the oracle at that palette would fit the budget, so it never reaches
-further than the oracle does.
+``bound`` (proper, mcc, du) or for injective (as proper on the common
+neighbour graph).  Harmonious is checked by its per-k algorithm below;
+every other property (acyclic among them) only by the oracle.  The second
+route runs only where the oracle at that palette would fit the budget, so
+it never reaches further than the oracle does.
 
 Fast special cases (the harmonious per-k algorithm, the convex/cocircuit
 count, proper at k <= 2) and the interpolation chains that recover a
@@ -43,9 +45,10 @@ from math import comb, factorial
 
 from .errors import BudgetExceededError, NotPolynomialError, check_budget
 from .graphs import (
-    Graph, bits, box_join, build_graph, cocircuit_counts, complete_graph,
-    connected_components, disjoint_union, induced_subgraph, join, line_graph,
-    mask_isomorphic, star_graph, strip_isolated,
+    Graph, _reach, bits, box_join, build_graph, cocircuit_counts,
+    common_neighbour_graph, complete_graph, connected_components,
+    disjoint_union, induced_subgraph, join, line_graph, mask_isomorphic,
+    star_graph, strip_isolated,
 )
 from .polynomials import (
     Poly, from_binomial, lagrange_interpolate, stirling2_row,
@@ -73,6 +76,27 @@ def _prefix_graphs(g: Graph, prop: ColoringProperty) -> list[Graph]:
             for pos in range(g.edge_count)] + [g]
 
 
+def _acyclic_placed(adj, blocks: list[int], v: int, b: int) -> bool:
+    """Is an acyclic coloring still acyclic once vertex v has joined block
+    b?  ``blocks`` holds the vertex bitmask of each block, v in blocks[b].
+    v must have no neighbour in its own block, and in each other block its
+    neighbours must lie in distinct components of the two-block union
+    without v: two in one component close a cycle through v."""
+    nb = adj[v]
+    if nb & blocks[b]:
+        return False
+    own = blocks[b] ^ (1 << v)
+    for other in blocks:
+        hits = nb & other       # empty for block b itself
+        union = own | other
+        while hits & (hits - 1):
+            comp = _reach(adj, union, hits & -hits)
+            if comp & hits & (hits - 1):
+                return False
+            hits &= ~comp
+    return True
+
+
 def _partition_counts(g: Graph, prop: ColoringProperty, lo: int, hi: int,
                       what: str = "partition enumeration") -> list[int]:
     """p[i] for 0 <= i <= hi: set partitions of the domain into exactly i
@@ -89,7 +113,9 @@ def _partition_counts(g: Graph, prop: ColoringProperty, lo: int, hi: int,
     * prefix-pruned (every other hereditary property): the checker runs on
       the prefix graph at every node and a failing branch is cut; at the
       leaf the prefix graph is g, so every counted partition is fully
-      checked.
+      checked.  Acyclic keeps a vertex mask per block instead and tests
+      only the vertex just placed (``_acyclic_placed``), which cuts at the
+      same nodes.
     * leaf-checked (the rest): the checker runs on complete colorings only.
 
     The two pruned walks count each node visited as one step against the
@@ -106,20 +132,22 @@ def _partition_counts(g: Graph, prop: ColoringProperty, lo: int, hi: int,
     bound = prop.bound
     # every du component must match the pattern graph at the leaf
     pattern = prop.param if prop.family == "du" else None
+    acyclic = prop.family == "acyclic"
     prefixes = None
-    if bound is None:
+    if bound is None and not acyclic:
         if prop.hereditary:
             prefixes = _prefix_graphs(g, prop)
         else:
             check_budget(sum(stirling2_row(d, hi)[lo:]), what)
-    per_node = bound is not None or prefixes is not None
+    per_node = bound is not None or acyclic or prefixes is not None
     adj = g.adj
     colors = [0] * d
+    blocks: list[int] = []          # per block, its vertex mask
     comps: list[list[int]] = []     # per block, disjoint component masks
 
     def leaf_ok(used: int) -> bool:
         if bound is None:
-            return prefixes is not None or checker(g, tuple(colors), used)
+            return per_node or checker(g, tuple(colors), used)
         if pattern is None:
             return True
         return all(mask_isomorphic(adj, comp, pattern)
@@ -133,6 +161,11 @@ def _partition_counts(g: Graph, prop: ColoringProperty, lo: int, hi: int,
         if prefixes is not None and not checker(
                 prefixes[pos], tuple(colors[:pos]), used):
             return
+        # the parent's prefix passed, so testing the vertex just placed
+        # decides the whole prefix
+        if acyclic and pos and not _acyclic_placed(adj, blocks, pos - 1,
+                                                   colors[pos - 1] - 1):
+            return
         if pos == d:
             if leaf_ok(used):
                 counts[used] += 1
@@ -140,16 +173,21 @@ def _partition_counts(g: Graph, prop: ColoringProperty, lo: int, hi: int,
         # joining an existing block keeps the block count, so it is open
         # only while the remaining elements can still reach lo blocks
         join = d - pos > lo - used
+        bit = 1 << pos
         if bound is None:
             if join:
-                for b in range(1, used + 1):
-                    colors[pos] = b
+                for b in range(used):
+                    colors[pos] = b + 1
+                    blocks[b] ^= bit
                     rec(pos + 1, used)
+                    blocks[b] ^= bit
             if used < hi:
                 colors[pos] = used + 1
+                blocks.append(bit)
                 rec(pos + 1, used + 1)
+                blocks.pop()
             return
-        bit, nb = 1 << pos, adj[pos]
+        nb = adj[pos]
         if join:
             for b in range(used):
                 per_block = comps[b]
@@ -273,9 +311,12 @@ def other_route_count_at(g: Graph, prop: ColoringProperty,
     Where inclusion-exclusion built the polynomial, the partition engine
     counts (``pruned_count_at``); where the engine built it for a
     class-local row with a ``bound``, inclusion-exclusion counts;
-    harmonious takes its per-k algorithm.  Acyclic, injective, the other
-    ``pair:`` tokens, edge-domain and audit-gated properties, and
-    class-local rows above _SUBSET_MAX_N vertices, have no second route.
+    harmonious takes its per-k algorithm.  Injective, which the engine
+    builds, is counted by inclusion-exclusion as proper on the common
+    neighbour graph: the neighbours of each vertex must take distinct
+    colors.  Acyclic, the other ``pair:`` tokens, edge-domain and
+    audit-gated properties, and inputs above _SUBSET_MAX_N vertices
+    (harmonious aside), have no second route.
 
     None too where brute force at k would not fit the budget: the pruned
     walks charge per node, so they would trip only after the work brute
@@ -284,6 +325,8 @@ def other_route_count_at(g: Graph, prop: ColoringProperty,
     exceed 3^n on n <= 3.
     """
     harmonious = prop.family == "harmonious"
+    if prop.family == "injective":
+        g, prop = common_neighbour_graph(g), _PROPER
     allowed = _class_predicate(g, prop) if prop.known_polynomial else None
     if not harmonious and allowed is None:
         return None

@@ -131,15 +131,10 @@ def induces_copy_union(g: Graph, class_vertices, pattern: Graph) -> bool:
 
     The pattern must be connected and nonempty; empty classes qualify.
     """
-    if pattern.n < 1:
-        raise ValueError("pattern graph must have at least one vertex")
-    if not is_connected(pattern):
-        raise ValueError("pattern graph must be connected")
     mask = 0
     for v in class_vertices:
         mask |= 1 << v
-    return all(mask_isomorphic(g.adj, comp, pattern)
-               for comp in mask_components(g.adj, mask))
+    return _pred_du(pattern)(g, mask)
 
 
 def _make_du(pattern: Graph) -> Checker:
@@ -357,7 +352,12 @@ def _pred_component_size(t: int) -> GraphPredicate:
 
 
 def _pred_du(pattern: Graph) -> GraphPredicate:
-    return lambda g, mask: induces_copy_union(g, bits(mask), pattern)
+    if pattern.n < 1:
+        raise ValueError("pattern graph must have at least one vertex")
+    if not is_connected(pattern):
+        raise ValueError("pattern graph must be connected")
+    return lambda g, mask: all(mask_isomorphic(g.adj, c, pattern)
+                               for c in mask_components(g.adj, mask))
 
 
 def _pred_hfree(pattern: Graph) -> GraphPredicate:

@@ -386,8 +386,8 @@ def test_pruned_walk_runs_on_what_an_estimate_refused(capsys, tmp_path):
 def test_each_exact_route_is_caught_by_the_other(capsys, g12, monkeypatch,
                                                  route):
     # convex is built by inclusion-exclusion and checked at k = 3 by the
-    # partition engine, mcc the other way round: a wrong count at i = 3
-    # shows only at k = 3, whichever route carries it
+    # partition engine, mcc and injective the other way round: a wrong count
+    # at i = 3 shows only at k = 3, whichever route carries it
     original = getattr(counting, route)
 
     def corrupted(*args, **kwargs):
@@ -396,7 +396,7 @@ def test_each_exact_route_is_caught_by_the_other(capsys, g12, monkeypatch,
         return counts
 
     monkeypatch.setattr(counting, route, corrupted)
-    for token in ("convex", "mcc:t=2"):
+    for token in ("convex", "mcc:t=2", "injective"):
         code, out = run_cli(capsys, "poly", "--graph", g12, "--prop", token)
         assert code == 4, token
         assert json.loads(out)["error"]["message"] == (

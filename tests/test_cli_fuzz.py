@@ -135,7 +135,8 @@ BAD_PROPS = st.one_of(
     st.sampled_from(("du:H=K0", "du:H=E2", "mcc", "mcc:t", "mcc:s=2",
                      "pair:p1=edgeless", "pair:p1=edgeless,p2=bogus",
                      "pair:p1=hfreeK0,p2=all", "pair:p1=hfreeE0,p2=all",
-                     "pair:p1=all,p2=hfreeP0", "banana:t=1")),
+                     "pair:p1=all,p2=hfreeP0", "pair:p1=duE2,p2=all",
+                     "pair:p1=all,p2=duK0", "banana:t=1")),
 )
 
 BAD_POINTS = st.one_of(

@@ -14,8 +14,9 @@ from chromapoly.counting import (
 )
 from chromapoly.errors import BudgetExceededError, NotPolynomialError, budget
 from chromapoly.graphs import (
-    build_graph, complete_graph, cycle_graph, disjoint_union, edgeless_graph,
-    line_graph, mask_connected, path_graph, star_graph,
+    build_graph, common_neighbour_graph, complete_graph, cycle_graph,
+    disjoint_union, edgeless_graph, line_graph, mask_connected, path_graph,
+    star_graph,
 )
 from chromapoly.polynomials import (
     bell_number, from_binomial, from_monomial, stirling2,
@@ -439,6 +440,49 @@ def test_pruned_count_matches_brute():
                 prop.name, g.edges, k)
 
 
+ACYCLIC = acyclic_property()
+
+
+def test_acyclic_walk_matches_brute():
+    # the walk tests only the vertex just placed, the oracle the whole
+    # checker on every coloring; C4, K4 and the 4-wheel hold bichromatic
+    # cycles.  Seeded graphs stop at 6 vertices: the oracle's sum of k^7
+    # over k <= 7 is about 1.2M checker calls
+    rng = random.Random(71)
+    graphs = [cycle_graph(4), complete_graph(4),
+              build_graph(5, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4),
+                              (1, 4), (2, 4), (3, 4)])]
+    for trial in range(30):
+        g = random_graph(rng, 6)
+        if trial % 3 == 0 and g.edges:
+            g = build_graph(g.n, g.edges,
+                            [rng.randint(1, 3) for _ in g.edges],
+                            simple=False)
+        graphs.append(g)
+    for g in graphs:
+        plain = [brute_count_at(g, ACYCLIC, k) for k in range(g.n + 1)]
+        exact = [sum((-1) ** (i - j) * comb(i, j) * plain[j]
+                     for j in range(i + 1)) for i in range(g.n + 1)]
+        walk = _partition_counts(g, ACYCLIC, 0, g.n)
+        assert [factorial(i) * c for i, c in enumerate(walk)] == exact, g
+        for i in range(g.n + 1):
+            assert _partition_counts(g, ACYCLIC, i, i)[i] == walk[i], (g, i)
+
+
+def test_acyclic_walk_charges_the_nodes_it_visits():
+    # 3247 is the step total of the walk that ran the checker on every
+    # prefix graph: testing only the placed vertex cuts the same branches
+    # at the same nodes, so the budget trips where it did.  The graph has
+    # even cycles, so two-class cycles cut branches too
+    g = random_graph(random.Random(2), 9, min_n=9, p=0.4)
+    with budget(3247):
+        chi_polynomial(g, ACYCLIC)
+    with budget(3246), pytest.raises(BudgetExceededError) as info:
+        chi_polynomial(g, ACYCLIC)
+    assert str(info.value) == (
+        "partition enumeration needs 3247 operations, budget is 3246")
+
+
 def _counting_checker(prop):
     """``prop`` with its checker wrapped, and the list of calls it made."""
     calls = []
@@ -524,7 +568,7 @@ def test_subset_route_matches_partition_engine():
 SECOND_ROUTE = ("proper", "mcc:t=1", "mcc:t=2", "mcc:t=3", "du:H=K1",
                 "du:H=K2", "du:H=P3", "du:H=K3", "convex", "timp:t=1",
                 "timp:t=2", "cocolor", "hfree:H=P3", "hfree:H=K3", "trivial",
-                "harmonious")
+                "harmonious", "injective")
 
 
 def test_other_route_matches_brute():
@@ -541,8 +585,7 @@ def test_other_route_matches_brute():
                 assert other_route_count_at(g, prop, k) == brute_count_at(
                     g, prop, k), (token, k, g)
     g = path_graph(4)
-    for prop in (acyclic_property(), injective_property(),
-                 edge_proper_property(), surjective_proper_property(),
+    for prop in (ACYCLIC, edge_proper_property(), surjective_proper_property(),
                  degree_determined_property()):
         assert other_route_count_at(g, prop, 3) is None, prop.name
     for prop in (CONVEX, PROPER):
@@ -551,7 +594,7 @@ def test_other_route_matches_brute():
 
 def test_other_route_runs_only_where_brute_fits():
     g = path_graph(4)
-    for token in ("convex", "proper", "cocolor", "harmonious"):
+    for token in ("convex", "proper", "cocolor", "harmonious", "injective"):
         prop = parse_property(token)
         with budget(3 ** 4 - 1):
             assert other_route_count_at(g, prop, 3) is None, token
@@ -583,6 +626,7 @@ def test_injective_is_proper_on_the_common_neighbour_graph():
         common = build_graph(g.n, [(u, w) for u, w in
                                    combinations(range(g.n), 2)
                                    if nbrs[u] & nbrs[w]])
+        assert common_neighbour_graph(g) == common, g
         assert chi_polynomial(g, injective_property()).equals(
             chi_polynomial(common, PROPER)), g
 

@@ -10,6 +10,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from chromapoly.counting import _acyclic_placed  # noqa: E402
 from chromapoly.graphs import build_graph, induced_subgraph  # noqa: E402
 from chromapoly.properties import parse_property  # noqa: E402
 
@@ -85,3 +86,34 @@ def test_unflagged_families_recover_from_a_failing_prefix(token, g, colors,
     assert not prop.checker(prefix_graph(g, prop.domain, pos), colors[:pos],
                             2)
     assert prop.checker(g, colors, 2)
+
+
+@st.composite
+def bichromatic_colorings(draw):
+    # edges mostly join distinct colors, so two-class cycles are common
+    n = draw(st.integers(0, 8))
+    k = draw(st.integers(1, 3))
+    colors = tuple(draw(st.lists(st.integers(1, k), min_size=n,
+                                 max_size=n)))
+    pairs = [(u, v) for v in range(n) for u in range(v)
+             if colors[u] != colors[v] or draw(st.integers(0, 9)) == 0]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=14)
+                 if pairs else st.just([]))
+    return build_graph(n, edges), colors, k
+
+
+@SOUNDNESS
+@given(bichromatic_colorings())
+def test_acyclic_placed_vertex_test_decides_the_prefix(case):
+    # the partition engine tests only the vertex just placed; while every
+    # shorter prefix passes, that must equal the checker on the prefix graph
+    g, colors, k = case
+    checker = parse_property("acyclic").checker
+    blocks = [0] * k
+    for v, c in enumerate(colors):
+        blocks[c - 1] |= 1 << v
+        ok = _acyclic_placed(g.adj, blocks, v, c - 1)
+        assert ok == checker(prefix_graph(g, "vertex", v + 1),
+                             colors[:v + 1], k), (g, colors, v)
+        if not ok:
+            break
