@@ -82,8 +82,7 @@ def _counts_at(g, prop) -> dict:
     """Counts at k = 0..3, up to the first budget trip.  Brute force counts
     k = 0, 1 and 2, running the checker on every coloring; k = 3 is counted
     by the exact route that did not build the polynomial where one exists
-    (injective among them, as proper on the common neighbour graph) and
-    brute force at k = 3 would fit the budget (``other_route_count_at``),
+    and brute force at k = 3 would fit the budget (``other_route_count_at``),
     by brute force otherwise (acyclic among them).  Stopping at the first
     trip loses nothing: ``cross_checked`` needs all four counts."""
     out = {}
@@ -370,7 +369,7 @@ def main(argv=None) -> int:
             return args.handler(args)
     except BudgetExceededError as exc:
         return _fail(str(exc), args.format, BUDGET_ERROR)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         return _fail(str(exc), args.format, INPUT_ERROR)
 
 

@@ -17,19 +17,19 @@ The exact routes everything else is checked against:
 * inclusion-exclusion -- the fourth way to the same counts, for the
   class-local vertex properties the engine cannot mask-prune (a ``row``
   whose pair predicate is ``all`` and no ``bound``: convex, timp, cocolor,
-  hfree, trivial and such ``pair:`` tokens) on at most 20 vertices: one
-  sum over the 2^n vertex subsets (Bjorklund, Husfeldt and Koivisto, SIAM
-  J. Comput. 2009).  ``_exact_counts`` picks it; it is charged 2^n*(n+1)
-  steps, one per subset and palette size, before its first predicate call.
+  hfree, injective, trivial and such ``pair:`` tokens) on at most 20
+  vertices: one sum over the 2^n vertex subsets (Bjorklund, Husfeldt and
+  Koivisto, SIAM J. Comput. 2009).  ``_exact_counts`` picks it; it is
+  charged 2^n*(n+1) steps, one per subset and palette size, before its
+  first predicate call.
 
 The last two check each other: ``other_route_count_at`` counts at one
 palette by the engine where inclusion-exclusion built the polynomial, and by
 inclusion-exclusion where the engine built it for a class-local row with a
-``bound`` (proper, mcc, du) or for injective (as proper on the common
-neighbour graph).  Harmonious is checked by its per-k algorithm below;
-every other property (acyclic among them) only by the oracle.  The second
-route runs only where the oracle at that palette would fit the budget, so
-it never reaches further than the oracle does.
+``bound`` (proper, mcc, du).  Harmonious is checked by its per-k algorithm
+below; every other property (acyclic among them) only by the oracle.  The
+second route runs only where the oracle at that palette would fit the
+budget, so it never reaches further than the oracle does.
 
 Fast special cases (the harmonious per-k algorithm, the convex/cocircuit
 count, proper at k <= 2) and the interpolation chains that recover a
@@ -46,9 +46,8 @@ from math import comb, factorial
 from .errors import BudgetExceededError, NotPolynomialError, check_budget
 from .graphs import (
     Graph, _reach, bits, box_join, build_graph, cocircuit_counts,
-    common_neighbour_graph, complete_graph, connected_components,
-    disjoint_union, induced_subgraph, join, line_graph, mask_isomorphic,
-    star_graph, strip_isolated,
+    complete_graph, connected_components, disjoint_union, induced_subgraph,
+    join, line_graph, mask_isomorphic, star_graph, strip_isolated,
 )
 from .polynomials import (
     Poly, from_binomial, lagrange_interpolate, stirling2_row,
@@ -311,12 +310,9 @@ def other_route_count_at(g: Graph, prop: ColoringProperty,
     Where inclusion-exclusion built the polynomial, the partition engine
     counts (``pruned_count_at``); where the engine built it for a
     class-local row with a ``bound``, inclusion-exclusion counts;
-    harmonious takes its per-k algorithm.  Injective, which the engine
-    builds, is counted by inclusion-exclusion as proper on the common
-    neighbour graph: the neighbours of each vertex must take distinct
-    colors.  Acyclic, the other ``pair:`` tokens, edge-domain and
-    audit-gated properties, and inputs above _SUBSET_MAX_N vertices
-    (harmonious aside), have no second route.
+    harmonious takes its per-k algorithm.  Acyclic, the other ``pair:``
+    tokens, edge-domain and audit-gated properties, and inputs above
+    _SUBSET_MAX_N vertices (harmonious aside), have no second route.
 
     None too where brute force at k would not fit the budget: the pruned
     walks charge per node, so they would trip only after the work brute
@@ -325,8 +321,6 @@ def other_route_count_at(g: Graph, prop: ColoringProperty,
     exceed 3^n on n <= 3.
     """
     harmonious = prop.family == "harmonious"
-    if prop.family == "injective":
-        g, prop = common_neighbour_graph(g), _PROPER
     allowed = _class_predicate(g, prop) if prop.known_polynomial else None
     if not harmonious and allowed is None:
         return None

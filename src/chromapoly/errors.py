@@ -21,7 +21,11 @@ class BudgetExceededError(ChromapolyError):
     def __init__(self, cost: int, limit: int, what: str = "enumeration"):
         self.cost = cost
         self.budget = limit
-        super().__init__(f"{what} needs {cost} operations, budget is {limit}")
+        try:
+            needs = str(cost)
+        except ValueError:     # past the int-to-str digit limit
+            needs = f"at least 2^{cost.bit_length() - 1}"
+        super().__init__(f"{what} needs {needs} operations, budget is {limit}")
 
 
 @contextmanager

@@ -251,14 +251,6 @@ def line_graph(g: Graph) -> Graph:
     return build_graph(g.edge_count, edges)
 
 
-def common_neighbour_graph(g: Graph) -> Graph:
-    """The simple graph on V(g) joining u and w when they share a neighbour
-    in g; multiplicities are ignored."""
-    adj = g.adj
-    return build_graph(g.n, [(u, w) for u, w in combinations(range(g.n), 2)
-                             if adj[u] & adj[w]])
-
-
 def relabel(g: Graph, perm: Sequence[int]) -> Graph:
     """Apply the vertex permutation v -> perm[v]."""
     if sorted(perm) != list(range(g.n)):

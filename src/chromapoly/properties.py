@@ -279,7 +279,8 @@ def _degree_determined(g, colors, k):
 # ---------------------------------------------------------------------------
 # class/pair framework
 
-# a predicate on the graph g induces on a vertex bitmask of g
+# a predicate on g and a vertex bitmask of g; it may read vertices outside
+# the mask (injective's does), but depends on nothing else
 GraphPredicate = Callable[[Graph, int], bool]
 
 
@@ -358,6 +359,10 @@ def _pred_du(pattern: Graph) -> GraphPredicate:
         raise ValueError("pattern graph must be connected")
     return lambda g, mask: all(mask_isomorphic(g.adj, c, pattern)
                                for c in mask_components(g.adj, mask))
+
+
+def _pred_no_shared_neighbour(g: Graph, mask: int) -> bool:
+    return all((a & mask).bit_count() <= 1 for a in g.adj)
 
 
 def _pred_hfree(pattern: Graph) -> GraphPredicate:
@@ -445,7 +450,9 @@ def cocolor_property() -> ColoringProperty:
 
 def injective_property() -> ColoringProperty:
     return ColoringProperty("injective", "vertex", _injective,
-                            family="injective", hereditary=True)
+                            family="injective", hereditary=True,
+                            row=_class_row(_pred_no_shared_neighbour,
+                                           "nosharedneighbour"))
 
 
 def edge_proper_property() -> ColoringProperty:

@@ -319,13 +319,34 @@ def test_exit_code_budget(capsys, tmp_path):
     # inclusion-exclusion is charged 2^14 * 15 steps up front
     path = tmp_path / "big.el"
     path.write_text(emit_edge_list(complete_graph(14)))
-    code, out = run_cli(capsys, "poly", "--graph", str(path), "--prop",
-                        "convex", "--budget", "10000")
-    assert code == 3
-    assert json.loads(out) == {"error": {
-        "code": "budget",
-        "message": "inclusion-exclusion needs 245760 operations, "
-                   "budget is 10000"}}
+    for token in ("convex", "injective"):
+        code, out = run_cli(capsys, "poly", "--graph", str(path), "--prop",
+                            token, "--budget", "10000")
+        assert code == 3, token
+        assert json.loads(out) == {"error": {
+            "code": "budget",
+            "message": "inclusion-exclusion needs 245760 operations, "
+                       "budget is 10000"}}, token
+
+
+def test_budget_trip_past_the_int_digit_limit(capsys, tmp_path):
+    # 2^14999 and 2^20000 have more decimal digits than the interpreter
+    # converts, so the cost is given as a power of two
+    graph = tmp_path / "e15000.el"
+    graph.write_text("15000 0\n")
+    cnf = tmp_path / "big.cnf"
+    cnf.write_text("c semantics nae3\np cnf 20000 0\n")
+    for argv, message in (
+            (("cocircuits", "--graph", str(graph)),
+             "cocircuit enumeration needs at least 2^14999 operations, "
+             "budget is 10000"),
+            (("gadget", "certify", "nae_mcc", "--cnf", str(cnf)),
+             "assignment enumeration needs at least 2^20000 operations, "
+             "budget is 10000")):
+        code, out = run_cli(capsys, *argv, "--budget", "10000")
+        assert code == 3, argv
+        assert json.loads(out) == {"error": {"code": "budget",
+                                             "message": message}}, argv
 
 
 def test_cocircuits_budget(capsys, tmp_path):
@@ -385,8 +406,8 @@ def test_pruned_walk_runs_on_what_an_estimate_refused(capsys, tmp_path):
 @pytest.mark.parametrize("route", ["_subset_counts", "_partition_counts"])
 def test_each_exact_route_is_caught_by_the_other(capsys, g12, monkeypatch,
                                                  route):
-    # convex is built by inclusion-exclusion and checked at k = 3 by the
-    # partition engine, mcc and injective the other way round: a wrong count
+    # convex and injective are built by inclusion-exclusion and checked at
+    # k = 3 by the partition engine, mcc the other way round: a wrong count
     # at i = 3 shows only at k = 3, whichever route carries it
     original = getattr(counting, route)
 

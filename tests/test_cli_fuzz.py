@@ -219,6 +219,14 @@ def test_negative_cnf_variable_count_is_an_input_error(tmp_path):
             "message": "variable count must be nonnegative, got -1"}}
 
 
+def test_vertex_count_past_the_index_range_is_an_input_error(tmp_path):
+    # ``[0] * n`` raised an OverflowError traceback
+    graph = write(tmp_path, "huge.el",
+                  "1000000000000000000000000000000 0\n")
+    assert_input_error(*run_cli("poly", "--graph", graph, "--prop",
+                                "proper"))
+
+
 def test_nonpositive_multiplicity_is_an_input_error(tmp_path):
     # ``0 1 0`` beside ``0 1`` summed to multiplicity 1 and was accepted
     graph = write(tmp_path, "m.el", "2 2\n0 1\n0 1 0\n")

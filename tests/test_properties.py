@@ -173,6 +173,7 @@ def test_pair_check_reproduces_proper_and_trivial():
     ("du", None, None),
     ("timp", 1, lambda: t_improper_property(1)),
     ("hfree", None, None),
+    ("injective", None, injective_property),
 ])
 def test_table_rows_match_direct_checkers(name, param, prop_factory):
     if name == "du":
@@ -290,8 +291,7 @@ def test_every_documented_token_parses():
 
 def test_every_token_states_its_counting_facts():
     bounds = {"proper": 1, "mcc:t=2": 2, "du:H=K3": 3}
-    rowless = {"injective", "edge", "rainbow", "surjective-proper",
-               "degree-determined"}
+    rowless = {"edge", "rainbow", "surjective-proper", "degree-determined"}
     for token in CLI_TOKENS:
         prop = parse_property(token)
         assert prop.bound == bounds.get(token), token
