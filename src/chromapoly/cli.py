@@ -1,9 +1,13 @@
 """Command-line entry point.
 
 Subcommands: poly, eval, gadget (emit|certify), identity (run|run-all),
-audit, cocircuits.  All numeric JSON fields are decimal strings; output is
-deterministic given the inputs and seed.  ``--workers`` is accepted and
-validated, but every command runs single-threaded.
+audit, cocircuits.  All numeric JSON fields are decimal strings, written
+in full: ``main`` lifts the interpreter's int/str digit limit while a
+command runs and restores the caller's limit on return.  Inputs keep the
+default limit of 4300 digits, so a longer ``--point`` or integer in a graph
+or CNF file is an input error.  Output is deterministic given the inputs
+and seed.  ``--workers`` is accepted and validated, but every command runs
+single-threaded.
 
 Exit codes: 0 success, 2 input error, 3 budget exceeded, 4 identity or
 certification failure.
@@ -15,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from . import gadgets, identities
@@ -44,6 +49,26 @@ def _emit(payload: dict, fmt: str) -> None:
             print(f"{key}: {payload[key]}")
 
 
+@contextmanager
+def _int_digits(limit: int):
+    """Within the block, ints convert to and from decimal strings of at
+    most ``limit`` digits (0: any number)."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def _read(parse, *args):
+    """``parse(*args)`` under the interpreter's default digit limit: a
+    longer integer in an input is an input error, refused before it costs
+    quadratic time to convert."""
+    with _int_digits(sys.int_info.default_max_str_digits):
+        return parse(*args)
+
+
 def _fail(message: str, fmt: str, code: int) -> int:
     kind = {INPUT_ERROR: "input", BUDGET_ERROR: "budget",
             CHECK_FAILED: "mismatch"}[code]
@@ -55,7 +80,7 @@ def _fail(message: str, fmt: str, code: int) -> int:
 # subcommand handlers
 
 def _cmd_poly(args) -> int:
-    g = load_graph(args.graph)
+    g = _read(load_graph, args.graph)
     prop = parse_property(args.prop)
     payload = {"graph": fingerprint(g), "property": prop.name}
     try:
@@ -98,10 +123,10 @@ def _counts_at(g, prop) -> dict:
 
 
 def _cmd_eval(args) -> int:
-    g = load_graph(args.graph)
+    g = _read(load_graph, args.graph)
     prop = parse_property(args.prop)
     try:
-        point = Fraction(args.point)
+        point = _read(Fraction, args.point)
     except ZeroDivisionError:
         raise ValueError(
             f"point has a zero denominator: {args.point!r}") from None
@@ -145,7 +170,7 @@ def _easy_point(g, prop, point: Fraction):
 
 
 def _cmd_cocircuits(args) -> int:
-    g = load_graph(args.graph)
+    g = _read(load_graph, args.graph)
     summary = enumerate_cocircuits(g)
     payload = {"graph": fingerprint(g), "total": str(summary.total),
                "by_size": {str(k): str(v) for k, v in summary.by_size.items()}}
@@ -161,7 +186,7 @@ def _audit_payload(report) -> dict:
 
 
 def _cmd_audit(args) -> int:
-    g = load_graph(args.graph)
+    g = _read(load_graph, args.graph)
     prop = parse_property(args.prop)
     report = polynomiality_audit(g, prop, args.kmax)
     payload = {"graph": fingerprint(g), "property": prop.name,
@@ -179,11 +204,11 @@ def _gadget_input(args):
     if args.kind == "maxcut_cocirc":
         if args.graph is None or args.k is None:
             raise ValueError("maxcut_cocirc needs --graph and --k")
-        return load_graph(args.graph)
+        return _read(load_graph, args.graph)
     if args.cnf is None:
         raise ValueError(f"{args.kind} needs --cnf")
     with open(args.cnf, "r", encoding="utf-8") as fh:
-        return parse_cnf(fh.read())
+        return _read(parse_cnf, fh.read())
 
 
 def _cmd_gadget_emit(args) -> int:
@@ -353,7 +378,8 @@ def _budget_from(args) -> int:
 
 
 def main(argv=None) -> int:
-    """Run one command with every enumeration counted against one budget."""
+    """Run one command with every enumeration counted against one budget,
+    and the int/str digit limit lifted for its output while it runs."""
     try:
         # global flags count before or after the subcommand; the later wins
         args = build_parser().parse_args(argv, argparse.Namespace(
@@ -365,7 +391,7 @@ def main(argv=None) -> int:
         # reported as JSON whatever the --format
         return _fail(str(exc), "json", INPUT_ERROR)
     try:
-        with budget(limit):
+        with _int_digits(0), budget(limit):
             return args.handler(args)
     except BudgetExceededError as exc:
         return _fail(str(exc), args.format, BUDGET_ERROR)

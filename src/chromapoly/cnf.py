@@ -126,13 +126,6 @@ def parse_cnf(text: str) -> CnfInstance:
     return CnfInstance(num_vars, tuple(clauses), semantics)
 
 
-def emit_cnf(cnf: CnfInstance) -> str:
-    out = [f"c semantics {cnf.semantics}",
-           f"p cnf {cnf.num_vars} {len(cnf.clauses)}"]
-    out += [" ".join(str(l) for l in clause) + " 0" for clause in cnf.clauses]
-    return "\n".join(out) + "\n"
-
-
 def _clause_ok(clause: tuple[int, ...], assignment: int, semantics: str) -> bool:
     values = [((assignment >> (abs(lit) - 1)) & 1) ^ (1 if lit < 0 else 0)
               for lit in clause]

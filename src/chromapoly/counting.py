@@ -8,14 +8,16 @@ The exact routes everything else is checked against:
   property, for every i in one pass.  Valid whenever the property passes the
   polynomiality audit; ``pruned_count_at`` reads it, and so do
   ``chi_polynomial`` and ``exact_color_count`` wherever the next route does
-  not apply.  It walks the partitions in one of three ways: mask-pruned
-  (proper, mcc, du), prefix-pruned (the other hereditary properties;
-  acyclic tests only the vertex just placed) or leaf-checked (the rest).
-  The pruned walks charge the budget one step per node visited; the
-  leaf-checked walk is charged its exact number of checker calls before it
+  not apply.  It is one walk over the partitions that tests each placement
+  once, before it recurses: the component-size ``bound`` (proper, mcc, du),
+  acyclic's placed-vertex test, the checker on the prefix (the other
+  hereditary properties) or nothing (the rest, checked at the leaf).  A
+  walk with a placement test charges the budget one step per node it
+  enters, and enters a node only when the placement passed; the walk
+  without one is charged its exact number of checker calls before it
   starts.
-* inclusion-exclusion -- the fourth way to the same counts, for the
-  class-local vertex properties the engine cannot mask-prune (a ``row``
+* inclusion-exclusion -- the other way to the same counts, for the
+  class-local vertex properties the engine cannot prune by size (a ``row``
   whose pair predicate is ``all`` and no ``bound``: convex, timp, cocolor,
   hfree, injective, trivial and such ``pair:`` tokens) on at most 20
   vertices: one sum over the 2^n vertex subsets (Bjorklund, Husfeldt and
@@ -43,11 +45,14 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import comb, factorial
 
-from .errors import BudgetExceededError, NotPolynomialError, check_budget
+from .errors import (
+    BudgetExceededError, NotPolynomialError, budget_limit, check_budget,
+)
 from .graphs import (
     Graph, _reach, bits, box_join, build_graph, cocircuit_counts,
     complete_graph, connected_components, disjoint_union, induced_subgraph,
-    join, line_graph, mask_isomorphic, star_graph, strip_isolated,
+    join, line_graph, mask_components, mask_isomorphic, star_graph,
+    strip_isolated,
 )
 from .polynomials import (
     Poly, from_binomial, lagrange_interpolate, stirling2_row,
@@ -76,15 +81,15 @@ def _prefix_graphs(g: Graph, prop: ColoringProperty) -> list[Graph]:
 
 
 def _acyclic_placed(adj, blocks: list[int], v: int, b: int) -> bool:
-    """Is an acyclic coloring still acyclic once vertex v has joined block
-    b?  ``blocks`` holds the vertex bitmask of each block, v in blocks[b].
-    v must have no neighbour in its own block, and in each other block its
+    """Is an acyclic coloring still acyclic once vertex v joins block b?
+    ``blocks`` holds the vertex bitmask of each block, v in none of them.
+    v must have no neighbour in block b, and in each other block its
     neighbours must lie in distinct components of the two-block union
     without v: two in one component close a cycle through v."""
     nb = adj[v]
-    if nb & blocks[b]:
+    own = blocks[b]
+    if nb & own:
         return False
-    own = blocks[b] ^ (1 << v)
     for other in blocks:
         hits = nb & other       # empty for block b itself
         union = own | other
@@ -103,110 +108,96 @@ def _partition_counts(g: Graph, prop: ColoringProperty, lo: int, hi: int,
     one pass over restricted-growth strings (Knuth, TAOCP 4A 7.2.1.5).
     Entries below ``lo`` are 0: branches that cannot reach lo blocks are cut.
 
-    One of three walks runs, chosen here:
+    One walk tests each placement of element pos in block b once, before
+    it places it and recurses; the test is chosen here:
 
-    * mask-pruned (properties with a ``bound``: proper, mcc, du): a branch
-      is cut as soon as a block's monochromatic component outgrows the
-      bound; components are kept incrementally as disjoint bitmasks per
-      block.
-    * prefix-pruned (every other hereditary property): the checker runs on
-      the prefix graph at every node and a failing branch is cut; at the
-      leaf the prefix graph is g, so every counted partition is fully
-      checked.  Acyclic keeps a vertex mask per block instead and tests
-      only the vertex just placed (``_acyclic_placed``), which cuts at the
-      same nodes.
-    * leaf-checked (the rest): the checker runs on complete colorings only.
+    * a ``bound`` (proper, mcc, du): the placed vertex's monochromatic
+      component has at most ``bound`` vertices;
+    * acyclic: ``_acyclic_placed``;
+    * any other hereditary property: the checker on the prefix graph of the
+      first pos + 1 elements;
+    * otherwise none, and the checker runs on complete colorings only.
 
-    The two pruned walks count each node visited as one step against the
-    budget.  The leaf-checked walk visits exactly the partitions into lo..hi
-    blocks, so it is charged their number, one checker call each, before it
-    starts.
+    Du also checks every block's components against the pattern at the leaf.
+    A walk with a placement test charges the budget one step per node it
+    enters, and it enters a node only when the placement passed.  The walk
+    without one visits exactly the partitions into lo..hi blocks, so it is
+    charged their number, one checker call each, before it starts.
     """
     d = _domain_size(g, prop)
     counts = [0] * (hi + 1)
     if lo > min(d, hi):
         return counts
-    steps = 0
-    checker = prop.checker
-    bound = prop.bound
-    # every du component must match the pattern graph at the leaf
-    pattern = prop.param if prop.family == "du" else None
-    acyclic = prop.family == "acyclic"
-    prefixes = None
-    if bound is None and not acyclic:
-        if prop.hereditary:
-            prefixes = _prefix_graphs(g, prop)
-        else:
-            check_budget(sum(stirling2_row(d, hi)[lo:]), what)
-    per_node = bound is not None or acyclic or prefixes is not None
-    adj = g.adj
+    checker, bound, adj = prop.checker, prop.bound, g.adj
     colors = [0] * d
-    blocks: list[int] = []          # per block, its vertex mask
-    comps: list[list[int]] = []     # per block, disjoint component masks
-
-    def leaf_ok(used: int) -> bool:
-        if bound is None:
-            return per_node or checker(g, tuple(colors), used)
-        if pattern is None:
+    blocks = [0] * min(d, hi)       # per block, its element mask
+    fits = leaf = None
+    if bound is not None:
+        def fits(pos: int, b: int, used: int) -> bool:
+            # the component pos would have in block b, grown a layer at a
+            # time until complete or past the bound; inline, because a
+            # ``_reach`` call per placement made mcc half again as slow
+            blk = blocks[b]
+            frontier = adj[pos] & blk
+            seen = frontier | 1 << pos
+            while frontier:
+                if seen.bit_count() > bound:
+                    return False
+                reach = 0
+                while frontier:
+                    low = frontier & -frontier
+                    reach |= adj[low.bit_length() - 1]
+                    frontier ^= low
+                frontier = reach & blk & ~seen
+                seen |= frontier
             return True
-        return all(mask_isomorphic(adj, comp, pattern)
-                   for per_block in comps for comp in per_block)
+        if prop.family == "du":
+            pattern = prop.param
+
+            def leaf(used: int) -> bool:
+                return (all(blk.bit_count() % pattern.n == 0
+                            for blk in blocks)
+                        and all(mask_isomorphic(adj, comp, pattern)
+                                for blk in blocks
+                                for comp in mask_components(adj, blk)))
+    elif prop.family == "acyclic":
+        def fits(pos: int, b: int, used: int) -> bool:
+            return _acyclic_placed(adj, blocks, pos, b)
+    elif prop.hereditary:
+        prefixes = _prefix_graphs(g, prop)
+
+        def fits(pos: int, b: int, used: int) -> bool:
+            return checker(prefixes[pos + 1], tuple(colors[:pos + 1]), used)
+    else:
+        check_budget(sum(stirling2_row(d, hi)[lo:]), what)
+
+        def leaf(used: int) -> bool:
+            return checker(g, tuple(colors), used)
+    # read once: the walk compares its own count at every node
+    steps, limit = 0, budget_limit()
 
     def rec(pos: int, used: int):
         nonlocal steps
-        if per_node:
+        if fits is not None:
             steps += 1
-            check_budget(steps, what)
-        if prefixes is not None and not checker(
-                prefixes[pos], tuple(colors[:pos]), used):
-            return
-        # the parent's prefix passed, so testing the vertex just placed
-        # decides the whole prefix
-        if acyclic and pos and not _acyclic_placed(adj, blocks, pos - 1,
-                                                   colors[pos - 1] - 1):
-            return
+            if steps > limit:
+                check_budget(steps, what)
         if pos == d:
-            if leaf_ok(used):
+            if leaf is None or leaf(used):
                 counts[used] += 1
             return
         # joining an existing block keeps the block count, so it is open
-        # only while the remaining elements can still reach lo blocks
-        join = d - pos > lo - used
+        # only while the remaining elements can still reach lo blocks;
+        # b == used opens a new block, while fewer than hi are open
         bit = 1 << pos
-        if bound is None:
-            if join:
-                for b in range(used):
-                    colors[pos] = b + 1
-                    blocks[b] ^= bit
-                    rec(pos + 1, used)
-                    blocks[b] ^= bit
-            if used < hi:
-                colors[pos] = used + 1
-                blocks.append(bit)
-                rec(pos + 1, used + 1)
-                blocks.pop()
-            return
-        nb = adj[pos]
-        if join:
-            for b in range(used):
-                per_block = comps[b]
-                touched = bit
-                keep = []
-                for m in per_block:
-                    if m & nb:
-                        touched |= m
-                    else:
-                        keep.append(m)
-                if touched.bit_count() > bound:
-                    continue
-                keep.append(touched)
-                comps[b] = keep
-                rec(pos + 1, used)
-                comps[b] = per_block
-        if used < hi:
-            comps.append([bit])
-            rec(pos + 1, used + 1)
-            comps.pop()
+        first = 0 if d - pos > lo - used else used
+        for b in range(first, used + (used < hi)):
+            colors[pos] = b + 1
+            now = used + (b == used)
+            if fits is None or fits(pos, b, now):
+                blocks[b] |= bit
+                rec(pos + 1, now)
+                blocks[b] ^= bit
 
     try:
         rec(0, 0)
@@ -223,7 +214,7 @@ def _class_predicate(g: Graph, prop: ColoringProperty):
     """The class predicate of a class-local property the subset route can
     count on g (a row whose pair predicate is ``all``, at most
     _SUBSET_MAX_N vertices), or None.  It builds the polynomial only where
-    the row has no mask-prune ``bound``; with one, it checks the engine."""
+    the row has no size ``bound``; with one, it checks the engine."""
     row = prop.row
     if row is None or row.pair_name != "all" or g.n > _SUBSET_MAX_N:
         return None
@@ -282,7 +273,7 @@ def _exact_counts(g: Graph, prop: ColoringProperty, lo: int,
     """c[i] for lo <= i <= hi, indexed by i: colorings whose range is
     exactly the first i colors.
 
-    A class-local property the partition engine cannot mask-prune takes the
+    A class-local property the partition engine cannot prune by size takes the
     inclusion-exclusion route over vertex subsets on at most _SUBSET_MAX_N
     vertices, charged 2^n*(n+1) steps; every other property takes the
     partition engine, charged as its walk prescribes.  Both assume the

@@ -21,10 +21,10 @@ class BudgetExceededError(ChromapolyError):
     def __init__(self, cost: int, limit: int, what: str = "enumeration"):
         self.cost = cost
         self.budget = limit
-        try:
-            needs = str(cost)
-        except ValueError:     # past the int-to-str digit limit
-            needs = f"at least 2^{cost.bit_length() - 1}"
+        # a cost past 4300 decimal digits, the interpreter's default limit
+        # on int-to-str conversion, is given as a power of two
+        needs = (str(cost) if cost < 10 ** 4300
+                 else f"at least 2^{cost.bit_length() - 1}")
         super().__init__(f"{what} needs {needs} operations, budget is {limit}")
 
 
@@ -37,6 +37,11 @@ def budget(limit: int):
         yield
     finally:
         _LIMIT.reset(token)
+
+
+def budget_limit() -> int:
+    """The limit ``check_budget`` compares a cost against."""
+    return _LIMIT.get()
 
 
 def check_budget(cost: int, what: str) -> None:

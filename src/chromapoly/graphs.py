@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import check_budget
@@ -251,20 +251,6 @@ def line_graph(g: Graph) -> Graph:
     return build_graph(g.edge_count, edges)
 
 
-def relabel(g: Graph, perm: Sequence[int]) -> Graph:
-    """Apply the vertex permutation v -> perm[v]."""
-    if sorted(perm) != list(range(g.n)):
-        raise ValueError("not a permutation of the vertex set")
-    edges = [(perm[u], perm[v]) for u, v in g.edges]
-    labels = None
-    if g.labels is not None:
-        lab = [""] * g.n
-        for v in range(g.n):
-            lab[perm[v]] = g.labels[v]
-        labels = lab
-    return build_graph(g.n, edges, list(g.mult), labels, simple=g.simple)
-
-
 # ---------------------------------------------------------------------------
 # connectivity
 
@@ -444,19 +430,3 @@ def is_isomorphic(g1: Graph, g2: Graph) -> bool:
     ignored.  Intended for n <= 8."""
     return (g1.n == g2.n and g1.edge_count == g2.edge_count
             and has_induced_copy(g1.adj, (1 << g1.n) - 1, g2))
-
-
-def automorphisms(g: Graph) -> list[tuple[int, ...]]:
-    """All adjacency-preserving vertex permutations (brute force, small n)."""
-    edge_set = set(g.edges)
-    out = []
-    for perm in permutations(range(g.n)):
-        ok = True
-        for u, v in g.edges:
-            a, b = perm[u], perm[v]
-            if (a, b) not in edge_set and (b, a) not in edge_set:
-                ok = False
-                break
-        if ok:
-            out.append(perm)
-    return out

@@ -77,9 +77,6 @@ class Poly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def eval(self, x) -> Fraction:
         x = _frac(x)
         if self.basis == MONOMIAL:
@@ -179,10 +176,6 @@ class Poly:
     def to_json_dict(self) -> dict:
         return {"basis": self.basis, "coeffs": [str(c) for c in self.coeffs]}
 
-    @staticmethod
-    def from_json_dict(d: dict) -> "Poly":
-        return Poly(d["basis"], tuple(Fraction(c) for c in d["coeffs"]))
-
 
 def from_monomial(coeffs: Iterable) -> Poly:
     return Poly(MONOMIAL, tuple(_frac(c) for c in coeffs))
@@ -267,12 +260,3 @@ def stirling2_row(n: int, k: int) -> list[int]:
     for _ in range(n):
         row = [0] + [j * row[j] + row[j - 1] for j in range(1, k + 1)]
     return row
-
-
-def stirling2(n: int, k: int) -> int:
-    """Number of partitions of an n-set into exactly k nonempty blocks."""
-    return stirling2_row(n, k)[k] if 0 <= k <= n else 0
-
-
-def bell_number(n: int) -> int:
-    return sum(stirling2_row(n, n))

@@ -43,9 +43,6 @@ class Coloring:
         if any(not 1 <= c <= self.k for c in self.colors):
             raise ValueError("color values must lie in 1..k")
 
-    def used_colors(self) -> frozenset[int]:
-        return frozenset(self.colors)
-
 
 @dataclass(frozen=True)
 class ColoringProperty:

@@ -8,10 +8,63 @@ independent route to the same numbers.
 from __future__ import annotations
 
 import random
-from itertools import combinations, product
-from math import comb
+from itertools import combinations, permutations, product
+from math import comb, factorial
+from typing import Sequence
 
+from chromapoly.cnf import CnfInstance
 from chromapoly.graphs import Graph, build_graph, is_isomorphic
+
+
+def stirling2(n: int, k: int) -> int:
+    """Partitions of an n-set into exactly k nonempty blocks, by the
+    explicit alternating sum over the surjections onto k blocks."""
+    if not 0 <= k <= n:
+        return 0
+    return sum((-1) ** j * comb(k, j) * (k - j) ** n
+               for j in range(k + 1)) // factorial(k)
+
+
+def bell_number(n: int) -> int:
+    return sum(stirling2(n, k) for k in range(n + 1))
+
+
+def relabel(g: Graph, perm: Sequence[int]) -> Graph:
+    """Apply the vertex permutation v -> perm[v]."""
+    if sorted(perm) != list(range(g.n)):
+        raise ValueError("not a permutation of the vertex set")
+    edges = [(perm[u], perm[v]) for u, v in g.edges]
+    labels = None
+    if g.labels is not None:
+        lab = [""] * g.n
+        for v in range(g.n):
+            lab[perm[v]] = g.labels[v]
+        labels = lab
+    return build_graph(g.n, edges, list(g.mult), labels, simple=g.simple)
+
+
+def automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """All adjacency-preserving vertex permutations (brute force, small n)."""
+    edge_set = set(g.edges)
+    out = []
+    for perm in permutations(range(g.n)):
+        ok = True
+        for u, v in g.edges:
+            a, b = perm[u], perm[v]
+            if (a, b) not in edge_set and (b, a) not in edge_set:
+                ok = False
+                break
+        if ok:
+            out.append(perm)
+    return out
+
+
+def emit_cnf(cnf: CnfInstance) -> str:
+    """The DIMACS-style text ``parse_cnf`` reads back."""
+    out = [f"c semantics {cnf.semantics}",
+           f"p cnf {cnf.num_vars} {len(cnf.clauses)}"]
+    out += [" ".join(str(l) for l in clause) + " 0" for clause in cnf.clauses]
+    return "\n".join(out) + "\n"
 
 
 def all_graphs(n: int):

@@ -26,7 +26,7 @@ from chromapoly.gadgets import (
 from chromapoly.graphs import (
     build_graph, cocircuit_counts, complete_graph, disjoint_union,
     edgeless_graph, harmonious_gadget, line_graph, mcc_extension, path_graph,
-    relabel, star_graph, stretch, strip_isolated,
+    star_graph, stretch, strip_isolated,
 )
 from chromapoly.polynomials import (
     constant, falling_factorial, from_binomial, multinomial, x_poly,
@@ -40,7 +40,7 @@ from chromapoly.properties import (
 )
 from helpers import (
     all_graphs_up_to, nae_coloring_oracle, nonisomorphic_connected,
-    random_connected_graph,
+    random_connected_graph, relabel,
 )
 
 PROPER = proper_property()

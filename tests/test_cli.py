@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 
 import pytest
 
@@ -128,8 +129,9 @@ def test_eval_answers_easy_points_without_the_polynomial(
     g16 = tmp_path / "g16.el"
     g16.write_text(emit_edge_list(build_graph(
         16, [(v, v + 1) for v in range(15)] + [(0, 8), (3, 12), (5, 15)])))
-    # the edgeless 20-vertex graph: the prefix-pruned walk would take
-    # about 10^8 nodes before a fallback
+    # the edgeless 20-vertex graph: every placement passes harmonious's
+    # prefix test there, so the walk would enter about 10^8 nodes before a
+    # fallback
     e20 = tmp_path / "e20.el"
     e20.write_text(emit_edge_list(edgeless_graph(20)))
     c40 = tmp_path / "c40.el"
@@ -349,6 +351,36 @@ def test_budget_trip_past_the_int_digit_limit(capsys, tmp_path):
                                              "message": message}}, argv
 
 
+def test_counts_past_the_int_digit_limit_are_written_in_full(capsys,
+                                                             tmp_path):
+    # 2^15000 has 4516 decimal digits, more than the interpreter converts
+    # by default; inputs keep that limit, so a point of 4301 digits is an
+    # input error, and the caller's limit is back in force after main
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    expected = str(2 ** 15000)
+    sys.set_int_max_str_digits(digits)
+    graph = tmp_path / "e15000.el"
+    graph.write_text("15000 0\n")
+    for prop in ("proper", "harmonious"):
+        code, out = run_cli(capsys, "eval", "--graph", str(graph), "--prop",
+                            prop, "--point", "2")
+        assert code == 0, prop
+        assert json.loads(out)["value"] == expected, prop
+    one = tmp_path / "e1.el"
+    one.write_text("1 0\n")
+    for point, code_wanted in (("7" * 4300, 0), ("7" * 4301, 2)):
+        code, out = run_cli(capsys, "eval", "--graph", str(one), "--prop",
+                            "proper", "--point", point)
+        assert code == code_wanted
+        payload = json.loads(out)
+        if code == 0:
+            assert payload["point"] == payload["value"] == point
+        else:
+            assert payload["error"]["code"] == "input"
+    assert sys.get_int_max_str_digits() == digits
+
+
 def test_cocircuits_budget(capsys, tmp_path):
     path = tmp_path / "p15.el"
     path.write_text(emit_edge_list(path_graph(15)))
@@ -374,9 +406,10 @@ def test_budget_validation(capsys, k3):
 
 
 def test_budget_env_override(capsys, k3, monkeypatch):
-    # a pruned walk, mask-pruned (proper) or prefix-pruned (harmonious),
-    # counts the nodes it visits and stops at the first one over the
-    # limit; on an edgeless graph nothing is pruned
+    # a walk with a placement test, the size bound (proper) or the checker
+    # on the prefix (harmonious), charges one step per node it enters and
+    # stops at the first one over the limit; on an edgeless graph every
+    # placement passes
     monkeypatch.setenv("CHROMAPOLY_BUDGET", "10000")
     path_text = emit_edge_list(edgeless_graph(20))
     big = k3 + ".big"

@@ -1,7 +1,8 @@
 import pytest
 
-from chromapoly.cnf import CnfInstance, count_models, emit_cnf, parse_cnf
+from chromapoly.cnf import CnfInstance, count_models, parse_cnf
 from chromapoly.errors import BudgetExceededError, budget
+from helpers import emit_cnf
 
 
 def test_parse_nae():

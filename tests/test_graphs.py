@@ -7,15 +7,17 @@ import pytest
 
 from chromapoly.errors import BudgetExceededError, budget
 from chromapoly.graphs import (
-    _shores, automorphisms, box_join, build_graph, cocircuit_counts,
+    _shores, box_join, build_graph, cocircuit_counts,
     complete_graph, connected_components, count_cuts_by_size, cycle_graph,
     disjoint_union,
     edgeless_graph, enumerate_cocircuits, harmonious_gadget,
     has_induced_copy, induced_subgraph, is_connected, is_isomorphic, join,
-    line_graph, mask_isomorphic, mcc_extension, path_graph, relabel,
+    line_graph, mask_isomorphic, mcc_extension, path_graph,
     standard_graph, star_graph, stretch, strip_isolated, t_pendant,
 )
-from helpers import all_graphs_up_to, random_connected_graph
+from helpers import (
+    all_graphs_up_to, automorphisms, random_connected_graph, relabel,
+)
 
 
 def test_build_graph_examples():

@@ -111,9 +111,9 @@ def test_acyclic_placed_vertex_test_decides_the_prefix(case):
     checker = parse_property("acyclic").checker
     blocks = [0] * k
     for v, c in enumerate(colors):
-        blocks[c - 1] |= 1 << v
         ok = _acyclic_placed(g.adj, blocks, v, c - 1)
         assert ok == checker(prefix_graph(g, "vertex", v + 1),
                              colors[:v + 1], k), (g, colors, v)
         if not ok:
             break
+        blocks[c - 1] |= 1 << v

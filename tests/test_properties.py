@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from chromapoly.graphs import (
-    automorphisms, build_graph, complete_graph, cycle_graph, edgeless_graph,
+    build_graph, complete_graph, cycle_graph, edgeless_graph,
     path_graph, star_graph, t_pendant,
 )
 from chromapoly.properties import (
@@ -16,7 +16,7 @@ from chromapoly.properties import (
     rainbow_property, surjective_proper_property, t_improper_property,
     trivial_property,
 )
-from helpers import all_graphs_up_to, random_graph
+from helpers import all_graphs_up_to, automorphisms, random_graph
 
 
 def vcol(*colors, k):
@@ -267,10 +267,8 @@ def test_palette_independence_of_named_checkers():
                 assert prop.checker(g, colors, k + extra) == base, prop.name
 
 
-def test_used_colors():
-    c = Coloring("vertex", (2, 1, 2), 3)
-    assert c.used_colors() == frozenset({1, 2})
-    assert len(c.used_colors()) <= min(c.k, len(c.colors))
+def test_coloring_rejects_colors_outside_the_palette():
+    assert Coloring("vertex", (2, 1, 2), 3).colors == (2, 1, 2)
     with pytest.raises(ValueError):
         Coloring("vertex", (0, 1), 2)
     with pytest.raises(ValueError):

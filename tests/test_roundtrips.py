@@ -8,11 +8,12 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from chromapoly.cnf import CnfInstance, clause_width, emit_cnf, parse_cnf  # noqa: E402
+from chromapoly.cnf import CnfInstance, clause_width, parse_cnf  # noqa: E402
 from chromapoly.graphio import (  # noqa: E402
     emit_edge_list, emit_graph6, parse_edge_list, parse_graph6,
 )
 from chromapoly.graphs import build_graph  # noqa: E402
+from helpers import emit_cnf  # noqa: E402
 
 # fixed examples, no example database: the suite stays deterministic
 ROUND_TRIP = settings(max_examples=150, deadline=None, derandomize=True,
