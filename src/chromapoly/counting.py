@@ -11,11 +11,12 @@ The exact routes everything else is checked against:
   not apply.  It is one walk over the partitions that tests each placement
   once, before it recurses: the component-size ``bound`` (proper, mcc, du),
   acyclic's placed-vertex test, the checker on the prefix (the other
-  hereditary properties) or nothing (the rest, checked at the leaf).  A
-  walk with a placement test charges the budget one step per node it
-  enters, and enters a node only when the placement passed; the walk
-  without one is charged its exact number of checker calls before it
-  starts.
+  hereditary properties) or nothing (the rest).  A property that is not
+  hereditary is tested at the leaf too, by ``properties.row_holds`` on the
+  block masks or, without a row, by its checker.  A walk with a placement
+  test charges the budget one step per node it enters, and enters a node
+  only when the placement passed; the walk without one is charged its
+  exact number of leaf tests before it starts.
 * inclusion-exclusion -- the other way to the same counts, for the
   class-local vertex properties the engine cannot prune by size (a ``row``
   whose pair predicate is ``all`` and no ``bound``: convex, timp, cocolor,
@@ -51,13 +52,14 @@ from .errors import (
 from .graphs import (
     Graph, _reach, bits, box_join, build_graph, cocircuit_counts,
     complete_graph, connected_components, disjoint_union, induced_subgraph,
-    join, line_graph, mask_components, mask_isomorphic, star_graph,
-    strip_isolated,
+    join, line_graph, star_graph, strip_isolated,
 )
 from .polynomials import (
     Poly, from_binomial, lagrange_interpolate, stirling2_row,
 )
-from .properties import ColoringProperty, harmonious_property, proper_property
+from .properties import (
+    ColoringProperty, harmonious_property, proper_property, row_holds,
+)
 
 _PROPER = proper_property()
 _HARMONIOUS = harmonious_property()
@@ -116,13 +118,15 @@ def _partition_counts(g: Graph, prop: ColoringProperty, lo: int, hi: int,
     * acyclic: ``_acyclic_placed``;
     * any other hereditary property: the checker on the prefix graph of the
       first pos + 1 elements;
-    * otherwise none, and the checker runs on complete colorings only.
+    * otherwise none.
 
-    Du also checks every block's components against the pattern at the leaf.
-    A walk with a placement test charges the budget one step per node it
-    enters, and it enters a node only when the placement passed.  The walk
-    without one visits exactly the partitions into lo..hi blocks, so it is
-    charged their number, one checker call each, before it starts.
+    A property that is not hereditary (convex, du, rainbow, ``pair:``
+    tokens) is tested at the leaf too: by ``row_holds`` on the block masks
+    where it has a row, by its checker otherwise.  A walk with a placement
+    test charges the budget one step per node it enters, and it enters a
+    node only when the placement passed.  The walk without one visits
+    exactly the partitions into lo..hi blocks, so it is charged their
+    number, one leaf test each, before it starts.
     """
     d = _domain_size(g, prop)
     counts = [0] * (hi + 1)
@@ -131,7 +135,7 @@ def _partition_counts(g: Graph, prop: ColoringProperty, lo: int, hi: int,
     checker, bound, adj = prop.checker, prop.bound, g.adj
     colors = [0] * d
     blocks = [0] * min(d, hi)       # per block, its element mask
-    fits = leaf = None
+    fits = None
     if bound is not None:
         def fits(pos: int, b: int, used: int) -> bool:
             # the component pos would have in block b, grown a layer at a
@@ -151,15 +155,6 @@ def _partition_counts(g: Graph, prop: ColoringProperty, lo: int, hi: int,
                 frontier = reach & blk & ~seen
                 seen |= frontier
             return True
-        if prop.family == "du":
-            pattern = prop.param
-
-            def leaf(used: int) -> bool:
-                return (all(blk.bit_count() % pattern.n == 0
-                            for blk in blocks)
-                        and all(mask_isomorphic(adj, comp, pattern)
-                                for blk in blocks
-                                for comp in mask_components(adj, blk)))
     elif prop.family == "acyclic":
         def fits(pos: int, b: int, used: int) -> bool:
             return _acyclic_placed(adj, blocks, pos, b)
@@ -170,7 +165,12 @@ def _partition_counts(g: Graph, prop: ColoringProperty, lo: int, hi: int,
             return checker(prefixes[pos + 1], tuple(colors[:pos + 1]), used)
     else:
         check_budget(sum(stirling2_row(d, hi)[lo:]), what)
-
+    if prop.hereditary:
+        leaf = None
+    elif prop.row is not None:
+        def leaf(used: int) -> bool:
+            return row_holds(prop.row, g, blocks[:used])
+    else:
         def leaf(used: int) -> bool:
             return checker(g, tuple(colors), used)
     # read once: the walk compares its own count at every node
@@ -389,11 +389,6 @@ class AuditReport:
         return "; ".join(flags) if flags else "pass"
 
 
-def _subsets(k: int):
-    for mask in range(1 << k):
-        yield frozenset(c + 1 for c in range(k) if (mask >> c) & 1)
-
-
 def polynomiality_audit(g: Graph, prop: ColoringProperty,
                         k_max: int = 4) -> AuditReport:
     """Empirically test the two conditions that make counts polynomial, at
@@ -404,22 +399,32 @@ def polynomiality_audit(g: Graph, prop: ColoringProperty,
     (B) the count for a fixed color set does not depend on the palette size:
     consecutive palettes agree on every color set of the smaller one, which
     by transitivity covers every pair of palettes.
+
+    Palette k costs its k^D colorings and a table of 2^k counts, one per
+    color set, indexed by the set's bitmask; the sum is charged before the
+    first checker call, and summing stops once it passes the budget.
     """
     if k_max < 1:
         raise ValueError("audit needs k_max >= 1")
     d = _domain_size(g, prop)
-    check_budget(sum(k ** d if k >= 2 else 1 for k in range(1, k_max + 1)),
-                 "audit enumeration")
+    cost, limit = 0, budget_limit()
+    for k in range(1, k_max + 1):
+        cost += k ** d + (1 << k)
+        if cost > limit:
+            break
+    check_budget(cost, "audit enumeration")
     checker = prop.checker
     a_ok = b_ok = True
-    previous: dict[frozenset, int] = {}
+    previous: list[int] = []
     for k in range(1, k_max + 1):
-        table = dict.fromkeys(_subsets(k), 0)
+        table = [0] * (1 << k)
+        bit = [0] + [1 << c for c in range(k)]
         for colors in product(range(1, k + 1), repeat=d):
             if checker(g, colors, k):
-                table[frozenset(colors)] += 1
-        a_ok = a_ok and len({(len(s), c) for s, c in table.items()}) == k + 1
-        b_ok = b_ok and all(table[s] == c for s, c in previous.items())
+                table[sum(bit[c] for c in set(colors))] += 1
+        a_ok = a_ok and len({(s.bit_count(), c)
+                             for s, c in enumerate(table)}) == k + 1
+        b_ok = b_ok and table[:len(previous)] == previous
         previous = table
     return AuditReport(a_ok, b_ok)
 

@@ -397,7 +397,8 @@ def has_induced_copy(adj: Sequence[int], mask: int, h: Graph) -> bool:
     23(1), 1976): h's vertices are placed in order, each on a free vertex
     of the mask adjacent to the images of its earlier neighbours and not
     adjacent to the images of its earlier non-neighbours.  Only distinct
-    pairs are read, so multiplicities are ignored."""
+    pairs are read, so multiplicities are ignored.  A search deeper than
+    the recursion limit allows is a ValueError."""
     hadj, hn = h.adj, h.n
     if hn > mask.bit_count():
         return False
@@ -417,7 +418,11 @@ def has_induced_copy(adj: Sequence[int], mask: int, h: Graph) -> bool:
             cand ^= low
         return False
 
-    return place(0, mask)
+    try:
+        return place(0, mask)
+    except RecursionError:
+        raise ValueError(f"induced-copy search for a {hn}-vertex pattern "
+                         "exceeds the recursion limit") from None
 
 
 def mask_isomorphic(adj: Sequence[int], mask: int, h: Graph) -> bool:

@@ -10,7 +10,6 @@ carries a witness graph shrunk by greedy vertex removal.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 from math import comb, factorial
 from typing import Callable
@@ -63,7 +62,6 @@ class IdentityResult:
     instances: int
     witness: dict | None = None
     note: str = ""
-    elapsed: float = 0.0
 
     def as_json_dict(self) -> dict:
         out = {"name": self.name, "passed": self.passed,
@@ -119,7 +117,6 @@ def _poly_identity(name: str, bounds: Bounds, rng: random.Random,
                    sides: Callable[[Graph], tuple], sampler=None,
                    note: str = "") -> IdentityResult:
     """Generic driver: sides(g) yields (lhs, rhs) pairs to compare exactly."""
-    start = time.monotonic()
     instances = 0
     sampler = sampler or (lambda: _random_graph(rng, bounds.max_n, bounds.max_e))
     for _ in range(bounds.samples):
@@ -133,10 +130,8 @@ def _poly_identity(name: str, bounds: Bounds, rng: random.Random,
                 pair = next((l, r) for l, r in sides(small)
                             if not _equal(l, r))
                 return IdentityResult(name, False, instances,
-                                      _graph_witness(small, *pair), note,
-                                      time.monotonic() - start)
-    return IdentityResult(name, True, instances, None, note,
-                          time.monotonic() - start)
+                                      _graph_witness(small, *pair), note)
+    return IdentityResult(name, True, instances, None, note)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ the facts those routes read: ``hereditary`` (prefix pruning), ``bound``
 (component-size pruning) and ``row``, the two-level class/pair
 instantiation (`PairProperty`) the property equals.  A row whose pair
 predicate is ``all`` feeds its class predicate to the inclusion-exclusion
-route; the tests check every row against the property's own checker.
+route.  ``row_holds`` evaluates a row for ``pair_check`` and the partition
+walk's leaf.  Convex, mcc, du and hfree are stated by their class predicate
+alone; the other checkers are independent code, compared with their rows.
 
 Checkers receive the raw color tuple plus the palette size; colors are 1..k.
 Row predicates receive g and a vertex bitmask of it.  The du and hfree
@@ -19,12 +21,13 @@ multiplicities; the others read the distinct pairs.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from typing import Callable
 
 from .graphs import (
-    Graph, bits, has_induced_copy, is_connected, mask_components,
+    Graph, _reach, bits, has_induced_copy, is_connected, mask_components,
     mask_connected, mask_isomorphic, standard_graph,
 )
 
@@ -106,23 +109,6 @@ def _harmonious(g, colors, k):
     return True
 
 
-def _convex(g, colors, k):
-    for mask in _class_masks(colors).values():
-        if not mask_connected(g.adj, mask):
-            return False
-    return True
-
-
-def _make_mcc(t: int) -> Checker:
-    def chk(g, colors, k):
-        for mask in _class_masks(colors).values():
-            for comp in mask_components(g.adj, mask):
-                if comp.bit_count() > t:
-                    return False
-        return True
-    return chk
-
-
 def induces_copy_union(g: Graph, class_vertices, pattern: Graph) -> bool:
     """Does the class induce a disjoint union of copies of the pattern graph?
 
@@ -132,28 +118,6 @@ def induces_copy_union(g: Graph, class_vertices, pattern: Graph) -> bool:
     for v in class_vertices:
         mask |= 1 << v
     return _pred_du(pattern)(g, mask)
-
-
-def _make_du(pattern: Graph) -> Checker:
-    if not is_connected(pattern) or pattern.n < 1:
-        raise ValueError("pattern graph must be connected and nonempty")
-
-    def chk(g, colors, k):
-        return all(mask_isomorphic(g.adj, comp, pattern)
-                   for mask in _class_masks(colors).values()
-                   for comp in mask_components(g.adj, mask))
-    return chk
-
-
-def _make_hfree(pattern: Graph) -> Checker:
-    # every color class induces a graph with no induced copy of the pattern
-    if pattern.n < 1:
-        raise ValueError("pattern graph must have at least one vertex")
-
-    def chk(g, colors, k):
-        return not any(has_induced_copy(g.adj, mask, pattern)
-                       for mask in _class_masks(colors).values())
-    return chk
 
 
 def _make_timproper(t: int) -> Checker:
@@ -291,14 +255,22 @@ class PairProperty:
     pair_name: str = ""
 
 
+def row_holds(row: PairProperty, g: Graph, classes) -> bool:
+    """Does the row accept the color classes, given as vertex bitmasks?  The
+    pair predicate runs on each class alone too, unless it is ``all``."""
+    class_pred, pair = row.class_pred, row.pair_pred
+    for m in classes:
+        if not class_pred(g, m):
+            return False
+    return pair is _pred_all or all(
+        pair(g, a | b) for a, b in combinations_with_replacement(classes, 2))
+
+
 def pair_check(pp: PairProperty, g: Graph, colors, k: int) -> bool:
-    # the pair predicate also runs on each class alone (i = j), so an empty
-    # class adds no condition and the count depends only on the used colors
+    # every predicate accepts the empty mask, so an unused color adds no
+    # condition and the count depends only on the used colors
     masks = _class_masks(colors)
-    classes = [masks.get(c, 0) for c in range(1, k + 1)]
-    return (all(pp.class_pred(g, m) for m in classes)
-            and all(pp.pair_pred(g, a | b)
-                    for a, b in combinations_with_replacement(classes, 2)))
+    return row_holds(pp, g, [masks.get(c, 0) for c in range(1, k + 1)])
 
 
 def _inner_edges(g: Graph, mask: int) -> int:
@@ -345,8 +317,15 @@ def _pred_max_degree(t: int) -> GraphPredicate:
 
 
 def _pred_component_size(t: int) -> GraphPredicate:
-    return lambda g, mask: all(c.bit_count() <= t
-                               for c in mask_components(g.adj, mask))
+    def pred(g: Graph, mask: int) -> bool:
+        # one component at a time, to stop at the first oversized one
+        while mask:
+            comp = _reach(g.adj, mask, mask & -mask)
+            if comp.bit_count() > t:
+                return False
+            mask ^= comp
+        return True
+    return pred
 
 
 def _pred_du(pattern: Graph) -> GraphPredicate:
@@ -354,8 +333,18 @@ def _pred_du(pattern: Graph) -> GraphPredicate:
         raise ValueError("pattern graph must have at least one vertex")
     if not is_connected(pattern):
         raise ValueError("pattern graph must be connected")
-    return lambda g, mask: all(mask_isomorphic(g.adj, c, pattern)
-                               for c in mask_components(g.adj, mask))
+
+    def pred(g: Graph, mask: int) -> bool:
+        # copies of the pattern cover a multiple of its vertex count
+        if mask.bit_count() % pattern.n:
+            return False
+        while mask:
+            comp = _reach(g.adj, mask, mask & -mask)
+            if not mask_isomorphic(g.adj, comp, pattern):
+                return False
+            mask ^= comp
+        return True
+    return pred
 
 
 def _pred_no_shared_neighbour(g: Graph, mask: int) -> bool:
@@ -374,6 +363,19 @@ def _pred_hfree(pattern: Graph) -> GraphPredicate:
 def _class_row(pred: GraphPredicate, name: str) -> PairProperty:
     # a class-local row: every two-class union is allowed
     return PairProperty(pred, _pred_all, name, "all")
+
+
+def _class_local(name: str, pred: GraphPredicate, pred_name: str,
+                 **facts) -> ColoringProperty:
+    """A property stated by its class predicate alone: its checker runs the
+    predicate on each color class."""
+    def classwise(g, colors, k):
+        for m in _class_masks(colors).values():
+            if not pred(g, m):
+                return False
+        return True
+    return ColoringProperty(name, "vertex", classwise,
+                            row=_class_row(pred, pred_name), **facts)
 
 
 def trivial_property() -> ColoringProperty:
@@ -395,32 +397,29 @@ def harmonious_property() -> ColoringProperty:
 
 
 def convex_property() -> ColoringProperty:
-    return ColoringProperty("convex", "vertex", _convex, family="convex",
-                            row=_class_row(_pred_connected, "connected"))
+    return _class_local("convex", _pred_connected, "connected",
+                        family="convex")
 
 
 def mcc_property(t: int) -> ColoringProperty:
     if t < 1:
         raise ValueError("mcc needs t >= 1")
-    return ColoringProperty(f"mcc:t={t}", "vertex", _make_mcc(t), family="mcc",
-                            param=t, hereditary=True, bound=t,
-                            row=_class_row(_pred_component_size(t),
-                                           f"compsize{t}"))
+    return _class_local(f"mcc:t={t}", _pred_component_size(t),
+                        f"compsize{t}", family="mcc", param=t,
+                        hereditary=True, bound=t)
 
 
 def du_property(pattern: Graph) -> ColoringProperty:
     token = graph_token(pattern)
-    return ColoringProperty(f"du:H={token}", "vertex", _make_du(pattern),
-                            family="du", param=pattern, bound=pattern.n,
-                            row=_class_row(_pred_du(pattern), f"du{token}"))
+    return _class_local(f"du:H={token}", _pred_du(pattern), f"du{token}",
+                        family="du", param=pattern, bound=pattern.n)
 
 
 def h_free_property(pattern: Graph) -> ColoringProperty:
     token = graph_token(pattern)
-    return ColoringProperty(f"hfree:H={token}", "vertex", _make_hfree(pattern),
-                            family="hfree", param=pattern, hereditary=True,
-                            row=_class_row(_pred_hfree(pattern),
-                                           f"hfree{token}"))
+    return _class_local(f"hfree:H={token}", _pred_hfree(pattern),
+                        f"hfree{token}", family="hfree", param=pattern,
+                        hereditary=True)
 
 
 def t_improper_property(t: int) -> ColoringProperty:
@@ -485,10 +484,18 @@ _GRAPH_TOKEN = re.compile(r"^([KPCE])(\d+)$|^star(\d+)$", re.IGNORECASE)
 
 
 def parse_graph_token(token: str) -> Graph:
+    """The pattern graph a token names, refused before it is built when the
+    induced-copy search, which recurses once per pattern vertex, could
+    never place it."""
     m = _GRAPH_TOKEN.match(token.strip())
     if not m:
         raise ValueError(f"unknown graph token: {token!r}")
-    return standard_graph(m.group(1) or "star", int(m.group(2) or m.group(3)))
+    kind, size = m.group(1) or "star", int(m.group(2) or m.group(3))
+    n = size + (kind == "star")
+    if n >= sys.getrecursionlimit():
+        raise ValueError(f"graph token {token!r} has {n} vertices; a pattern "
+                         f"needs fewer than {sys.getrecursionlimit()}")
+    return standard_graph(kind, size)
 
 
 def graph_token(g: Graph) -> str:

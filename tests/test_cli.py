@@ -216,6 +216,29 @@ def test_audit_command(capsys, p3):
     assert payload["condition_A"] == "ok"
 
 
+@pytest.mark.parametrize("kmax", ["10000000", "99999999999999999999"])
+def test_audit_sums_its_charge_only_up_to_the_budget(capsys, p3, kmax):
+    # the sum passes the budget at palette 26, where the color-set tables
+    # alone reach 2^27 - 2 operations: no later palette is summed
+    code, out = run_cli(capsys, "audit", "--graph", p3, "--prop", "proper",
+                        "--kmax", kmax)
+    assert code == 3
+    assert json.loads(out)["error"]["message"] == (
+        "audit enumeration needs 134340927 operations, budget is 100000000")
+
+
+def test_audit_charges_its_color_set_tables(capsys, tmp_path):
+    # no colorings to speak of on the empty graph, but 2^k color sets a
+    # palette: k = 1..13 cost 13 + 2^14 - 2 operations
+    path = tmp_path / "empty.el"
+    path.write_text("0 0\n")
+    code, out = run_cli(capsys, "audit", "--graph", str(path), "--prop",
+                        "proper", "--kmax", "16", "--budget", "10000")
+    assert code == 3
+    assert json.loads(out)["error"]["message"] == (
+        "audit enumeration needs 16395 operations, budget is 10000")
+
+
 def test_cocircuits_command(capsys, p3):
     code, out = run_cli(capsys, "cocircuits", "--graph", p3)
     assert code == 0

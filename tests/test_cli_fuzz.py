@@ -1,6 +1,6 @@
 """The CLI never tracebacks: malformed graph, CNF, property and point input
-to ``poly``, ``eval``, ``cocircuits`` and ``gadget certify`` always exits 2
-with a JSON ``input`` error.
+to ``poly``, ``eval``, ``audit``, ``cocircuits`` and ``gadget certify``
+always exits 2 with a JSON ``input`` error.
 
 Every generated case is malformed by construction: one defect is planted in
 an otherwise well-formed file or token.  Tokens are passed as
@@ -11,6 +11,8 @@ is tested.
 import io
 import json
 import string
+import sys
+import time
 from contextlib import redirect_stdout
 
 import pytest
@@ -19,6 +21,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from chromapoly.cli import main  # noqa: E402
+from chromapoly.graphio import emit_edge_list  # noqa: E402
+from chromapoly.graphs import path_graph  # noqa: E402
 
 # fixed examples, no example database: the suite stays deterministic
 FUZZ = settings(max_examples=60, deadline=None, derandomize=True,
@@ -234,3 +238,37 @@ def test_nonpositive_multiplicity_is_an_input_error(tmp_path):
     assert code == 2
     assert json.loads(out) == {"error": {
         "code": "input", "message": "edge multiplicity must be >= 1"}}
+
+
+def quick_input_error(*argv) -> str:
+    """The message of the input error the command exits with in a second."""
+    start = time.perf_counter()
+    code, out = run_cli(*argv)
+    assert time.perf_counter() - start < 1
+    assert_input_error(code, out)
+    return json.loads(out)["error"]["message"]
+
+
+@pytest.mark.parametrize("token", ["du:H=K99999999", "du:H=P3000000"])
+def test_pattern_the_search_cannot_place_is_refused_unbuilt(tmp_path, token):
+    # building K99999999 got the process killed, P3000000 ran out of memory
+    graph = write(tmp_path, "p3.el", "3 2\n0 1\n1 2\n")
+    assert "vertices; a pattern needs fewer than" in quick_input_error(
+        "poly", "--graph", graph, f"--prop={token}")
+
+
+def test_pattern_search_too_deep_is_an_input_error(tmp_path):
+    # P1200 is refused as a token; a pattern one vertex under the recursion
+    # limit is built, and its search overflows the stack on a longer path
+    under = sys.getrecursionlimit() - 1
+    messages = []
+    for pattern, n in ((1200, 1300), (under, under + 1)):
+        graph = write(tmp_path, f"p{n}.el", emit_edge_list(path_graph(n)))
+        messages.append(quick_input_error(
+            "audit", "--graph", graph, f"--prop=hfree:H=P{pattern}",
+            "--kmax", "1"))
+    assert messages == [
+        f"graph token 'P1200' has 1200 vertices; a pattern needs fewer than "
+        f"{under + 1}",
+        f"induced-copy search for a {under}-vertex pattern exceeds the "
+        "recursion limit"]

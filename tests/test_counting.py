@@ -5,6 +5,7 @@ from math import comb, factorial
 
 import pytest
 
+from chromapoly import counting
 from chromapoly.counting import (
     _class_predicate, _exact_counts, _partition_counts, brute_count_at,
     chi_polynomial, convex_fast, count_clique_partitions,
@@ -312,6 +313,17 @@ def test_audit_pass_and_counterexamples():
     assert not rep.condition_a_ok and rep.condition_b_ok
 
 
+def test_audit_charges_its_colorings_and_tables():
+    # palette k: k^3 colorings of P3 and 2^k color-set counts, so 1 + 2,
+    # 8 + 4 and 27 + 8; the sum stops at the first palette past the budget
+    with budget(50):
+        assert polynomiality_audit(path_graph(3), PROPER, 3).passed()
+    for limit, cost in ((49, 50), (14, 15), (0, 3)):
+        with budget(limit), pytest.raises(BudgetExceededError) as info:
+            polynomiality_audit(path_graph(3), PROPER, 3)
+        assert info.value.cost == cost
+
+
 def test_chi_polynomial_refuses_non_polynomial():
     with pytest.raises(NotPolynomialError):
         chi_polynomial(complete_graph(3), surjective_proper_property())
@@ -519,14 +531,17 @@ def _charge_total(run):
     return lo
 
 
-def _counting_checker(prop):
-    """``prop`` with its checker wrapped, and the list of calls it made."""
+def _counting_leaf_tests(monkeypatch):
+    """The list of leaf tests the walk makes from now on: it tests a
+    property with a row by ``row_holds``, once per leaf."""
     calls = []
+    holds = counting.row_holds
 
-    def checker(g, colors, k):
-        calls.append(colors)
-        return prop.checker(g, colors, k)
-    return replace(prop, checker=checker), calls
+    def counted(row, g, classes):
+        calls.append(classes)
+        return holds(row, g, classes)
+    monkeypatch.setattr(counting, "row_holds", counted)
+    return calls
 
 
 def _charge(run):
@@ -537,21 +552,20 @@ def _charge(run):
     return info.value.cost
 
 
-def test_leaf_checked_walk_charges_its_checker_calls():
+def test_leaf_checked_walk_charges_its_checker_calls(monkeypatch):
     # the walk without a placement test, charged one step per leaf up
     # front; chi_polynomial and exact_color_count count convex by
     # inclusion-exclusion, so they run a pair: token that has none
     g = random_graph(random.Random(89), 8, min_n=8)
-    leaf, leaf_calls = _counting_checker(
-        parse_property("pair:p1=edgeless,p2=forest"))
-    convex, convex_calls = _counting_checker(CONVEX)
-    runs = [(lambda: chi_polynomial(g, leaf), bell_number(8), leaf_calls)]
-    runs += [(lambda i=i: exact_color_count(g, leaf, i), stirling2(8, i),
-              leaf_calls) for i in range(10)]
-    runs += [(lambda k=k: pruned_count_at(g, convex, k),
-              sum(stirling2(8, i) for i in range(k + 1)), convex_calls)
+    leaf = parse_property("pair:p1=edgeless,p2=forest")
+    calls = _counting_leaf_tests(monkeypatch)
+    runs = [(lambda: chi_polynomial(g, leaf), bell_number(8))]
+    runs += [(lambda i=i: exact_color_count(g, leaf, i), stirling2(8, i))
+             for i in range(10)]
+    runs += [(lambda k=k: pruned_count_at(g, CONVEX, k),
+              sum(stirling2(8, i) for i in range(k + 1)))
              for k in range(10)]
-    for run, expected, calls in runs:
+    for run, expected in runs:
         calls.clear()
         run()
         assert len(calls) == expected
@@ -562,11 +576,12 @@ def test_leaf_checked_walk_charges_its_checker_calls():
     assert bell_number(8) == 4140
 
 
-def test_leaf_checked_walk_refused_before_its_first_checker_call():
+def test_leaf_checked_walk_refused_before_its_first_checker_call(
+        monkeypatch):
     g = random_graph(random.Random(89), 8, min_n=8)
-    prop, calls = _counting_checker(CONVEX)
+    calls = _counting_leaf_tests(monkeypatch)
     with budget(4139), pytest.raises(BudgetExceededError) as info:
-        pruned_count_at(g, prop, 8)
+        pruned_count_at(g, CONVEX, 8)
     assert str(info.value) == (
         "pruned enumeration needs 4140 operations, budget is 4139")
     assert calls == []

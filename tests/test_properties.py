@@ -281,6 +281,11 @@ CLI_TOKENS = ["proper", "harmonious", "convex", "edge", "mcc:t=2", "du:H=K3",
               "surjective-proper", "degree-determined"]
 
 
+PRED_TOKENS = ["all", "edgeless", "connected", "forest", "max1edge",
+               "cliqueoredgeless", "maxdeg0", "maxdeg2", "compsize1",
+               "compsize3", "duK1", "duK2", "duP3", "hfreeK1", "hfreeP3"]
+
+
 def test_every_documented_token_parses():
     for token in CLI_TOKENS:
         prop = parse_property(token)
@@ -298,6 +303,13 @@ def test_every_token_states_its_counting_facts():
     assert pair.param is None
     assert (pair.row.class_name, pair.row.pair_name) == ("edgeless",
                                                          "max1edge")
+    # every class and pair predicate accepts the empty mask: pair_check
+    # passes the unused colors' empty classes to its row
+    rows = [parse_property(token).row for token in CLI_TOKENS]
+    rows += [parse_property(f"pair:p1={t},p2={t}").row for t in PRED_TOKENS]
+    for row in filter(None, rows):
+        for g in (edgeless_graph(0), path_graph(3), complete_graph(4)):
+            assert row.class_pred(g, 0) and row.pair_pred(g, 0), row
 
 
 def test_parse_property_tokens():
