@@ -446,7 +446,10 @@ def harmonious_fast(g: Graph, k: int) -> int:
 
 
 def convex_fast(g: Graph, k: int) -> int:
-    """Convex count for k <= 2 via components and cocircuits."""
+    """Convex count for k <= 2 via components and cocircuits: a connected
+    graph's convex 2-colorings are its two monochromatic ones and two per
+    cocircuit, whose shores take one color each.  The cocircuit walk costs
+    at most n nodes per cocircuit, not 2^(n-1) bipartitions."""
     if k not in (0, 1, 2):
         raise ValueError("fast convex path covers k in {0, 1, 2}")
     if g.n == 0:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .errors import check_budget
+from .errors import budget_limit, check_budget
 
 
 @dataclass(frozen=True)
@@ -331,22 +331,6 @@ class CocircuitSummary:
     by_size: dict[int, int]
 
 
-def _require_connected_simple(g: Graph):
-    if not g.simple:
-        raise ValueError("cut enumeration is defined on simple graphs")
-    if not is_connected(g):
-        raise ValueError("graph must be connected")
-
-
-def _shores(g: Graph, what: str):
-    """Each of the 2^(n-1) - 1 bipartitions into two nonempty shores once,
-    as (shore holding vertex 0, other shore) bitmasks.  The 2^(n-1) cost is
-    checked against the budget before anything is yielded."""
-    check_budget(2 ** max(g.n - 1, 0), what)
-    full = (1 << g.n) - 1
-    return ((x, full & ~x) for x in range(1, full, 2))
-
-
 def _crossing_size(g: Graph, x: int) -> int:
     return sum(1 for u, v in g.edges if ((x >> u) ^ (x >> v)) & 1)
 
@@ -357,32 +341,80 @@ def enumerate_cocircuits(g: Graph) -> CocircuitSummary:
 
 
 def cocircuit_counts(g: Graph) -> tuple[int, dict[int, int]]:
-    """Total and per-size cocircuit counts over the 2^(n-1) - 1 shore
-    bipartitions of a connected simple graph.
+    """Total and per-size cocircuit counts of a connected simple graph.
 
-    A cut is a cocircuit iff both induced shores are connected, equivalently
-    removing the crossing set leaves exactly two components.
+    A cocircuit is the crossing set of a bipartition whose two shores are
+    both connected.  The walk backtracks over the shores S that hold vertex
+    0 (Tsukiyama, Shirakawa, Ozaki and Ariyoshi, J. ACM 27(4), 1980; Provan
+    and Shier, Algorithmica 15, 1996).  A node keeps S connected and an
+    excluded set X, and branches on the lowest neighbour u of S outside X:
+    u joins S or u joins X.  A branch is kept only while X lies inside one
+    component C of G - S.  Then V - C is a cocircuit shore below it, so the
+    walk visits at most n nodes per cocircuit instead of testing all
+    2^(n-1) - 1 bipartitions.  A node with every neighbour of S in X has
+    G - S connected: it is one cocircuit.  One step per node, and each
+    vertex a component search reaches, is charged as it happens.
     """
-    shores = _shores(g, "cocircuit enumeration")
-    _require_connected_simple(g)
-    adj = g.adj
+    if not g.simple:
+        raise ValueError("cut enumeration is defined on simple graphs")
+    if not is_connected(g):
+        raise ValueError("graph must be connected")
+    what = "cocircuit enumeration"
+    adj, full = g.adj, (1 << g.n) - 1
     by_size: dict[int, int] = {}
-    total = 0
-    for x, y in shores:
-        if mask_connected(adj, x) and mask_connected(adj, y):
-            size = _crossing_size(g, x)
-            total += 1
-            by_size[size] = by_size.get(size, 0) + 1
-    return total, dict(sorted(by_size.items()))
+    steps, limit = 0, budget_limit()
+    # (S, X, neighbours of S outside S, crossing edges, C or 0 while unknown)
+    stack = [(1, 0, adj[0], adj[0].bit_count(), 0)] if g.n > 1 else []
+    while stack:
+        s, x, nbr, cross, comp = stack.pop()
+        steps += 1
+        free = nbr & ~x
+        if free and x and not comp:
+            # X just became one vertex; a leaf needs no component for it
+            comp = _reach(adj, full & ~s, x & -x)
+            steps += comp.bit_count()
+        if steps > limit:
+            check_budget(steps, what)
+        if not free:
+            by_size[cross] = by_size.get(cross, 0) + 1
+            continue
+        low = free & -free
+        au = adj[low.bit_length() - 1]
+        # u joins X: it must lie in X's component, which any vertex does
+        # while X is empty
+        if not x or comp & low:
+            stack.append((s, x | low, nbr, cross, comp))
+        # u joins S: X must stay inside one component of G - S - u, and
+        # S = V, reached only while X is empty, is no shore
+        s2 = s | low
+        if s2 == full:
+            continue
+        if comp & low:
+            if (au & comp).bit_count() > 1:
+                comp = _reach(adj, comp ^ low, x & -x)
+                steps += comp.bit_count()
+                if steps > limit:
+                    check_budget(steps, what)
+                if x & ~comp:
+                    continue
+            else:
+                # u has one neighbour in C, so C - u stays connected
+                comp ^= low
+        stack.append((s2, x, (nbr | au) & ~s2,
+                      cross - (au & s).bit_count() + (au & ~s2).bit_count(),
+                      comp))
+    return sum(by_size.values()), dict(sorted(by_size.items()))
 
 
 def count_cuts_by_size(g: Graph) -> dict[int, int]:
-    """Number of vertex bipartitions (unordered, nonempty shores) per crossing size."""
-    shores = _shores(g, "cut enumeration")
+    """Number of vertex bipartitions (unordered, nonempty shores) per
+    crossing size.  The 2^(n-1) - 1 bipartitions, as the shores holding
+    vertex 0, are charged against the budget before any is counted."""
+    check_budget(2 ** max(g.n - 1, 0), "cut enumeration")
     if not g.simple:
         raise ValueError("cut counting is defined on simple graphs")
     out: dict[int, int] = {}
-    for x, _ in shores:
+    for x in range(1, (1 << g.n) - 1, 2):
         size = _crossing_size(g, x)
         out[size] = out.get(size, 0) + 1
     return dict(sorted(out.items()))

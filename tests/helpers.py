@@ -8,6 +8,7 @@ independent route to the same numbers.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import combinations, permutations, product
 from math import comb, factorial
 from typing import Sequence
@@ -89,19 +90,44 @@ def random_graph(rng: random.Random, max_n: int, min_n: int = 0,
     return build_graph(n, edges)
 
 
-def connected_oracle(n: int, edges) -> bool:
-    if n == 0:
+def induced_connected(edges, vertices: set[int]) -> bool:
+    """Is the subgraph the edges induce on the vertex set connected?"""
+    if not vertices:
         return True
-    seen = {0}
-    frontier = [0]
+    seen = {min(vertices)}
+    frontier = list(seen)
     while frontier:
         v = frontier.pop()
         for a, b in edges:
             w = b if a == v else a if b == v else None
-            if w is not None and w not in seen:
+            if w in vertices and w not in seen:
                 seen.add(w)
                 frontier.append(w)
-    return len(seen) == n
+    return seen == vertices
+
+
+def connected_oracle(n: int, edges) -> bool:
+    return induced_connected(edges, set(range(n)))
+
+
+def shore_pairs(n: int) -> list[tuple[int, int]]:
+    """Each of the 2^(n-1) - 1 bipartitions of 0..n-1 into two nonempty
+    shores once, as (shore holding vertex 0, other shore) bitmasks."""
+    full = (1 << n) - 1
+    return [(x, full & ~x) for x in range(1, full, 2)]
+
+
+def shore_cocircuit_oracle(g: Graph) -> tuple[int, dict[int, int]]:
+    """Cocircuit total and per-size counts by testing both shores of every
+    bipartition for connectivity: a cut is a cocircuit iff both induced
+    shores are connected."""
+    by_size: Counter[int] = Counter()
+    for x, y in shore_pairs(g.n):
+        xs = {v for v in range(g.n) if (x >> v) & 1}
+        ys = set(range(g.n)) - xs
+        if induced_connected(g.edges, xs) and induced_connected(g.edges, ys):
+            by_size[sum(1 for u, v in g.edges if (u in xs) != (v in xs))] += 1
+    return sum(by_size.values()), dict(sorted(by_size.items()))
 
 
 def random_connected_graph(rng: random.Random, max_n: int,

@@ -1,6 +1,7 @@
 import json
 import random
 import sys
+import time
 
 import pytest
 
@@ -124,8 +125,8 @@ def test_eval_answers_easy_points_without_the_polynomial(
     def refuse(*args):
         raise AssertionError("eval built the polynomial")
     monkeypatch.setattr(cli, "chi_polynomial", refuse)
-    # a connected 16-vertex graph: the cocircuit loop charges 2^15, the
-    # polynomial would need 2^16 * 17
+    # a connected 16-vertex graph: the cocircuit walk charges 1338 steps
+    # for its 318 cocircuits, the polynomial would need 2^16 * 17
     g16 = tmp_path / "g16.el"
     g16.write_text(emit_edge_list(build_graph(
         16, [(v, v + 1) for v in range(15)] + [(0, 8), (3, 12), (5, 15)])))
@@ -355,15 +356,19 @@ def test_exit_code_budget(capsys, tmp_path):
 
 
 def test_budget_trip_past_the_int_digit_limit(capsys, tmp_path):
-    # 2^14999 and 2^20000 have more decimal digits than the interpreter
+    # 200^15000 (brute force on the 15000-vertex core of a perfect
+    # matching, where C(200, 2) >= 7500 edges lets harmonious colorings
+    # exist) and 2^20000 have more decimal digits than the interpreter
     # converts, so the cost is given as a power of two
-    graph = tmp_path / "e15000.el"
-    graph.write_text("15000 0\n")
+    graph = tmp_path / "m7500.el"
+    graph.write_text(emit_edge_list(build_graph(
+        15000, [(2 * i, 2 * i + 1) for i in range(7500)])))
     cnf = tmp_path / "big.cnf"
     cnf.write_text("c semantics nae3\np cnf 20000 0\n")
     for argv, message in (
-            (("cocircuits", "--graph", str(graph)),
-             "cocircuit enumeration needs at least 2^14999 operations, "
+            (("eval", "--graph", str(graph), "--prop", "harmonious",
+              "--point", "200"),
+             "coloring enumeration needs at least 2^114657 operations, "
              "budget is 10000"),
             (("gadget", "certify", "nae_mcc", "--cnf", str(cnf)),
              "assignment enumeration needs at least 2^20000 operations, "
@@ -405,21 +410,48 @@ def test_counts_past_the_int_digit_limit_are_written_in_full(capsys,
 
 
 def test_cocircuits_budget(capsys, tmp_path):
-    path = tmp_path / "p15.el"
-    path.write_text(emit_edge_list(path_graph(15)))
+    # the walk charges as it goes and stops at the first total over the
+    # limit; K12's 2^11 - 1 cocircuits take 15347 steps in all
+    path = tmp_path / "k12.el"
+    path.write_text(emit_edge_list(complete_graph(12)))
     code, out = run_cli(capsys, "cocircuits", "--graph", str(path),
                         "--budget", "10000")
     assert code == 3
     assert json.loads(out) == {"error": {
         "code": "budget",
-        "message": "cocircuit enumeration needs 16384 operations, "
+        "message": "cocircuit enumeration needs 10001 operations, "
                    "budget is 10000"}}
     code, out = run_cli(capsys, "eval", "--graph", str(path), "--prop",
                         "convex", "--point", "2", "--budget", "10000")
     assert code == 3
     code, out = run_cli(capsys, "cocircuits", "--graph", str(path),
-                        "--budget", "16384")
-    assert code == 0 and json.loads(out)["total"] == "14"
+                        "--budget", "15347")
+    assert code == 0 and json.loads(out)["total"] == "2047"
+
+
+def test_cocircuits_cost_follows_the_output(capsys, tmp_path):
+    # a path's cocircuits are its edges: the walk visits a few nodes per
+    # edge, where the shore loop would charge 2^2999
+    path = tmp_path / "p3000.el"
+    path.write_text(emit_edge_list(path_graph(3000)))
+    code, out = run_cli(capsys, "cocircuits", "--graph", str(path))
+    assert code == 0
+    assert json.loads(out)["by_size"] == {"1": "2999"}
+    code, out = run_cli(capsys, "eval", "--graph", str(path), "--prop",
+                        "convex", "--point", "2")
+    assert code == 0 and json.loads(out)["value"] == str(2 + 2 * 2999)
+    # C1000 has 499500 cocircuits: a small budget stops the walk early
+    cycle = tmp_path / "c1000.el"
+    cycle.write_text(emit_edge_list(cycle_graph(1000)))
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "cocircuits", "--graph", str(cycle),
+                        "--budget", "1000000")
+    assert time.perf_counter() - start < 2
+    assert code == 3
+    assert json.loads(out) == {"error": {
+        "code": "budget",
+        "message": "cocircuit enumeration needs 1000001 operations, "
+                   "budget is 1000000"}}
 
 
 def test_budget_validation(capsys, k3):
@@ -543,10 +575,11 @@ def test_determinism_across_reruns_and_workers(capsys, k3):
 
 
 def test_global_flags_count_before_the_subcommand(capsys, tmp_path, k3):
-    p15 = tmp_path / "p15.el"
-    p15.write_text(emit_edge_list(path_graph(15)))
+    # K12's cocircuit walk takes 15347 steps: over 10^4, under 20000
+    k12 = tmp_path / "k12.el"
+    k12.write_text(emit_edge_list(complete_graph(12)))
     cases = [
-        (["--budget", "10000"], ["cocircuits", "--graph", str(p15)]),
+        (["--budget", "10000"], ["cocircuits", "--graph", str(k12)]),
         (["--format", "text"], ["poly", "--graph", k3, "--prop", "proper"]),
         (["--workers", "0"], ["poly", "--graph", k3, "--prop", "proper"]),
         # the sampled instance count depends on the seed
@@ -559,7 +592,7 @@ def test_global_flags_count_before_the_subcommand(capsys, tmp_path, k3):
         assert after != run_cli(capsys, *command), flag
     # given on both sides, the later one wins
     code, out = run_cli(capsys, "--budget", "20000", "cocircuits",
-                        "--graph", str(p15), "--budget", "10000")
+                        "--graph", str(k12), "--budget", "10000")
     assert code == 3
     code, out = run_cli(capsys, "--format", "text", "poly", "--graph", k3,
                         "--prop", "proper", "--json")

@@ -395,15 +395,15 @@ def test_convex_fast_examples():
 
 
 def test_convex_fast_budget():
-    # the cocircuit loop on P15 costs 2^14 = 16384 operations
-    with budget(10 ** 4):
+    # the cocircuit walk on P15 costs 28 operations, two per edge
+    with budget(27):
         with pytest.raises(BudgetExceededError) as info:
             convex_fast(path_graph(15), 2)
-        # no cut loop runs on a disconnected graph
+        # no cocircuit walk runs on a disconnected graph
         assert convex_fast(edgeless_graph(30), 2) == 0
     assert str(info.value) == (
-        "cocircuit enumeration needs 16384 operations, budget is 10000")
-    with budget(16384):
+        "cocircuit enumeration needs 28 operations, budget is 27")
+    with budget(28):
         assert convex_fast(path_graph(15), 2) == 2 + 2 * 14
 
 

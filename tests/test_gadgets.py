@@ -288,9 +288,11 @@ def test_pruned_budget_counts_visited_nodes():
 
 
 def test_cut_certifications_trip_the_budget_before_enumerating():
-    # the cut loops charge 2^(n-1) up front: 16 vertices in the monotone
-    # gadget and in K4 stretched to length 3, 14 in the maxcut_cocirc
-    # extension of K3 (enumerated before the base graph)
+    # the cut loop charges 2^(n-1) up front: 16 vertices in the monotone
+    # gadget.  The cocircuit walk charges as it goes and stops at the first
+    # total over the limit: 1553 steps on K4 stretched to length 3, 8435 on
+    # the 14-vertex maxcut_cocirc extension of K3 (walked before the base
+    # graph's cuts are counted)
     cnf = CnfInstance(3, ((1, 2), (2, 3)), "monotone2sat")
     with budget(10 ** 4), pytest.raises(BudgetExceededError) as info:
         certify_monotone_maxcut(cnf)
@@ -298,17 +300,17 @@ def test_cut_certifications_trip_the_budget_before_enumerating():
         "cut enumeration needs 32768 operations, budget is 10000")
     with budget(32768):
         assert certify_monotone_maxcut(cnf).match
-    with budget(10 ** 4), pytest.raises(BudgetExceededError) as info:
+    with budget(1552), pytest.raises(BudgetExceededError) as info:
         stretch_identity_check(complete_graph(4), 3)
     assert str(info.value) == (
-        "cocircuit enumeration needs 32768 operations, budget is 10000")
-    with budget(32768):
+        "cocircuit enumeration needs 1553 operations, budget is 1552")
+    with budget(1553):
         assert stretch_identity_check(complete_graph(4), 3).match
-    with budget(5000), pytest.raises(BudgetExceededError) as info:
+    with budget(8434), pytest.raises(BudgetExceededError) as info:
         certify_maxcut_cocircuits(complete_graph(3), 1)
     assert str(info.value) == (
-        "cocircuit enumeration needs 8192 operations, budget is 5000")
-    with budget(8192):
+        "cocircuit enumeration needs 8435 operations, budget is 8434")
+    with budget(8435):
         assert certify_maxcut_cocircuits(complete_graph(3), 1).match
 
 

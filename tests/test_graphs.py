@@ -7,7 +7,7 @@ import pytest
 
 from chromapoly.errors import BudgetExceededError, budget
 from chromapoly.graphs import (
-    _shores, box_join, build_graph, cocircuit_counts,
+    box_join, build_graph, cocircuit_counts,
     complete_graph, connected_components, count_cuts_by_size, cycle_graph,
     disjoint_union,
     edgeless_graph, enumerate_cocircuits, harmonious_gadget,
@@ -16,7 +16,8 @@ from chromapoly.graphs import (
     standard_graph, star_graph, stretch, strip_isolated, t_pendant,
 )
 from helpers import (
-    all_graphs_up_to, automorphisms, random_connected_graph, relabel,
+    all_graphs_up_to, automorphisms, random_connected_graph, random_graph,
+    relabel, shore_cocircuit_oracle, shore_pairs,
 )
 
 
@@ -227,9 +228,9 @@ def test_cocircuit_minimality_cross_check():
 
 
 def test_cut_report_shores_partition():
-    # C4 has 2^3 - 1 bipartitions into nonempty shores, each yielded once
+    # C4 has 2^3 - 1 bipartitions into nonempty shores, each given once
     # with vertex 0 on the first shore
-    shores = list(_shores(cycle_graph(4), "cut enumeration"))
+    shores = shore_pairs(4)
     assert len(shores) == 7
     assert len({frozenset(pair) for pair in shores}) == 7
     for x, y in shores:
@@ -237,14 +238,77 @@ def test_cut_report_shores_partition():
         assert x | y == 0b1111
 
 
+def test_shore_oracle_matches_networkx():
+    # the oracle's connectivity test against networkx on both induced shores
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(23)
+    for _ in range(40):
+        g = random_connected_graph(rng, 8, min_n=2, p=0.4)
+        full = _nx_graph(nx, g)
+        by_size = Counter()
+        for x, _ in shore_pairs(g.n):
+            shore = {v for v in range(g.n) if (x >> v) & 1}
+            if (nx.is_connected(full.subgraph(shore))
+                    and nx.is_connected(full.subgraph(set(full) - shore))):
+                by_size[nx.cut_size(full, shore)] += 1
+        assert shore_cocircuit_oracle(g) == (
+            sum(by_size.values()), dict(sorted(by_size.items()))), g.edges
+
+
+def test_cocircuit_walk_matches_the_shore_oracle():
+    nx = pytest.importorskip("networkx")
+    # every connected graph on at most 7 vertices, up to isomorphism
+    atlas = [build_graph(h.number_of_nodes(), h.edges())
+             for h in nx.graph_atlas_g()[1:] if nx.is_connected(h)]
+    assert len(atlas) == 1 + 1 + 2 + 6 + 21 + 112 + 853
+    rng = random.Random(29)
+    gnp = [g for g in (random_graph(rng, 12, min_n=2, p=rng.choice(
+        (0.15, 0.25, 0.35, 0.5))) for _ in range(300)) if is_connected(g)]
+    # stretched graphs with bridges: a triangle with two pendant edges,
+    # and a 4-cycle with a pendant path
+    bridged = [build_graph(5, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4)]),
+               build_graph(6, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4),
+                               (4, 5)])]
+    stretched = [stretch(g, l) for g in bridged for l in (1, 2)]
+    assert sum(1 for g in gnp if cocircuit_counts(g)[1].get(1)) >= 20
+    for g in (atlas + gnp + [complete_graph(n) for n in range(11)]
+              + stretched):
+        assert cocircuit_counts(g) == shore_cocircuit_oracle(g), g.edges
+
+
+def test_cocircuit_walk_rejects_what_the_shore_loop_rejected():
+    with pytest.raises(ValueError,
+                       match="^cut enumeration is defined on simple graphs$"):
+        cocircuit_counts(build_graph(3, [(0, 1), (1, 2)], [2, 1]))
+    for g in (edgeless_graph(3), disjoint_union(path_graph(3),
+                                                cycle_graph(3))):
+        with pytest.raises(ValueError, match="^graph must be connected$"):
+            cocircuit_counts(g)
+    assert cocircuit_counts(edgeless_graph(0)) == (0, {})
+    assert cocircuit_counts(edgeless_graph(1)) == (0, {})
+
+
+def test_cocircuit_walk_charges_the_nodes_it_visits():
+    # one step per node and one per vertex each component search reaches,
+    # counted as the walk goes: it stops at the first total over the limit
+    g = random_connected_graph(random.Random(3), 12, min_n=12, p=0.35)
+    assert (g.edge_count, cocircuit_counts(g)[0]) == (19, 211)
+    with budget(1684):
+        cocircuit_counts(g)
+    with budget(1683), pytest.raises(BudgetExceededError) as info:
+        cocircuit_counts(g)
+    assert str(info.value) == (
+        "cocircuit enumeration needs 1684 operations, budget is 1683")
+
+
 def test_cut_loops_check_budget_before_connectivity():
-    # 2^19 bipartitions of an edgeless 20-vertex graph: the budget trips
-    # before the graph is found disconnected
+    # 2^19 bipartitions of an edgeless 20-vertex graph: the cut loop's
+    # budget trips before the graph is found disconnected; the cocircuit
+    # walk charges only the nodes it visits, so it finds the graph
+    # disconnected first
     g = edgeless_graph(20)
     with budget(10 ** 4):
-        with pytest.raises(BudgetExceededError,
-                           match="^cocircuit enumeration needs 524288 "
-                                 "operations, budget is 10000$"):
+        with pytest.raises(ValueError, match="^graph must be connected$"):
             enumerate_cocircuits(g)
         with pytest.raises(BudgetExceededError,
                            match="^cut enumeration needs 524288 operations"):

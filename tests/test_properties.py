@@ -196,6 +196,56 @@ def test_table_rows_match_direct_checkers(name, param, prop_factory):
                     name, g.edges, colors, k)
 
 
+def _nx_class_reference(family, nx):
+    """A checker for one class-local family built on networkx alone: each
+    color class is tested by networkx connectivity, components and
+    isomorphism on the distinct pairs of the graph."""
+    from networkx.algorithms.isomorphism import GraphMatcher
+    k2 = nx.complete_graph(2)
+    p3 = nx.path_graph(3)
+    tests = {
+        "convex": nx.is_connected,
+        "mcc": lambda sub: all(len(c) <= 2
+                               for c in nx.connected_components(sub)),
+        "du": lambda sub: all(nx.is_isomorphic(sub.subgraph(c), k2)
+                              for c in nx.connected_components(sub)),
+        "hfree": lambda sub: not GraphMatcher(
+            sub, p3).subgraph_is_isomorphic(),
+    }
+    holds = tests[family]
+
+    def check_colors(g, colors):
+        whole = nx.Graph()
+        whole.add_nodes_from(range(g.n))
+        whole.add_edges_from(g.edges)
+        return all(holds(whole.subgraph(
+            [v for v in range(g.n) if colors[v] == c]))
+            for c in set(colors))
+    return check_colors
+
+
+@pytest.mark.parametrize("family,prop_factory", [
+    ("convex", convex_property),
+    ("mcc", lambda: mcc_property(2)),
+    ("du", lambda: du_property(complete_graph(2))),
+    ("hfree", lambda: h_free_property(path_graph(3))),
+])
+def test_class_rows_match_a_networkx_reference(family, prop_factory):
+    # the rows of these four families and their checkers share one class
+    # predicate, so they are compared here with code that shares none of it
+    nx = pytest.importorskip("networkx")
+    reference = _nx_class_reference(family, nx)
+    pp = prop_factory().row
+    multigraphs = [build_graph(g.n, g.edges, mult, simple=False)
+                   for g in all_graphs_up_to(3)
+                   for mult in product((1, 2), repeat=g.edge_count)]
+    for g in list(all_graphs_up_to(4)) + multigraphs:
+        for k in (1, 2, 3):
+            for colors in product(range(1, k + 1), repeat=g.n):
+                assert pair_check(pp, g, colors, k) == reference(
+                    g, colors), (family, g.edges, colors, k)
+
+
 def _sample_properties():
     return [proper_property(), harmonious_property(), convex_property(),
             mcc_property(2), du_property(complete_graph(2)),
