@@ -122,7 +122,8 @@ def _partition_counts(g: Graph, prop: ColoringProperty, lo: int, hi: int,
 
     A property that is not hereditary (convex, du, rainbow, ``pair:``
     tokens) is tested at the leaf too: by ``row_holds`` on the block masks
-    where it has a row, by its checker otherwise.  A walk with a placement
+    where it has a row, by its checker otherwise.  du first tests that every
+    block's size is a multiple of the pattern's.  A walk with a placement
     test charges the budget one step per node it enters, and it enters a
     node only when the placement passed.  The walk without one visits
     exactly the partitions into lo..hi blocks, so it is charged their
@@ -167,6 +168,14 @@ def _partition_counts(g: Graph, prop: ColoringProperty, lo: int, hi: int,
         check_budget(sum(stirling2_row(d, hi)[lo:]), what)
     if prop.hereditary:
         leaf = None
+    elif prop.family == "du":
+        size = prop.param.n
+
+        def leaf(used: int) -> bool:
+            # every block covers whole copies of the pattern: all the sizes
+            # are tested before the first block's pattern search
+            return (all(b.bit_count() % size == 0 for b in blocks[:used])
+                    and row_holds(prop.row, g, blocks[:used]))
     elif prop.row is not None:
         def leaf(used: int) -> bool:
             return row_holds(prop.row, g, blocks[:used])

@@ -352,8 +352,9 @@ def cocircuit_counts(g: Graph) -> tuple[int, dict[int, int]]:
     component C of G - S.  Then V - C is a cocircuit shore below it, so the
     walk visits at most n nodes per cocircuit instead of testing all
     2^(n-1) - 1 bipartitions.  A node with every neighbour of S in X has
-    G - S connected: it is one cocircuit.  One step per node, and each
-    vertex a component search reaches, is charged as it happens.
+    G - S connected: it is one cocircuit.  Each node is charged the 64-bit
+    words of its masks, ceil(n / 64) steps, and each vertex a component
+    search reaches one step, as it happens.
     """
     if not g.simple:
         raise ValueError("cut enumeration is defined on simple graphs")
@@ -363,11 +364,12 @@ def cocircuit_counts(g: Graph) -> tuple[int, dict[int, int]]:
     adj, full = g.adj, (1 << g.n) - 1
     by_size: dict[int, int] = {}
     steps, limit = 0, budget_limit()
+    words = (g.n + 63) // 64
     # (S, X, neighbours of S outside S, crossing edges, C or 0 while unknown)
     stack = [(1, 0, adj[0], adj[0].bit_count(), 0)] if g.n > 1 else []
     while stack:
         s, x, nbr, cross, comp = stack.pop()
-        steps += 1
+        steps += words
         free = nbr & ~x
         if free and x and not comp:
             # X just became one vertex; a leaf needs no component for it

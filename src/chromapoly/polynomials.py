@@ -7,15 +7,20 @@ Polynomials live in one of two coefficient bases:
 
 The binomial basis is the native storage for counting polynomials: a counter
 that yields the number of colorings using exactly ``i`` colors produces those
-coefficients directly.  All arithmetic is exact (``fractions.Fraction``);
-floats are rejected on input.
+coefficients directly.  All arithmetic is exact and floats are rejected on
+input.  ``coeffs`` is a tuple of reduced ``fractions.Fraction``s, but the
+kernels (basis changes, products, and the Taylor shift and evaluation at an
+integer) scale their input once by the lcm of its denominators, work on the
+integer numerators, and divide back once at the end, so they make no
+Fraction and run no gcd per term.  The monomial expansion of C(X, i) is the
+signed Stirling row s(i, .) / i!; rows are cached as they are first needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Iterable, Sequence
 
 MONOMIAL = "monomial"
@@ -46,16 +51,56 @@ def _mono_add(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
     return out
 
 
-def _mono_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
+def _scaled(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The integer numerators of the coefficients over their least common
+    denominator, and that denominator."""
+    den = lcm(*[c.denominator for c in coeffs])
+    if den == 1:
+        return [c.numerator for c in coeffs], 1
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _unscaled(nums: list[int], den: int) -> list:
+    """nums / den, for a ``Poly`` to normalize into reduced Fractions."""
+    return nums if den == 1 else [Fraction(n, den) for n in nums]
+
+
+def _horner(coeffs: Sequence, x):
+    """The monomial coefficients' polynomial at x."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _mono_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list:
     if not a or not b:
         return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return out
+    na, da = _scaled(a)
+    nb, db = _scaled(b)
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(na):
+        if ca:
+            for j, cb in enumerate(nb):
+                out[i + j] += ca * cb
+    return _unscaled(out, da * db)
+
+
+# row n is s(n, 0..n), the signed Stirling numbers of the first kind: the
+# monomial coefficients of X(X-1)...(X-n+1).  Rows are added on first use.
+_STIRLING1: list[tuple[int, ...]] = [(1,)]
+
+
+def _stirling1_row(n: int) -> tuple[int, ...]:
+    rows = _STIRLING1
+    while len(rows) <= n:
+        m = len(rows) - 1
+        row = [0] * (m + 2)     # row m times (X - m)
+        for k, c in enumerate(rows[m]):
+            row[k] -= m * c
+            row[k + 1] += c
+        rows.append(tuple(row))
+    return rows[n]
 
 
 @dataclass(frozen=True)
@@ -79,11 +124,23 @@ class Poly:
 
     def eval(self, x) -> Fraction:
         x = _frac(x)
+        if x.denominator == 1:
+            x = x.numerator
+            nums, den = _scaled(self.coeffs)
+            if self.basis == MONOMIAL:
+                return Fraction(_horner(nums, x), den)
+            # C(x, i) = C(x, i-1) (x-i+1) / i, an exact division for every
+            # integer x; past a nonnegative x it stays 0
+            acc, term = 0, 1
+            for i, c in enumerate(nums):
+                if i:
+                    term = term * (x - i + 1) // i
+                    if not term:
+                        break
+                acc += c * term
+            return Fraction(acc, den)
         if self.basis == MONOMIAL:
-            acc = Fraction(0)
-            for c in reversed(self.coeffs):
-                acc = acc * x + c
-            return acc
+            return Fraction(_horner(self.coeffs, x))
         # generalized binomial: C(x, i) = x(x-1)...(x-i+1)/i!
         acc = Fraction(0)
         term = Fraction(1)
@@ -97,35 +154,41 @@ class Poly:
     def to_monomial(self) -> "Poly":
         if self.basis == MONOMIAL:
             return self
-        out: list[Fraction] = []
-        base = [Fraction(1)]  # monomial coefficients of C(X, i)
-        for i, c in enumerate(self.coeffs):
-            if i:
-                base = _mono_mul(base, [Fraction(-(i - 1)), Fraction(1)])
-                base = [b / i for b in base]
-            if c:
-                out = _mono_add(out, [c * b for b in base])
-        return Poly(MONOMIAL, tuple(out))
+        if not self.coeffs:
+            return Poly(MONOMIAL, ())
+        # sum_i c_i C(X, i) = sum_i c_i (d!/i!) sum_j s(i, j) X^j / d!
+        nums, den = _scaled(self.coeffs)
+        d = len(nums) - 1
+        out = [0] * (d + 1)
+        scale = 1       # d!/i!
+        for i in range(d, -1, -1):
+            if nums[i]:
+                c = nums[i] * scale
+                for j, s in enumerate(_stirling1_row(i)):
+                    out[j] += c * s
+            scale *= i
+        return Poly(MONOMIAL, tuple(_unscaled(out, den * factorial(d))))
 
     def to_binomial(self) -> "Poly":
         if self.basis == BINOMIAL:
             return self
-        # forward differences at 0: coefficient of C(X, i) is sum_j (-1)^(i-j) C(i,j) p(j)
-        d = self.degree
-        cs = []
-        for i in range(d + 1):
-            ci = Fraction(0)
-            for j in range(i + 1):
-                term = comb(i, j) * self.eval(j)
-                ci += term if (i - j) % 2 == 0 else -term
-            cs.append(ci)
-        return Poly(BINOMIAL, tuple(cs))
+        # the coefficient of C(X, i) is the forward difference D^i p(0):
+        # after pass i of the table over p(0..d), v[j] holds D^i p(j - i)
+        nums, den = _scaled(self.coeffs)
+        d = len(nums) - 1
+        v = [_horner(nums, x) for x in range(d + 1)]
+        for i in range(1, d + 1):
+            for j in range(d, i - 1, -1):
+                v[j] -= v[j - 1]
+        return Poly(BINOMIAL, tuple(_unscaled(v, den)))
 
     def in_basis(self, basis: str) -> "Poly":
         return self.to_monomial() if basis == MONOMIAL else self.to_binomial()
 
     def equals(self, other: "Poly") -> bool:
         """Mathematical equality, basis-agnostic."""
+        if self.basis == other.basis:
+            return self.coeffs == other.coeffs
         return self.to_monomial().coeffs == other.to_monomial().coeffs
 
     def __add__(self, other: "Poly") -> "Poly":
@@ -162,16 +225,17 @@ class Poly:
         """The polynomial X -> p(X + c)."""
         c = _frac(c)
         mono = self.to_monomial().coeffs
-        d = len(mono) - 1
-        out = [Fraction(0)] * (d + 1)
-        for i, a in enumerate(mono):
-            if a == 0:
-                continue
-            pw = Fraction(1)
-            for j in range(i, -1, -1):
-                out[j] += a * comb(i, j) * pw
-                pw *= c
-        return Poly(MONOMIAL, tuple(out))
+        if c.denominator == 1:
+            a, den = _scaled(mono)
+            c = c.numerator
+        else:
+            a, den = list(mono), 1
+        # Horner's scheme in place, O(d^2) steps, on integers when c is one
+        # (von zur Gathen and Gerhard, ISSAC 1997)
+        for i in range(len(a) - 1):
+            for j in range(len(a) - 2, i - 1, -1):
+                a[j] += c * a[j + 1]
+        return Poly(MONOMIAL, tuple(_unscaled(a, den)))
 
     def to_json_dict(self) -> dict:
         return {"basis": self.basis, "coeffs": [str(c) for c in self.coeffs]}
@@ -197,10 +261,7 @@ def falling_factorial(n: int) -> Poly:
     """X(X-1)...(X-n+1) in the monomial basis; n = 0 gives 1."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    out = [Fraction(1)]
-    for i in range(n):
-        out = _mono_mul(out, [Fraction(-i), Fraction(1)])
-    return Poly(MONOMIAL, tuple(out))
+    return Poly(MONOMIAL, _stirling1_row(n))
 
 
 def binomial(x, k: int) -> Fraction:

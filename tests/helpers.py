@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb, factorial
 from typing import Sequence
 
 from chromapoly.cnf import CnfInstance
 from chromapoly.graphs import Graph, build_graph, is_isomorphic
+from chromapoly.polynomials import BINOMIAL, MONOMIAL, Poly
 
 
 def stirling2(n: int, k: int) -> int:
@@ -181,3 +183,90 @@ def nae_coloring_oracle(cnf, t: int) -> int:
             factor *= comb(t - 1, t - ones)
         total += factor
     return total
+
+
+# ---------------------------------------------------------------------------
+# polynomial kernels with one Fraction per term: the oracle for the integer
+# kernels of chromapoly.polynomials
+
+def oracle_mono_add(a, b) -> list[Fraction]:
+    out = [Fraction(0)] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] += c
+    for i, c in enumerate(b):
+        out[i] += c
+    return out
+
+
+def oracle_mono_mul(a, b) -> list[Fraction]:
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca == 0:
+            continue
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return out
+
+
+def oracle_eval(p: Poly, x) -> Fraction:
+    x = Fraction(x)
+    if p.basis == MONOMIAL:
+        acc = Fraction(0)
+        for c in reversed(p.coeffs):
+            acc = acc * x + c
+        return acc
+    # generalized binomial: C(x, i) = x(x-1)...(x-i+1)/i!
+    acc = Fraction(0)
+    term = Fraction(1)
+    for i, c in enumerate(p.coeffs):
+        if i:
+            term = term * (x - (i - 1)) / i
+        if c:
+            acc += c * term
+    return acc
+
+
+def oracle_to_monomial(p: Poly) -> Poly:
+    if p.basis == MONOMIAL:
+        return p
+    out: list[Fraction] = []
+    base = [Fraction(1)]  # monomial coefficients of C(X, i)
+    for i, c in enumerate(p.coeffs):
+        if i:
+            base = oracle_mono_mul(base, [Fraction(-(i - 1)), Fraction(1)])
+            base = [b / i for b in base]
+        if c:
+            out = oracle_mono_add(out, [c * b for b in base])
+    return Poly(MONOMIAL, tuple(out))
+
+
+def oracle_to_binomial(p: Poly) -> Poly:
+    if p.basis == BINOMIAL:
+        return p
+    # forward differences at 0: the coefficient of C(X, i) is
+    # sum_j (-1)^(i-j) C(i, j) p(j)
+    cs = []
+    for i in range(p.degree + 1):
+        ci = Fraction(0)
+        for j in range(i + 1):
+            term = comb(i, j) * oracle_eval(p, j)
+            ci += term if (i - j) % 2 == 0 else -term
+        cs.append(ci)
+    return Poly(BINOMIAL, tuple(cs))
+
+
+def oracle_shifted(p: Poly, c) -> Poly:
+    """The polynomial X -> p(X + c)."""
+    c = Fraction(c)
+    mono = oracle_to_monomial(p).coeffs
+    out = [Fraction(0)] * len(mono)
+    for i, a in enumerate(mono):
+        if a == 0:
+            continue
+        pw = Fraction(1)
+        for j in range(i, -1, -1):
+            out[j] += a * comb(i, j) * pw
+            pw *= c
+    return Poly(MONOMIAL, tuple(out))

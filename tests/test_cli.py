@@ -440,7 +440,8 @@ def test_cocircuits_cost_follows_the_output(capsys, tmp_path):
     code, out = run_cli(capsys, "eval", "--graph", str(path), "--prop",
                         "convex", "--point", "2")
     assert code == 0 and json.loads(out)["value"] == str(2 + 2 * 2999)
-    # C1000 has 499500 cocircuits: a small budget stops the walk early
+    # C1000 has 499500 cocircuits: a small budget stops the walk early;
+    # each node is charged its 16 words of 64 bits
     cycle = tmp_path / "c1000.el"
     cycle.write_text(emit_edge_list(cycle_graph(1000)))
     start = time.perf_counter()
@@ -450,7 +451,7 @@ def test_cocircuits_cost_follows_the_output(capsys, tmp_path):
     assert code == 3
     assert json.loads(out) == {"error": {
         "code": "budget",
-        "message": "cocircuit enumeration needs 1000001 operations, "
+        "message": "cocircuit enumeration needs 1000006 operations, "
                    "budget is 1000000"}}
 
 

@@ -5,7 +5,7 @@ from math import comb, factorial
 
 import pytest
 
-from chromapoly import counting
+from chromapoly import counting, graphs
 from chromapoly.counting import (
     _class_predicate, _exact_counts, _partition_counts, brute_count_at,
     chi_polynomial, convex_fast, count_clique_partitions,
@@ -277,6 +277,29 @@ def test_du_vanishing_and_mcc1_is_chromatic():
     for h in (path_graph(4), complete_graph(3), cycle_graph(5)):
         assert chi_polynomial(h, mcc_property(1)).equals(
             chi_polynomial(h, PROPER))
+
+
+def test_du_leaf_tests_every_block_size_before_a_pattern(monkeypatch):
+    # a leaf with a block that cannot hold whole copies of the pattern is
+    # refused before any block runs its pattern search: testing the blocks
+    # one after the other made 823 searches for K2 and 522 for P3 here, and
+    # P3 on 8 vertices has no partition into blocks of 3, 6, ... vertices
+    g = random_graph(random.Random(0), 8, min_n=8)
+    searches = [0]
+    search = graphs.has_induced_copy
+
+    def counted(*args):
+        searches[0] += 1
+        return search(*args)
+    for pattern, expected in ((complete_graph(2), 158), (path_graph(3), 0)):
+        prop = du_property(pattern)
+        searches[0] = 0
+        monkeypatch.setattr(graphs, "has_induced_copy", counted)
+        poly = chi_polynomial(g, prop)
+        monkeypatch.undo()
+        assert searches[0] == expected
+        assert [poly.eval(k) for k in range(4)] == [
+            brute_count_at(g, prop, k) for k in range(4)]
 
 
 def test_clique_cover_relation():

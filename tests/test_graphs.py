@@ -301,6 +301,19 @@ def test_cocircuit_walk_charges_the_nodes_it_visits():
         "cocircuit enumeration needs 1684 operations, budget is 1683")
 
 
+def test_cocircuit_walk_charges_a_node_its_mask_words():
+    # past 64 vertices each node is charged the ceil(n / 64) 64-bit words
+    # of its masks: C65 needs 10399 steps, where one step a node gave 6239
+    g = cycle_graph(65)
+    assert cocircuit_counts(g) == (comb(65, 2), {2: comb(65, 2)})
+    with budget(10399):
+        cocircuit_counts(g)
+    with budget(10398), pytest.raises(BudgetExceededError) as info:
+        cocircuit_counts(g)
+    assert str(info.value) == (
+        "cocircuit enumeration needs 10399 operations, budget is 10398")
+
+
 def test_cut_loops_check_budget_before_connectivity():
     # 2^19 bipartitions of an edgeless 20-vertex graph: the cut loop's
     # budget trips before the graph is found disconnected; the cocircuit

@@ -1,10 +1,14 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from itertools import combinations
+from math import comb, factorial, prod
 
 import pytest
 
 from chromapoly.polynomials import (
-    BINOMIAL, MONOMIAL, binomial, constant, falling_factorial,
+    BINOMIAL, MONOMIAL, _stirling1_row, binomial, constant, falling_factorial,
     from_binomial, from_monomial, lagrange_interpolate, multinomial,
     stirling2_row, x_poly,
 )
@@ -140,6 +144,32 @@ def test_stirling_and_bell():
     assert bell_number(8) == 4140
     assert stirling2_row(8, 8) == [stirling2(8, k) for k in range(9)]
     assert stirling2_row(5, 3) == [stirling2(5, k) for k in range(4)]
+
+
+def test_stirling_rows_match_expanded_falling_factorials():
+    # the coefficient of X^j in X(X-1)...(X-n+1) is (-1)^(n-j) times the
+    # elementary symmetric sum of degree n - j of 0..n-1
+    for n in range(16):
+        expanded = tuple((-1) ** (n - j) * sum(
+            prod(c) for c in combinations(range(n), n - j))
+            for j in range(n + 1))
+        assert _stirling1_row(n) == expanded
+        assert falling_factorial(n).coeffs == tuple(map(Fraction, expanded))
+    # known values: s(n, n-1) = -C(n, 2), s(n, 1) = (-1)^(n-1) (n-1)!
+    assert _stirling1_row(5) == (0, 24, -50, 35, -10, 1)
+    assert _stirling1_row(6)[3] == -225 and _stirling1_row(10)[5] == -269325
+    for n in range(1, 16):
+        assert _stirling1_row(n)[n - 1] == -comb(n, 2)
+        assert _stirling1_row(n)[1] == (-1) ** (n - 1) * factorial(n - 1)
+
+
+def test_stirling_rows_are_not_built_at_import():
+    probe = ("import chromapoly.cli\n"
+             "from chromapoly.polynomials import _STIRLING1\n"
+             "print(len(_STIRLING1))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout == "1\n"
 
 
 def test_floats_rejected():
