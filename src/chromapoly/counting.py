@@ -14,8 +14,11 @@ The exact routes everything else is checked against:
   hereditary properties) or nothing (the rest).  A property that is not
   hereditary is tested at the leaf too, by ``properties.row_holds`` on the
   block masks or, without a row, by its checker.  A walk with a placement
-  test charges the budget one step per node it enters, and enters a node
-  only when the placement passed; the walk without one is charged its
+  test places the vertices in maximum cardinality search order
+  (``graphs.mcs_ordered``), so a constraint is tested as soon as both its
+  ends are placed; it charges the budget one step per node it enters, and
+  enters a node only when the placement passed.  The walk without one
+  keeps the input order, and so does the edge domain; it is charged its
   exact number of leaf tests before it starts.
 * inclusion-exclusion -- the other way to the same counts, for the
   class-local vertex properties the engine cannot prune by size (a ``row``
@@ -52,7 +55,7 @@ from .errors import (
 from .graphs import (
     Graph, _reach, bits, box_join, build_graph, cocircuit_counts,
     complete_graph, connected_components, disjoint_union, induced_subgraph,
-    join, line_graph, star_graph, strip_isolated,
+    join, line_graph, mcs_ordered, star_graph, strip_isolated,
 )
 from .polynomials import (
     Poly, from_binomial, lagrange_interpolate, stirling2_row,
@@ -125,14 +128,20 @@ def _partition_counts(g: Graph, prop: ColoringProperty, lo: int, hi: int,
     where it has a row, by its checker otherwise.  du first tests that every
     block's size is a multiple of the pattern's.  A walk with a placement
     test charges the budget one step per node it enters, and it enters a
-    node only when the placement passed.  The walk without one visits
-    exactly the partitions into lo..hi blocks, so it is charged their
-    number, one leaf test each, before it starts.
+    node only when the placement passed.  On the vertex domain it first
+    renumbers g in maximum cardinality search order, so that a placement
+    fails as soon as the vertices that refute it are placed: every count
+    is a graph invariant, and only the nodes, and so the charge, follow
+    the order.  The walk without one visits exactly the partitions into
+    lo..hi blocks in any order, so it keeps g as given and is charged
+    their number, one leaf test each, before it starts.
     """
     d = _domain_size(g, prop)
     counts = [0] * (hi + 1)
     if lo > min(d, hi):
         return counts
+    if prop.domain == "vertex" and (prop.hereditary or prop.bound is not None):
+        g = mcs_ordered(g)
     checker, bound, adj = prop.checker, prop.bound, g.adj
     colors = [0] * d
     blocks = [0] * min(d, hi)       # per block, its element mask

@@ -322,6 +322,30 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     return Graph(len(keep), tuple(edges), tuple(mult), g.simple, labels)
 
 
+def mcs_ordered(g: Graph) -> Graph:
+    """g renumbered in maximum cardinality search order (Tarjan and
+    Yannakakis, SIAM J. Comput. 1984): next comes the unplaced vertex with
+    the most placed neighbours, ties go to the one with more neighbours,
+    then to the lower index.  Multiplicities are kept and labels dropped;
+    g itself when the order is the identity."""
+    n, adj = g.n, g.adj
+    # placed neighbours * n + neighbours: a degree is below n
+    score = [a.bit_count() for a in adj]
+    order, placed = [], 0
+    for _ in range(n):
+        v = max(range(n), key=score.__getitem__)    # first maximum
+        order.append(v)
+        placed |= 1 << v
+        score[v] = -1
+        for w in bits(adj[v] & ~placed):
+            score[w] += n
+    if order == list(range(n)):
+        return g
+    new = {v: i for i, v in enumerate(order)}
+    return build_graph(n, [(new[u], new[v]) for u, v in g.edges], g.mult,
+                       simple=g.simple)
+
+
 # ---------------------------------------------------------------------------
 # cuts and cocircuits
 

@@ -241,16 +241,17 @@ class Poly:
         return {"basis": self.basis, "coeffs": [str(c) for c in self.coeffs]}
 
 
+# ``Poly`` converts the coefficients itself, and rejects floats
 def from_monomial(coeffs: Iterable) -> Poly:
-    return Poly(MONOMIAL, tuple(_frac(c) for c in coeffs))
+    return Poly(MONOMIAL, tuple(coeffs))
 
 
 def from_binomial(coeffs: Iterable) -> Poly:
-    return Poly(BINOMIAL, tuple(_frac(c) for c in coeffs))
+    return Poly(BINOMIAL, tuple(coeffs))
 
 
 def constant(c) -> Poly:
-    return Poly(MONOMIAL, (_frac(c),))
+    return Poly(MONOMIAL, (c,))
 
 
 def x_poly() -> Poly:

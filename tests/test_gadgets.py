@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from chromapoly import counting
 from chromapoly.cnf import CnfInstance, count_models
 from chromapoly.counting import brute_count_at, pruned_count_at
 from chromapoly.errors import BudgetExceededError, budget
@@ -274,17 +275,42 @@ def test_pruned_counter_agrees_on_gadget_scale():
 
 
 def test_pruned_budget_counts_visited_nodes():
-    # the search on this 10-vertex gadget visits 78 nodes; the budget error
-    # reports that count, and a budget of exactly 78 completes
+    # the search on this 10-vertex gadget visits 54 nodes in maximum
+    # cardinality search order (78 in input order); the budget error reports
+    # that count, and a budget of exactly 54 completes
     cnf = CnfInstance(4, ((1, 2, 3), (2, 3, 4)), "nae3")
     g = nae_to_mcc(cnf)
     assert g.n == 10
-    with budget(77), pytest.raises(BudgetExceededError) as info:
+    with budget(53), pytest.raises(BudgetExceededError) as info:
         pruned_count_at(g, mcc_property(2), 2)
     assert str(info.value) == (
-        "pruned enumeration needs 78 operations, budget is 77")
-    with budget(78):
+        "pruned enumeration needs 54 operations, budget is 53")
+    with budget(54):
         assert pruned_count_at(g, mcc_property(2), 2) == 10
+
+
+def test_mcs_order_tests_the_bridges_as_soon_as_they_are_placed(
+        monkeypatch):
+    # the gadget lists every clause clique before the bridges that make
+    # equal literals take equal colours.  In maximum cardinality search
+    # order the walk places a bridge right after a clique it touches, so it
+    # enters 1008 nodes on this 42-vertex gadget (6 clauses on 7 variables),
+    # not the 107497 of input order, which builds every clause split first
+    cnf = CnfInstance(7, ((1, 2, 6), (2, 4, 7), (3, 4, 6), (3, 4, 7),
+                          (3, 5, 6), (4, 5, 6)), "nae3")
+    g = nae_to_mcc(cnf)
+    assert g.n == 42
+    mcc2 = mcc_property(2)
+    with budget(1007), pytest.raises(BudgetExceededError) as info:
+        pruned_count_at(g, mcc2, 2)
+    assert str(info.value) == (
+        "pruned enumeration needs 1008 operations, budget is 1007")
+    with budget(1008):
+        assert pruned_count_at(g, mcc2, 2) == 30
+    monkeypatch.setattr(counting, "mcs_ordered", lambda g: g)
+    with budget(50 * 1008), pytest.raises(BudgetExceededError):
+        pruned_count_at(g, mcc2, 2)
+    assert pruned_count_at(g, mcc2, 2) == 30
 
 
 def test_cut_certifications_trip_the_budget_before_enumerating():

@@ -12,7 +12,7 @@ from chromapoly.graphs import (
     disjoint_union,
     edgeless_graph, enumerate_cocircuits, harmonious_gadget,
     has_induced_copy, induced_subgraph, is_connected, is_isomorphic, join,
-    line_graph, mask_isomorphic, mcc_extension, path_graph,
+    line_graph, mask_isomorphic, mcc_extension, mcs_ordered, path_graph,
     standard_graph, star_graph, stretch, strip_isolated, t_pendant,
 )
 from helpers import (
@@ -405,3 +405,41 @@ def test_relabel_preserves_labels():
     h = relabel(g, [2, 0, 1])
     assert h.labels == ("b", "c", "a")
     assert h.edges == ((0, 2),)
+
+
+def test_mcs_ordered_places_the_most_placed_neighbours_first():
+    # vertex i has, among vertices i.., the most neighbours below i, then
+    # the most neighbours; multiplicities follow their edges, and an order
+    # that is already the identity hands back g itself.  A path numbered
+    # from one end is not in that order: an inner vertex has more
+    # neighbours, so it comes first
+    for g in (complete_graph(5), star_graph(4), edgeless_graph(3)):
+        assert mcs_ordered(g) is g
+    assert mcs_ordered(path_graph(5)).edges == (
+        (0, 1), (0, 3), (1, 2), (2, 4))
+    rng = random.Random(5)
+    for trial in range(40):
+        g = random_graph(rng, 8, p=0.35)
+        if trial % 2 and g.edges:
+            g = build_graph(g.n, g.edges,
+                            [rng.randint(1, 3) for _ in g.edges],
+                            simple=False)
+        h = mcs_ordered(g)
+        assert mcs_ordered(h) is h
+        assert h.simple == g.simple and h.labels is None
+        assert is_isomorphic(h, g)
+        assert _edge_signature(h) == _edge_signature(g)
+        for i in range(h.n):
+            placed = (1 << i) - 1
+
+            def score(v):
+                return ((h.adj[v] & placed).bit_count(),
+                        h.adj[v].bit_count())
+            assert all(score(i) >= score(v) for v in range(i, h.n)), (g, i)
+
+
+def _edge_signature(g):
+    """Each edge's multiplicity with its ends' degrees: an invariant."""
+    deg = [a.bit_count() for a in g.adj]
+    return Counter((min(deg[u], deg[v]), max(deg[u], deg[v]), m)
+                   for (u, v), m in zip(g.edges, g.mult))
