@@ -9,17 +9,10 @@ The exact routes everything else is checked against:
   polynomiality audit; ``pruned_count_at`` reads it, and so do
   ``chi_polynomial`` and ``exact_color_count`` wherever the next route does
   not apply.  It is one walk over the partitions that tests each placement
-  once, before it recurses: the component-size ``bound`` (proper, mcc, du),
-  acyclic's placed-vertex test, the checker on the prefix (the other
-  hereditary properties) or nothing (the rest).  A property that is not
-  hereditary is tested at the leaf too, by ``properties.row_holds`` on the
-  block masks or, without a row, by its checker.  A walk with a placement
-  test places the vertices in maximum cardinality search order
-  (``graphs.mcs_ordered``), so a constraint is tested as soon as both its
-  ends are placed; it charges the budget one step per node it enters, and
-  enters a node only when the placement passed.  The walk without one
-  keeps the input order, and so does the edge domain; it is charged its
-  exact number of leaf tests before it starts.
+  once, before it recurses, by a fact the property states: its size
+  ``bound`` (proper, mcc, du, edge), acyclic's placed-vertex test or its row
+  on the grown block (the other hereditary properties).  The leaf tests the
+  non-hereditary ones by their row or, with none (rainbow), their checker.
 * inclusion-exclusion -- the other way to the same counts, for the
   class-local vertex properties the engine cannot prune by size (a ``row``
   whose pair predicate is ``all`` and no ``bound``: convex, timp, cocolor,
@@ -54,14 +47,15 @@ from .errors import (
 )
 from .graphs import (
     Graph, _reach, bits, box_join, build_graph, cocircuit_counts,
-    complete_graph, connected_components, disjoint_union, induced_subgraph,
-    join, line_graph, mcs_ordered, star_graph, strip_isolated,
+    complete_graph, connected_components, disjoint_union, join, line_graph,
+    mcs_ordered, star_graph, strip_isolated,
 )
 from .polynomials import (
     Poly, from_binomial, lagrange_interpolate, stirling2_row,
 )
 from .properties import (
-    ColoringProperty, harmonious_property, proper_property, row_holds,
+    ColoringProperty, _pred_all, harmonious_property, proper_property,
+    row_holds,
 )
 
 _PROPER = proper_property()
@@ -74,15 +68,6 @@ def _domain_size(g: Graph, prop: ColoringProperty) -> int:
     if not g.simple:
         raise ValueError("edge colorings are defined on simple graphs")
     return g.edge_count
-
-
-def _prefix_graphs(g: Graph, prop: ColoringProperty) -> list[Graph]:
-    """G[0..pos) for pos = 0..D: the first pos vertices, or the first pos
-    edges on the whole vertex set.  The last entry is g itself."""
-    if prop.domain == "vertex":
-        return [induced_subgraph(g, range(pos)) for pos in range(g.n)] + [g]
-    return [build_graph(g.n, g.edges[:pos])
-            for pos in range(g.edge_count)] + [g]
 
 
 def _acyclic_placed(adj, blocks: list[int], v: int, b: int) -> bool:
@@ -106,6 +91,15 @@ def _acyclic_placed(adj, blocks: list[int], v: int, b: int) -> bool:
     return True
 
 
+def _row_placed(g: Graph, row, blocks, v: int, b: int, used: int) -> bool:
+    """Does the row hold once vertex v joins block b: the class predicate on
+    the grown block, the pair predicate on its union with each open one?"""
+    grown = blocks[b] | 1 << v
+    pair = row.pair_pred
+    return row.class_pred(g, grown) and (pair is _pred_all or all(
+        pair(g, grown | blocks[c]) for c in range(used)))
+
+
 def _partition_counts(g: Graph, prop: ColoringProperty, lo: int, hi: int,
                       what: str = "partition enumeration") -> list[int]:
     """p[i] for 0 <= i <= hi: set partitions of the domain into exactly i
@@ -116,25 +110,23 @@ def _partition_counts(g: Graph, prop: ColoringProperty, lo: int, hi: int,
     One walk tests each placement of element pos in block b once, before
     it places it and recurses; the test is chosen here:
 
-    * a ``bound`` (proper, mcc, du): the placed vertex's monochromatic
-      component has at most ``bound`` vertices;
+    * a ``bound`` (proper, mcc, du, edge): the placed element's component
+      in its block has at most ``bound`` elements, where two edges are
+      adjacent when they share an end;
     * acyclic: ``_acyclic_placed``;
-    * any other hereditary property: the checker on the prefix graph of the
-      first pos + 1 elements;
+    * any other hereditary property with a row: ``_row_placed``;
     * otherwise none.
 
     A property that is not hereditary (convex, du, rainbow, ``pair:``
-    tokens) is tested at the leaf too: by ``row_holds`` on the block masks
-    where it has a row, by its checker otherwise.  du first tests that every
-    block's size is a multiple of the pattern's.  A walk with a placement
-    test charges the budget one step per node it enters, and it enters a
-    node only when the placement passed.  On the vertex domain it first
+    tokens) is tested at the leaf too: by ``row_holds`` on the block masks,
+    du's block sizes first, or by its checker where it has no row.  A walk
+    with a placement test charges one step per node it enters, and enters
+    a node only when the placement passed.  On the vertex domain it first
     renumbers g in maximum cardinality search order, so that a placement
-    fails as soon as the vertices that refute it are placed: every count
-    is a graph invariant, and only the nodes, and so the charge, follow
-    the order.  The walk without one visits exactly the partitions into
-    lo..hi blocks in any order, so it keeps g as given and is charged
-    their number, one leaf test each, before it starts.
+    fails as soon as the vertices that refute it are placed: the counts are
+    graph invariants, and only the nodes, and so the charge, follow the
+    order.  The walk without one visits exactly the partitions into lo..hi
+    blocks, so it keeps g as given and is charged their number up front.
     """
     d = _domain_size(g, prop)
     counts = [0] * (hi + 1)
@@ -142,7 +134,11 @@ def _partition_counts(g: Graph, prop: ColoringProperty, lo: int, hi: int,
         return counts
     if prop.domain == "vertex" and (prop.hereditary or prop.bound is not None):
         g = mcs_ordered(g)
-    checker, bound, adj = prop.checker, prop.bound, g.adj
+    checker, bound, adj, row = prop.checker, prop.bound, g.adj, prop.row
+    if prop.domain == "edge" and bound is not None:
+        inc = [sum(1 << e for e, ends in enumerate(g.edges) if v in ends)
+               for v in range(g.n)]     # per vertex, the mask of its edges
+        adj = [inc[u] ^ inc[v] for u, v in g.edges]     # e itself cancels
     colors = [0] * d
     blocks = [0] * min(d, hi)       # per block, its element mask
     fits = None
@@ -168,14 +164,12 @@ def _partition_counts(g: Graph, prop: ColoringProperty, lo: int, hi: int,
     elif prop.family == "acyclic":
         def fits(pos: int, b: int, used: int) -> bool:
             return _acyclic_placed(adj, blocks, pos, b)
-    elif prop.hereditary:
-        prefixes = _prefix_graphs(g, prop)
-
+    elif prop.hereditary and row is not None:
         def fits(pos: int, b: int, used: int) -> bool:
-            return checker(prefixes[pos + 1], tuple(colors[:pos + 1]), used)
+            return _row_placed(g, row, blocks, pos, b, used)
     else:
         check_budget(sum(stirling2_row(d, hi)[lo:]), what)
-    if prop.hereditary:
+    if prop.hereditary and fits is not None:
         leaf = None
     elif prop.family == "du":
         size = prop.param.n
@@ -184,10 +178,10 @@ def _partition_counts(g: Graph, prop: ColoringProperty, lo: int, hi: int,
             # every block covers whole copies of the pattern: all the sizes
             # are tested before the first block's pattern search
             return (all(b.bit_count() % size == 0 for b in blocks[:used])
-                    and row_holds(prop.row, g, blocks[:used]))
-    elif prop.row is not None:
+                    and row_holds(row, g, blocks[:used]))
+    elif row is not None:
         def leaf(used: int) -> bool:
-            return row_holds(prop.row, g, blocks[:used])
+            return row_holds(row, g, blocks[:used])
     else:
         def leaf(used: int) -> bool:
             return checker(g, tuple(colors), used)

@@ -3,13 +3,13 @@
 A property is a predicate on (graph, coloring) pairs, closed under color
 permutations and graph automorphisms.  The named properties here are the
 concrete families the counting routes support, and each constructor states
-the facts those routes read: ``hereditary`` (prefix pruning), ``bound``
-(component-size pruning) and ``row``, the two-level class/pair
-instantiation (`PairProperty`) the property equals.  A row whose pair
-predicate is ``all`` feeds its class predicate to the inclusion-exclusion
-route.  ``row_holds`` evaluates a row for ``pair_check`` and the partition
-walk's leaf.  Convex, mcc, du and hfree are stated by their class predicate
-alone; the other checkers are independent code, compared with their rows.
+the facts those routes read: ``row``, the two-level class/pair instantiation
+(`PairProperty`) the property equals, ``hereditary`` and ``bound``.  The
+partition walk tests a placement by the bound or the row, and a leaf by
+``row_holds``, which ``pair_check`` runs too; a row whose pair predicate is
+``all`` feeds its class predicate to the inclusion-exclusion route.  Convex,
+mcc, du and hfree are stated by their class predicate alone; the other
+checkers are independent code, compared with their rows.
 
 Checkers receive the raw color tuple plus the palette size; colors are 1..k.
 Row predicates receive g and a vertex bitmask of it.  The du and hfree
@@ -55,12 +55,11 @@ class ColoringProperty:
     family: str = ""           # tag for eval easy routes, chains, du leaf
     param: object = None       # t for mcc/timp, pattern graph for du/hfree
     known_polynomial: bool = True
-    # a coloring whose prefix fails the checker on the prefix graph (the
-    # first vertices, or the first edges on the whole vertex set) fails on
-    # every extension; the partition engine then cuts such branches
+    # the row's predicates reject every superset of a mask they reject (edge:
+    # the bound decides); the walk cuts a failed placement, tests no leaf
     hereditary: bool = False
-    # no valid coloring has a monochromatic component of more vertices;
-    # the partition engine cuts a branch as soon as a block outgrows it
+    # no valid coloring has a monochromatic component of more elements, edges
+    # adjacent when they share an end; the walk cuts a block that outgrows it
     bound: int | None = None
     # the class/pair instantiation the property equals, if it has one
     row: PairProperty | None = None
@@ -274,8 +273,13 @@ def pair_check(pp: PairProperty, g: Graph, colors, k: int) -> bool:
 
 
 def _inner_edges(g: Graph, mask: int) -> int:
-    # distinct pairs with both ends in the mask
-    return sum((g.adj[v] & mask).bit_count() for v in bits(mask)) // 2
+    # distinct pairs with both ends in the mask, counted without a list
+    adj, ends, rest = g.adj, 0, mask
+    while rest:
+        low = rest & -rest
+        ends += (adj[low.bit_length() - 1] & mask).bit_count()
+        rest ^= low
+    return ends // 2
 
 
 def _pred_all(g: Graph, mask: int) -> bool:
@@ -283,7 +287,7 @@ def _pred_all(g: Graph, mask: int) -> bool:
 
 
 def _pred_edgeless(g: Graph, mask: int) -> bool:
-    return not any(g.adj[v] & mask for v in bits(mask))
+    return not _inner_edges(g, mask)
 
 
 def _pred_connected(g: Graph, mask: int) -> bool:
@@ -306,7 +310,9 @@ def _pred_clique_or_edgeless(g: Graph, mask: int) -> bool:
 
 def _pred_max_degree(t: int) -> GraphPredicate:
     def pred(g: Graph, mask: int) -> bool:
-        # degree counts parallel edges, as Graph.degree does
+        if g.simple:
+            return all((g.adj[v] & mask).bit_count() <= t for v in bits(mask))
+        # a multigraph's degree counts parallel edges, as Graph.degree does
         load = [0] * g.n
         for (u, v), m in zip(g.edges, g.mult):
             if (mask >> u) & (mask >> v) & 1:
@@ -453,7 +459,7 @@ def injective_property() -> ColoringProperty:
 
 def edge_proper_property() -> ColoringProperty:
     return ColoringProperty("edge", "edge", _edge_proper, family="edge",
-                            hereditary=True)
+                            hereditary=True, bound=1)
 
 
 def rainbow_property() -> ColoringProperty:

@@ -131,7 +131,7 @@ def test_eval_answers_easy_points_without_the_polynomial(
     g16.write_text(emit_edge_list(build_graph(
         16, [(v, v + 1) for v in range(15)] + [(0, 8), (3, 12), (5, 15)])))
     # the edgeless 20-vertex graph: every placement passes harmonious's
-    # prefix test there, so the walk would enter about 10^8 nodes before a
+    # row test there, so the walk would enter about 10^8 nodes before a
     # fallback
     e20 = tmp_path / "e20.el"
     e20.write_text(emit_edge_list(edgeless_graph(20)))
@@ -462,8 +462,8 @@ def test_budget_validation(capsys, k3):
 
 
 def test_budget_env_override(capsys, k3, monkeypatch):
-    # a walk with a placement test, the size bound (proper) or the checker
-    # on the prefix (harmonious), charges one step per node it enters and
+    # a walk with a placement test, the size bound (proper) or the row on
+    # the grown block (harmonious), charges one step per node it enters and
     # stops at the first one over the limit; on an edgeless graph every
     # placement passes
     monkeypatch.setenv("CHROMAPOLY_BUDGET", "10000")

@@ -552,11 +552,12 @@ def test_counts_do_not_depend_on_the_vertex_numbering():
 def test_acyclic_walk_charges_the_nodes_it_visits():
     # every pruned walk enters a node only when the placement passed and
     # charges one step per node it enters, so testing only the placed
-    # vertex charges what the checker on each prefix graph charges (family
-    # cleared: the prefix walk).  The graph has even cycles, so two-class
-    # cycles cut branches too; harmonious pins the prefix walk where it
-    # prunes.  Both walks place the vertices in maximum cardinality search
-    # order (1650 and 55 nodes in input order)
+    # vertex charges what the row on the grown block charges (family
+    # cleared: the generic row walk on acyclic's edgeless/forest row).  The
+    # graph has even cycles, so two-class cycles cut branches too;
+    # harmonious pins the row walk where it prunes.  Both walks place the
+    # vertices in maximum cardinality search order (1650 and 55 nodes in
+    # input order)
     g = random_graph(random.Random(2), 9, min_n=9, p=0.4)
     assert _charge_total(lambda: chi_polynomial(g, ACYCLIC)) == (
         _charge_total(lambda: chi_polynomial(g, replace(ACYCLIC,
@@ -569,6 +570,16 @@ def test_acyclic_walk_charges_the_nodes_it_visits():
         assert str(info.value) == (
             f"partition enumeration needs {steps} operations, "
             f"budget is {steps - 1}")
+    # injective's row also sees the vertices not yet placed: it rejects two
+    # vertices of one block with a common neighbour before that neighbour
+    # is placed (47 nodes with the checker on the prefix graph)
+    inj = injective_property()
+    with budget(45):
+        assert pruned_count_at(g, inj, 7) == 136080
+    with budget(44), pytest.raises(BudgetExceededError) as info:
+        pruned_count_at(g, inj, 7)
+    assert str(info.value) == (
+        "pruned enumeration needs 45 operations, budget is 44")
 
 
 def _charge_total(run):

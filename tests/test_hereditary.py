@@ -1,17 +1,21 @@
 """Soundness of the ``hereditary`` flag that lets the partition engine cut a
-branch as soon as a colored prefix fails: for every flagged family, a
-coloring whose prefix fails the checker on the prefix graph fails on the
-whole graph.  The prefix graph of the first pos domain elements is
-G[0..pos) for vertex colorings and the first pos edges, on the whole vertex
-set, for edge colorings."""
+branch as soon as a placement fails: for every flagged family, a coloring
+whose prefix fails the checker on the prefix graph fails on the whole
+graph, and the walk's placement tests (the row on the grown block, the
+size bound, acyclic's placed-vertex test) decide what that checker
+decides.  The prefix graph of the first pos domain elements is G[0..pos)
+for vertex colorings and the first pos edges, on the whole vertex set, for
+edge colorings."""
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from chromapoly.counting import _acyclic_placed  # noqa: E402
-from chromapoly.graphs import build_graph, induced_subgraph  # noqa: E402
+from chromapoly.counting import _acyclic_placed, _row_placed  # noqa: E402
+from chromapoly.graphs import (  # noqa: E402
+    _reach, build_graph, induced_subgraph, line_graph,
+)
 from chromapoly.properties import parse_property  # noqa: E402
 
 # fixed examples, no example database: the suite stays deterministic
@@ -117,3 +121,52 @@ def test_acyclic_placed_vertex_test_decides_the_prefix(case):
         if not ok:
             break
         blocks[c - 1] |= 1 << v
+
+
+@pytest.mark.parametrize("token", ("trivial", "harmonious", "timp:t=0",
+                                   "timp:t=1", "cocolor", "hfree:H=P3",
+                                   "injective"))
+@SOUNDNESS
+@given(data=st.data())
+def test_row_placed_vertex_test_decides_the_prefix(token, data):
+    # the partition engine tests a placement by the row on the grown block;
+    # while every shorter prefix passes, that must equal the checker on the
+    # prefix graph.  Injective's class predicate also sees the vertices not
+    # yet placed, so its row may reject sooner, but only a coloring that
+    # fails on the whole graph
+    prop = parse_property(token)
+    g, colors, k = data.draw(colored_graphs(prop))
+    blocks = [0] * k
+    for v, c in enumerate(colors):
+        ok = _row_placed(g, prop.row, blocks, v, c - 1, k)
+        on_prefix = prop.checker(prefix_graph(g, "vertex", v + 1),
+                                 colors[:v + 1], k)
+        if token == "injective":
+            assert on_prefix or not ok, (g, colors, v)
+            assert ok or not prop.checker(g, colors, k), (g, colors, v)
+        else:
+            assert ok == on_prefix, (g, colors, v)
+        if not ok:
+            break
+        blocks[c - 1] |= 1 << v
+
+
+@SOUNDNESS
+@given(data=st.data())
+def test_edge_bound_decides_the_edge_prefix(data):
+    # edge-proper's walk tests a placement by its bound: the placed edge's
+    # component in its block, edges adjacent when they share an end, has at
+    # most one edge.  While every shorter prefix passes, that must equal the
+    # checker on the first pos + 1 edges
+    prop = parse_property("edge")
+    g, colors, k = data.draw(colored_graphs(prop))
+    adj = line_graph(g).adj     # vertex e of the line graph is edge e
+    blocks = [0] * k
+    for e, c in enumerate(colors):
+        grown = blocks[c - 1] | 1 << e
+        ok = _reach(adj, grown, 1 << e).bit_count() <= prop.bound
+        assert ok == prop.checker(prefix_graph(g, "edge", e + 1),
+                                  colors[:e + 1], k), (g, colors, e)
+        if not ok:
+            break
+        blocks[c - 1] = grown

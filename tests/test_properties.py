@@ -343,7 +343,8 @@ def test_every_documented_token_parses():
 
 
 def test_every_token_states_its_counting_facts():
-    bounds = {"proper": 1, "mcc:t=2": 2, "du:H=K3": 3}
+    # edge-proper's bound counts edges, adjacent when they share an end
+    bounds = {"proper": 1, "mcc:t=2": 2, "du:H=K3": 3, "edge": 1}
     rowless = {"edge", "rainbow", "surjective-proper", "degree-determined"}
     for token in CLI_TOKENS:
         prop = parse_property(token)
