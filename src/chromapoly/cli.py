@@ -6,8 +6,8 @@ in full: ``main`` lifts the interpreter's int/str digit limit while a
 command runs and restores the caller's limit on return.  Inputs keep the
 default limit of 4300 digits, so a longer ``--point`` or integer in a graph
 or CNF file is an input error.  Output is deterministic given the inputs
-and seed.  ``--workers`` is accepted and validated, but every command runs
-single-threaded.
+and seed.  ``--workers`` is deprecated: accepted (at least 1) and ignored,
+as every command runs single-threaded; it stays for existing command lines.
 
 Exit codes: 0 success, 2 input error, 3 budget exceeded, 4 identity or
 certification failure.
@@ -301,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--budget", type=int,
                         help=f"enumeration budget (or env {BUDGET_ENV})")
     common.add_argument("--workers", type=int,
-                        help="accepted and validated; runs single-threaded")
+                        help="deprecated: accepted (at least 1) and "
+                             "ignored; every command runs single-threaded")
     common.add_argument("--seed", type=int)
     common.add_argument("--format", choices=("json", "text"))
     common.add_argument("--json", action="store_const", const="json",

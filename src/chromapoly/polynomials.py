@@ -2,67 +2,42 @@
 
 Polynomials live in one of two coefficient bases:
 
-* ``monomial`` -- ``coeffs[i]`` is the coefficient of ``X**i``;
-* ``binomial`` -- ``coeffs[i]`` is the coefficient of ``C(X, i)``.
+* ``monomial`` -- coefficient i belongs to ``X**i``;
+* ``binomial`` -- coefficient i belongs to ``C(X, i)``.
 
 The binomial basis is the native storage for counting polynomials: a counter
 that yields the number of colorings using exactly ``i`` colors produces those
-coefficients directly.  All arithmetic is exact and floats are rejected on
-input.  ``coeffs`` is a tuple of reduced ``fractions.Fraction``s, but the
-kernels (basis changes, products, and the Taylor shift and evaluation at an
-integer) scale their input once by the lcm of its denominators, work on the
-integer numerators, and divide back once at the end, so they make no
-Fraction and run no gcd per term.  The monomial expansion of C(X, i) is the
-signed Stirling row s(i, .) / i!; rows are cached as they are first needed.
+coefficients directly, as integers.  A ``Poly`` stores its coefficients as
+integer numerators ``nums`` over one positive denominator ``den``, coprime
+to them, with no trailing zero numerator; the zero polynomial has no
+numerators and ``den == 1``.  Every kernel (basis changes, sums, products,
+the Taylor shift and evaluation) reads and writes that form and makes no
+Fraction per term, save Horner's rule at a non-integer point; ``coeffs``
+derives the reduced Fractions.
+All arithmetic is exact and floats are rejected on input.  The monomial
+expansion of C(X, i) is the signed Stirling row s(i, .) / i!; rows are
+cached as they are first needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 from typing import Iterable, Sequence
 
 MONOMIAL = "monomial"
 BINOMIAL = "binomial"
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _rational(x, text: bool = True):
+    """x as an int or a Fraction; a decimal string is read unless ``text``
+    is false, and anything else, floats included, is refused."""
+    if isinstance(x, (int, Fraction)):
         return x
-    if isinstance(x, int) or isinstance(x, str):
+    if text and isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"exact rational required, got {type(x).__name__}: {x!r}")
-
-
-def _normalize(coeffs: Iterable) -> tuple[Fraction, ...]:
-    cs = [_frac(c) for c in coeffs]
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
-
-
-def _mono_add(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return out
-
-
-def _scaled(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The integer numerators of the coefficients over their least common
-    denominator, and that denominator."""
-    den = lcm(*[c.denominator for c in coeffs])
-    if den == 1:
-        return [c.numerator for c in coeffs], 1
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
-def _unscaled(nums: list[int], den: int) -> list:
-    """nums / den, for a ``Poly`` to normalize into reduced Fractions."""
-    return nums if den == 1 else [Fraction(n, den) for n in nums]
 
 
 def _horner(coeffs: Sequence, x):
@@ -71,19 +46,6 @@ def _horner(coeffs: Sequence, x):
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
-
-
-def _mono_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list:
-    if not a or not b:
-        return []
-    na, da = _scaled(a)
-    nb, db = _scaled(b)
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(na):
-        if ca:
-            for j, cb in enumerate(nb):
-                out[i + j] += ca * cb
-    return _unscaled(out, da * db)
 
 
 # row n is s(n, 0..n), the signed Stirling numbers of the first kind: the
@@ -103,84 +65,79 @@ def _stirling1_row(n: int) -> tuple[int, ...]:
     return rows[n]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Poly:
-    """Immutable exact polynomial; ``coeffs`` has no trailing zeros.
+    """Immutable exact polynomial: ``nums[i] / den`` is coefficient i.
 
-    The zero polynomial has an empty coefficient tuple and degree -1.
+    ``Poly(basis, coeffs)`` takes ints, Fractions and decimal strings.  The
+    zero polynomial has no numerators and degree -1.
     """
 
     basis: str
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
 
-    def __post_init__(self):
-        if self.basis not in (MONOMIAL, BINOMIAL):
-            raise ValueError(f"unknown basis: {self.basis!r}")
-        object.__setattr__(self, "coeffs", _normalize(self.coeffs))
+    def __init__(self, basis: str, coeffs: Iterable = ()):
+        if basis not in (MONOMIAL, BINOMIAL):
+            raise ValueError(f"unknown basis: {basis!r}")
+        cs = [_rational(c) for c in coeffs]
+        den = lcm(*[c.denominator for c in cs])
+        nums = [c.numerator * (den // c.denominator) for c in cs]
+        _poly(basis, nums, den, self)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as reduced Fractions."""
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def eval(self, x) -> Fraction:
-        x = _frac(x)
+        x = _rational(x)
         if x.denominator == 1:
             x = x.numerator
-            nums, den = _scaled(self.coeffs)
-            if self.basis == MONOMIAL:
-                return Fraction(_horner(nums, x), den)
-            # C(x, i) = C(x, i-1) (x-i+1) / i, an exact division for every
-            # integer x; past a nonnegative x it stays 0
-            acc, term = 0, 1
-            for i, c in enumerate(nums):
-                if i:
-                    term = term * (x - i + 1) // i
-                    if not term:
-                        break
-                acc += c * term
-            return Fraction(acc, den)
-        if self.basis == MONOMIAL:
-            return Fraction(_horner(self.coeffs, x))
-        # generalized binomial: C(x, i) = x(x-1)...(x-i+1)/i!
-        acc = Fraction(0)
-        term = Fraction(1)
-        for i, c in enumerate(self.coeffs):
-            if i:
-                term = term * (x - (i - 1)) / i
-            if c:
-                acc += c * term
-        return acc
+            if self.basis == BINOMIAL:
+                # C(x, i) = C(x, i-1) (x-i+1) / i, an exact division for
+                # every integer x; past a nonnegative x it stays 0
+                acc, term = 0, 1
+                for i, c in enumerate(self.nums):
+                    if i:
+                        term = term * (x - i + 1) // i
+                        if not term:
+                            break
+                    acc += c * term
+                return Fraction(acc, self.den)
+        mono = self.to_monomial()
+        return Fraction(_horner(mono.nums, x), mono.den)
 
     def to_monomial(self) -> "Poly":
         if self.basis == MONOMIAL:
             return self
-        if not self.coeffs:
-            return Poly(MONOMIAL, ())
         # sum_i c_i C(X, i) = sum_i c_i (d!/i!) sum_j s(i, j) X^j / d!
-        nums, den = _scaled(self.coeffs)
-        d = len(nums) - 1
+        d = self.degree
         out = [0] * (d + 1)
         scale = 1       # d!/i!
         for i in range(d, -1, -1):
-            if nums[i]:
-                c = nums[i] * scale
+            if self.nums[i]:
+                c = self.nums[i] * scale
                 for j, s in enumerate(_stirling1_row(i)):
                     out[j] += c * s
             scale *= i
-        return Poly(MONOMIAL, tuple(_unscaled(out, den * factorial(d))))
+        return _poly(MONOMIAL, out, self.den * factorial(max(d, 0)))
 
     def to_binomial(self) -> "Poly":
         if self.basis == BINOMIAL:
             return self
         # the coefficient of C(X, i) is the forward difference D^i p(0):
         # after pass i of the table over p(0..d), v[j] holds D^i p(j - i)
-        nums, den = _scaled(self.coeffs)
-        d = len(nums) - 1
-        v = [_horner(nums, x) for x in range(d + 1)]
+        d = self.degree
+        v = [_horner(self.nums, x) for x in range(d + 1)]
         for i in range(1, d + 1):
             for j in range(d, i - 1, -1):
                 v[j] -= v[j - 1]
-        return Poly(BINOMIAL, tuple(_unscaled(v, den)))
+        return _poly(BINOMIAL, v, self.den)
 
     def in_basis(self, basis: str) -> "Poly":
         return self.to_monomial() if basis == MONOMIAL else self.to_binomial()
@@ -188,28 +145,41 @@ class Poly:
     def equals(self, other: "Poly") -> bool:
         """Mathematical equality, basis-agnostic."""
         if self.basis == other.basis:
-            return self.coeffs == other.coeffs
-        return self.to_monomial().coeffs == other.to_monomial().coeffs
+            return self == other
+        return self.to_monomial() == other.to_monomial()
 
-    def __add__(self, other: "Poly") -> "Poly":
-        if isinstance(other, int):
-            other = constant(other)
-        if self.basis == other.basis:
-            return Poly(self.basis, tuple(_mono_add(self.coeffs, other.coeffs)))
-        return Poly(MONOMIAL, tuple(_mono_add(self.to_monomial().coeffs,
-                                               other.to_monomial().coeffs)))
+    def __add__(self, other) -> "Poly":
+        if not isinstance(other, Poly):
+            other = constant(_rational(other, text=False))
+        a, b = self, other
+        if a.basis != b.basis:
+            a, b = a.to_monomial(), b.to_monomial()
+        if len(a.nums) < len(b.nums):
+            a, b = b, a
+        den = lcm(a.den, b.den)
+        out = [n * (den // a.den) for n in a.nums]
+        for i, n in enumerate(b.nums):
+            out[i] += n * (den // b.den)
+        return _poly(a.basis, out, den)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.basis, tuple(-c for c in self.coeffs))
+        return _poly(self.basis, [-n for n in self.nums], self.den)
 
-    def __sub__(self, other: "Poly") -> "Poly":
+    def __sub__(self, other) -> "Poly":
         return self + (-other)
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            return Poly(self.basis, tuple(c * other for c in self.coeffs))
-        return Poly(MONOMIAL, tuple(_mono_mul(self.to_monomial().coeffs,
-                                              other.to_monomial().coeffs)))
+        if not isinstance(other, Poly):
+            c = _rational(other, text=False)
+            return _poly(self.basis, [n * c.numerator for n in self.nums],
+                         self.den * c.denominator)
+        a, b = self.to_monomial(), other.to_monomial()
+        out = [0] * (len(a.nums) + len(b.nums) - 1)    # [] if either is 0
+        for i, ca in enumerate(a.nums):
+            if ca:
+                for j, cb in enumerate(b.nums):
+                    out[i + j] += ca * cb
+        return _poly(MONOMIAL, out, a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -223,31 +193,49 @@ class Poly:
 
     def shifted(self, c) -> "Poly":
         """The polynomial X -> p(X + c)."""
-        c = _frac(c)
-        mono = self.to_monomial().coeffs
-        if c.denominator == 1:
-            a, den = _scaled(mono)
-            c = c.numerator
-        else:
-            a, den = list(mono), 1
-        # Horner's scheme in place, O(d^2) steps, on integers when c is one
-        # (von zur Gathen and Gerhard, ISSAC 1997)
-        for i in range(len(a) - 1):
-            for j in range(len(a) - 2, i - 1, -1):
-                a[j] += c * a[j + 1]
-        return Poly(MONOMIAL, tuple(_unscaled(a, den)))
+        c = _rational(c)
+        u, w = c.numerator, c.denominator
+        mono = self.to_monomial()
+        d = mono.degree
+        # p(X + u/w) = q(wX + u) / w^d with q(Y) = w^d p(Y / w) integral:
+        # scale coefficient i by w^(d-i), shift by u with Horner's scheme in
+        # place, O(d^2) steps (von zur Gathen and Gerhard, ISSAC 1997), and
+        # scale coefficient i back by w^i
+        a = [n * w ** (d - i) for i, n in enumerate(mono.nums)]
+        for i in range(d):
+            for j in range(d - 1, i - 1, -1):
+                a[j] += u * a[j + 1]
+        return _poly(MONOMIAL, [n * w ** i for i, n in enumerate(a)],
+                     mono.den * w ** max(d, 0))
 
     def to_json_dict(self) -> dict:
         return {"basis": self.basis, "coeffs": [str(c) for c in self.coeffs]}
 
 
+def _poly(basis: str, nums: list[int], den: int, p: Poly | None = None
+          ) -> Poly:
+    """p, a new ``Poly`` unless given, set to nums / den in ``basis``: the
+    one place the stored form is made canonical.  It drops trailing zero
+    numerators and divides out their common factor with den, which every
+    caller passes positive, so den ends coprime to them, and 1 for zero."""
+    while nums and not nums[-1]:
+        nums.pop()
+    g = gcd(den, *nums) if nums else den
+    if g != 1:
+        nums, den = [n // g for n in nums], den // g
+    if p is None:
+        p = object.__new__(Poly)
+    vars(p).update(basis=basis, nums=tuple(nums), den=den)   # p is frozen
+    return p
+
+
 # ``Poly`` converts the coefficients itself, and rejects floats
 def from_monomial(coeffs: Iterable) -> Poly:
-    return Poly(MONOMIAL, tuple(coeffs))
+    return Poly(MONOMIAL, coeffs)
 
 
 def from_binomial(coeffs: Iterable) -> Poly:
-    return Poly(BINOMIAL, tuple(coeffs))
+    return Poly(BINOMIAL, coeffs)
 
 
 def constant(c) -> Poly:
@@ -255,7 +243,7 @@ def constant(c) -> Poly:
 
 
 def x_poly() -> Poly:
-    return Poly(MONOMIAL, (Fraction(0), Fraction(1)))
+    return Poly(MONOMIAL, (0, 1))
 
 
 def falling_factorial(n: int) -> Poly:
@@ -269,7 +257,7 @@ def binomial(x, k: int) -> Fraction:
     """C(x, k) for exact rational x via the falling-factorial formula."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    x = _frac(x)
+    x = _rational(x)
     num = Fraction(1)
     for i in range(k):
         num *= x - i
@@ -295,8 +283,9 @@ def lagrange_interpolate(points: Sequence[tuple]) -> Poly:
     """
     if not points:
         raise ValueError("at least one point required")
-    xs = [_frac(x) for x, _ in points]
-    ys = [_frac(y) for _, y in points]
+    xs = [_rational(x) for x, _ in points]
+    # Fractions, so that the divided differences stay exact
+    ys = [Fraction(_rational(y)) for _, y in points]
     if len(set(xs)) != len(xs):
         raise ValueError("duplicate x-values")
     n = len(points)
@@ -305,14 +294,13 @@ def lagrange_interpolate(points: Sequence[tuple]) -> Poly:
         for i in range(n - 1, j - 1, -1):
             coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
     # expand the Newton form sum_i coef[i] * prod_{j<i} (X - x_j)
-    out: list[Fraction] = []
-    base = [Fraction(1)]
+    out, base = Poly(MONOMIAL), constant(1)
     for i in range(n):
         if coef[i]:
-            out = _mono_add(out, [coef[i] * b for b in base])
+            out = out + base * coef[i]
         if i < n - 1:
-            base = _mono_mul(base, [-xs[i], Fraction(1)])
-    return Poly(MONOMIAL, tuple(out))
+            base = base * from_monomial((-xs[i], 1))
+    return out
 
 
 def stirling2_row(n: int, k: int) -> list[int]:

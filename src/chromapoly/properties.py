@@ -27,7 +27,7 @@ from itertools import combinations, combinations_with_replacement
 from typing import Callable
 
 from .graphs import (
-    Graph, _reach, bits, has_induced_copy, is_connected, mask_components,
+    Graph, _reach, has_induced_copy, is_connected, mask_components,
     mask_connected, mask_isomorphic, standard_graph,
 )
 
@@ -311,7 +311,13 @@ def _pred_clique_or_edgeless(g: Graph, mask: int) -> bool:
 def _pred_max_degree(t: int) -> GraphPredicate:
     def pred(g: Graph, mask: int) -> bool:
         if g.simple:
-            return all((g.adj[v] & mask).bit_count() <= t for v in bits(mask))
+            rest = mask
+            while rest:
+                low = rest & -rest
+                if (g.adj[low.bit_length() - 1] & mask).bit_count() > t:
+                    return False
+                rest ^= low
+            return True
         # a multigraph's degree counts parallel edges, as Graph.degree does
         load = [0] * g.n
         for (u, v), m in zip(g.edges, g.mult):

@@ -179,6 +179,22 @@ def test_floats_rejected():
         x_poly().eval(0.5)
 
 
+def test_scalar_operands_are_exact_rationals():
+    p = from_monomial([1, 2])
+    half = Fraction(1, 2)
+    assert (p + half).equals(from_monomial([Fraction(3, 2), 2]))
+    assert (p + 1).equals(from_monomial([2, 2]))
+    assert (p - half).equals(from_monomial([half, 2]))
+    assert (p * half).equals(half * p) and (p * half).equals(x_poly() + half)
+    assert (from_binomial([1, 2]) * half).basis == BINOMIAL
+    for bad in (0.5, "1/2", None):
+        for op in (lambda: p + bad, lambda: p * bad, lambda: bad * p):
+            with pytest.raises(TypeError, match="exact rational required"):
+                op()
+    with pytest.raises(TypeError, match="exact rational required"):
+        p - 0.5
+
+
 def test_json_round_trip():
     p = from_binomial([0, Fraction(3, 2), 2])
     d = p.to_json_dict()
