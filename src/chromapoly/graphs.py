@@ -355,10 +355,6 @@ class CocircuitSummary:
     by_size: dict[int, int]
 
 
-def _crossing_size(g: Graph, x: int) -> int:
-    return sum(1 for u, v in g.edges if ((x >> u) ^ (x >> v)) & 1)
-
-
 def enumerate_cocircuits(g: Graph) -> CocircuitSummary:
     """``cocircuit_counts`` as a record."""
     return CocircuitSummary(*cocircuit_counts(g))
@@ -435,15 +431,32 @@ def cocircuit_counts(g: Graph) -> tuple[int, dict[int, int]]:
 def count_cuts_by_size(g: Graph) -> dict[int, int]:
     """Number of vertex bipartitions (unordered, nonempty shores) per
     crossing size.  The 2^(n-1) - 1 bipartitions, as the shores holding
-    vertex 0, are charged against the budget before any is counted."""
+    vertex 0, are charged against the budget before any is counted.
+
+    The shores S are walked in binary-reflected Gray-code order (Knuth,
+    TAOCP 4A, 7.2.1.1): step i flips the one vertex v = (i & -i).bit_length(),
+    and the crossing size moves by deg v - 2 |N(v) & S| (S without v), up
+    if v joins S and down if it leaves.  So each shore costs O(1) mask work,
+    not a pass over every edge.  The walk also reaches S = V, which is no
+    bipartition and is taken off size 0."""
     check_budget(2 ** max(g.n - 1, 0), "cut enumeration")
     if not g.simple:
         raise ValueError("cut counting is defined on simple graphs")
-    out: dict[int, int] = {}
-    for x in range(1, (1 << g.n) - 1, 2):
-        size = _crossing_size(g, x)
-        out[size] = out.get(size, 0) + 1
-    return dict(sorted(out.items()))
+    if g.n <= 1:
+        return {}
+    adj = g.adj
+    deg = [a.bit_count() for a in adj]
+    sizes = [0] * (g.edge_count + 1)
+    x, size = 1, deg[0]
+    sizes[size] = 1
+    for i in range(1, 1 << (g.n - 1)):
+        v = (i & -i).bit_length()
+        d = deg[v] - 2 * (adj[v] & x).bit_count()
+        x ^= 1 << v
+        size += d if (x >> v) & 1 else -d
+        sizes[size] += 1
+    sizes[0] -= 1
+    return {s: c for s, c in enumerate(sizes) if c}
 
 
 # ---------------------------------------------------------------------------

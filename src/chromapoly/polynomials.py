@@ -165,8 +165,15 @@ class Poly:
     def __neg__(self) -> "Poly":
         return _poly(self.basis, [-n for n in self.nums], self.den)
 
+    __radd__ = __add__
+
     def __sub__(self, other) -> "Poly":
-        return self + (-other)
+        if isinstance(other, Poly):
+            return self + (-other)
+        return self + -_rational(other, text=False)
+
+    def __rsub__(self, other) -> "Poly":
+        return -self + other
 
     def __mul__(self, other) -> "Poly":
         if not isinstance(other, Poly):

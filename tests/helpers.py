@@ -119,6 +119,15 @@ def shore_pairs(n: int) -> list[tuple[int, int]]:
     return [(x, full & ~x) for x in range(1, full, 2)]
 
 
+def shore_cut_oracle(g: Graph) -> dict[int, int]:
+    """Bipartitions per crossing size, by counting the crossing edges of
+    each shore holding vertex 0 afresh."""
+    by_size: Counter[int] = Counter()
+    for x in range(1, (1 << g.n) - 1, 2):
+        by_size[sum(1 for u, v in g.edges if ((x >> u) ^ (x >> v)) & 1)] += 1
+    return dict(sorted(by_size.items()))
+
+
 def shore_cocircuit_oracle(g: Graph) -> tuple[int, dict[int, int]]:
     """Cocircuit total and per-size counts by testing both shores of every
     bipartition for connectivity: a cut is a cocircuit iff both induced

@@ -162,6 +162,8 @@ def test_monotone_certification_multiplier_is_three():
         CnfInstance(3, ((1, 2), (2, 3)), "monotone2sat"),
         CnfInstance(4, ((1, 2), (3, 4)), "monotone2sat"),
         CnfInstance(2, ((1, 2), (1, 2)), "monotone2sat"),
+        # 22 vertices: 4 models, 108 = 4 * 3^3 cuts at size 24
+        CnfInstance(3, ((1, 2), (1, 3), (2, 3)), "monotone2sat"),
     ]
     multipliers = set()
     for cnf in instances:

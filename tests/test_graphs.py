@@ -17,7 +17,7 @@ from chromapoly.graphs import (
 )
 from helpers import (
     all_graphs_up_to, automorphisms, random_connected_graph, random_graph,
-    relabel, shore_cocircuit_oracle, shore_pairs,
+    relabel, shore_cocircuit_oracle, shore_cut_oracle, shore_pairs,
 )
 
 
@@ -336,6 +336,28 @@ def test_count_cuts_by_size():
     # triangle: three 1|2 splits, each crossing two edges
     assert count_cuts_by_size(complete_graph(3)) == {2: 3}
     assert sum(count_cuts_by_size(path_graph(4)).values()) == 7
+
+
+def test_count_cuts_by_size_matches_the_shore_oracle_and_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(37)
+    graphs = ([edgeless_graph(n) for n in range(4)] + [complete_graph(2)]
+              + [disjoint_union(complete_graph(4), cycle_graph(5)),
+                 disjoint_union(path_graph(3), edgeless_graph(2)),
+                 complete_graph(11)]
+              + [random_graph(rng, 11, p=rng.choice((0.0, 0.2, 0.4, 0.7)))
+                 for _ in range(200)])
+    assert {0, 1, 2} <= {g.n for g in graphs}
+    # disconnected graphs, edgeless ones among them, have cuts of size 0
+    assert sum(1 for g in graphs if g.n >= 2 and not is_connected(g)) >= 50
+    for g in graphs:
+        got = count_cuts_by_size(g)
+        assert got == shore_cut_oracle(g), g.edges
+        full = _nx_graph(nx, g)
+        by_size = Counter(
+            nx.cut_size(full, {v for v in range(g.n) if (x >> v) & 1})
+            for x, _ in shore_pairs(g.n))
+        assert got == dict(sorted(by_size.items())), g.edges
 
 
 def test_isomorphism():

@@ -195,6 +195,22 @@ def test_scalar_operands_are_exact_rationals():
         p - 0.5
 
 
+def test_scalar_operands_on_either_side_of_plus_and_minus():
+    p = from_monomial([1, 2])
+    half = Fraction(1, 2)
+    assert (1 + p).equals(p + 1) and (half + p).equals(p + half)
+    assert (1 - p).equals(from_monomial([0, -2]))
+    assert (half - p).equals(from_monomial([-half, -2]))
+    assert (p - p).equals(from_monomial([]))
+    b = from_binomial([1, 2])
+    assert (1 + b).equals(b + 1) and (1 - b).equals(-(b - 1))
+    # the scalar is checked before it is negated, on either side
+    for bad in (0.5, "1/2", None, x_poly):
+        for op in (lambda: p - bad, lambda: bad + p, lambda: bad - p):
+            with pytest.raises(TypeError, match="exact rational required"):
+                op()
+
+
 def test_json_round_trip():
     p = from_binomial([0, Fraction(3, 2), 2])
     d = p.to_json_dict()
