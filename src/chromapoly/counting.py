@@ -7,12 +7,21 @@ The exact routes everything else is checked against:
   domain into exactly i blocks whose canonical coloring satisfies the
   property, for every i in one pass.  Valid whenever the property passes the
   polynomiality audit; ``pruned_count_at`` reads it, and so do
-  ``chi_polynomial`` and ``exact_color_count`` wherever the next route does
-  not apply.  It is one walk over the partitions that tests each placement
-  once, before it recurses, by a fact the property states: its size
-  ``bound`` (proper, mcc, du, edge), acyclic's placed-vertex test or its row
-  on the grown block (the other hereditary properties).  The leaf tests the
-  non-hereditary ones by their row or, with none (rainbow), their checker.
+  ``chi_polynomial`` and ``exact_color_count`` wherever the next two routes
+  do not apply.  It is one walk over the partitions that tests each
+  placement once, before it recurses, by a fact the property states: its
+  size ``bound`` (proper, mcc, du, edge), acyclic's placed-vertex test or
+  its row on the grown block (the other hereditary properties).  The leaf
+  tests the non-hereditary ones by their row or, with none (rainbow), their
+  checker.
+* the frontier route -- the same partition counts for a property with a
+  size ``bound`` (proper, mcc, du, edge), by a transfer-matrix dynamic
+  program that places the domain elements in a min-frontier order and keeps
+  only the blocks and components that still have an unplaced neighbour.
+  Its cost follows the width of that frontier, not Bell(D); ``_exact_counts``
+  picks it for every such row, and hands the walk any graph whose states
+  after one element outgrow _FRONTIER_MAX_STATES.  It is charged one step
+  per transition as it goes.
 * inclusion-exclusion -- the other way to the same counts, for the
   class-local vertex properties the engine cannot prune by size (a ``row``
   whose pair predicate is ``all`` and no ``bound``: convex, timp, cocolor,
@@ -22,13 +31,14 @@ The exact routes everything else is checked against:
   charged 2^n*(n+1) steps, one per subset and palette size, before its
   first predicate call.
 
-The last two check each other: ``other_route_count_at`` counts at one
+The routes check each other: ``other_route_count_at`` counts at one
 palette by the engine where inclusion-exclusion built the polynomial, and by
-inclusion-exclusion where the engine built it for a class-local row with a
-``bound`` (proper, mcc, du).  Harmonious is checked by its per-k algorithm
-below; every other property (acyclic among them) only by the oracle.  The
-second route runs only where the oracle at that palette would fit the
-budget, so it never reaches further than the oracle does.
+inclusion-exclusion where the frontier route (or the walk it handed over
+to) built it for a class-local row with a ``bound`` (proper, mcc, du).
+Harmonious is checked by its per-k algorithm below; every other property
+(acyclic and edge among them) only by the oracle.  The second route runs
+only where the oracle at that palette would fit the budget, so it never
+reaches further than the oracle does.
 
 Fast special cases (the harmonious per-k algorithm, the convex/cocircuit
 count, proper at k <= 2) and the interpolation chains that recover a
@@ -47,8 +57,8 @@ from .errors import (
 )
 from .graphs import (
     Graph, _reach, bits, box_join, build_graph, cocircuit_counts,
-    complete_graph, connected_components, disjoint_union, join, line_graph,
-    mcs_ordered, star_graph, strip_isolated,
+    complete_graph, connected_components, disjoint_union, frontier_order,
+    join, line_graph, mcs_ordered, star_graph, strip_isolated,
 )
 from .polynomials import (
     Poly, from_binomial, lagrange_interpolate, stirling2_row,
@@ -91,6 +101,35 @@ def _acyclic_placed(adj, blocks: list[int], v: int, b: int) -> bool:
     return True
 
 
+def _edge_adjacency(g: Graph) -> list[int]:
+    """Per edge of g, the mask of the edges that share an end with it."""
+    inc = [0] * g.n     # per vertex, the mask of its edges
+    for e, (u, v) in enumerate(g.edges):
+        inc[u] |= 1 << e
+        inc[v] |= 1 << e
+    return [inc[u] ^ inc[v] for u, v in g.edges]     # e itself cancels
+
+
+def _within_bound(adj, block: int, v: int, bound: int) -> bool:
+    """Does element v's component in the block mask, v joined, keep at most
+    ``bound`` elements?  It is grown a layer at a time until complete or
+    past the bound; inline, because a ``_reach`` call per placement made
+    mcc half again as slow."""
+    frontier = adj[v] & block
+    seen = frontier | 1 << v
+    while frontier:
+        if seen.bit_count() > bound:
+            return False
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & block & ~seen
+        seen |= frontier
+    return True
+
+
 def _row_placed(g: Graph, row, blocks, v: int, b: int, used: int) -> bool:
     """Does the row hold once vertex v joins block b: the class predicate on
     the grown block, the pair predicate on its union with each open one?"""
@@ -106,6 +145,10 @@ def _partition_counts(g: Graph, prop: ColoringProperty, lo: int, hi: int,
     blocks whose canonical block coloring satisfies the property, counted in
     one pass over restricted-growth strings (Knuth, TAOCP 4A 7.2.1.5).
     Entries below ``lo`` are 0: branches that cannot reach lo blocks are cut.
+    ``pruned_count_at`` counts by it, and ``_exact_counts`` wherever neither
+    the frontier route nor inclusion-exclusion does: the hereditary rows
+    without a bound, acyclic, harmonious and rainbow among them, and the
+    bound rows whose frontier outgrows _FRONTIER_MAX_STATES.
 
     One walk tests each placement of element pos in block b once, before
     it places it and recurses; the test is chosen here:
@@ -134,33 +177,14 @@ def _partition_counts(g: Graph, prop: ColoringProperty, lo: int, hi: int,
         return counts
     if prop.domain == "vertex" and (prop.hereditary or prop.bound is not None):
         g = mcs_ordered(g)
-    checker, bound, adj, row = prop.checker, prop.bound, g.adj, prop.row
-    if prop.domain == "edge" and bound is not None:
-        inc = [sum(1 << e for e, ends in enumerate(g.edges) if v in ends)
-               for v in range(g.n)]     # per vertex, the mask of its edges
-        adj = [inc[u] ^ inc[v] for u, v in g.edges]     # e itself cancels
+    checker, bound, row = prop.checker, prop.bound, prop.row
+    adj = g.adj if prop.domain == "vertex" else _edge_adjacency(g)
     colors = [0] * d
     blocks = [0] * min(d, hi)       # per block, its element mask
     fits = None
     if bound is not None:
         def fits(pos: int, b: int, used: int) -> bool:
-            # the component pos would have in block b, grown a layer at a
-            # time until complete or past the bound; inline, because a
-            # ``_reach`` call per placement made mcc half again as slow
-            blk = blocks[b]
-            frontier = adj[pos] & blk
-            seen = frontier | 1 << pos
-            while frontier:
-                if seen.bit_count() > bound:
-                    return False
-                reach = 0
-                while frontier:
-                    low = frontier & -frontier
-                    reach |= adj[low.bit_length() - 1]
-                    frontier ^= low
-                frontier = reach & blk & ~seen
-                seen |= frontier
-            return True
+            return _within_bound(adj, blocks[b], pos, bound)
     elif prop.family == "acyclic":
         def fits(pos: int, b: int, used: int) -> bool:
             return _acyclic_placed(adj, blocks, pos, b)
@@ -216,6 +240,132 @@ def _partition_counts(g: Graph, prop: ColoringProperty, lo: int, hi: int,
     except RecursionError:
         raise ValueError(f"{what} over {d} domain elements "
                          "exceeds the recursion limit") from None
+    return counts
+
+
+# the most states the frontier route keeps after one element: past it the
+# walk counts instead, so that a wide frontier cannot exhaust memory
+_FRONTIER_MAX_STATES = 2 ** 16
+
+
+def _frontier_counts(g: Graph, prop: ColoringProperty, lo: int, hi: int,
+                     what: str = "frontier enumeration") -> list[int] | None:
+    """``_partition_counts`` for a property with a size ``bound``, by a
+    frontier (transfer-matrix) dynamic program over the domain elements
+    (Biggs, Damerell and Sands, J. Combin. Theory B 12, 1972; Salas and
+    Sokal, J. Stat. Phys. 104, 2001); None where the states after one
+    element would number more than _FRONTIER_MAX_STATES.
+
+    Elements are placed in ``frontier_order``, edges adjacent when they
+    share an end.  A placed element is live while it has an unplaced
+    neighbour.  A state is, per open block, the mask of its components that
+    still hold a live element (its components are the connected parts of
+    that mask), and the number of blocks with no live element, the closed
+    ones; it counts the partial partitions that reach it, kept as one list
+    per open-block tuple, indexed by the closed count.  An element joins an
+    open block, merging the components it touches, unless that outgrows the
+    bound; or one of the closed blocks, which are all alike to it; or a new
+    block, while fewer than hi are used.  Joins are cut, as in the walk,
+    once the elements left can only just reach lo blocks.  A component
+    whose last live element dies is complete: a property that is not
+    hereditary (du) runs its class predicate on it then, once per
+    component, which is its whole row because du's predicate holds on a
+    mask exactly when it holds on each component; the bound decides the
+    others.  One step is charged per transition of a state, checked after
+    each element.
+    """
+    d = _domain_size(g, prop)
+    counts = [0] * (hi + 1)
+    if lo > min(d, hi):
+        return counts
+    bound, test = prop.bound, None if prop.hereditary else prop.row.class_pred
+    if prop.family == "du" and d % bound:
+        return counts   # each class covers whole copies of the pattern
+    adj = g.adj if prop.domain == "vertex" else _edge_adjacency(g)
+    verdicts: dict[int, bool] = {}     # per complete component
+    states = {(): [1]}
+    unplaced, live = (1 << d) - 1, 0
+    steps, limit = 0, budget_limit()
+    for pos, v in enumerate(frontier_order(adj)):
+        bit = 1 << v
+        unplaced ^= bit
+        # v and the placed neighbours whose last unplaced neighbour it was
+        dying = 0
+        for u in bits((adj[v] | bit) & ~unplaced):
+            if not adj[u] & unplaced:
+                dying |= 1 << u
+        live = (live | bit) & ~dying
+        nxt: dict = {}
+
+        def settle(blocks: list[int]):
+            # drop the components that died, testing each: the open-block
+            # tuple and the number of blocks closed, or None on a failed test
+            closes = 0
+            if dying:
+                kept = []
+                for m in blocks:
+                    dead = m & dying
+                    while dead:
+                        comp = _reach(adj, m, dead & -dead)
+                        dead &= ~comp
+                        if comp & live:
+                            continue
+                        if test is not None:
+                            if comp not in verdicts:
+                                verdicts[comp] = test(g, comp)
+                            if not verdicts[comp]:
+                                return None
+                        m ^= comp
+                    if m:
+                        kept.append(m)
+                    else:
+                        closes += 1
+                blocks = kept
+            return tuple(sorted(blocks)), closes
+
+        def move(to, vec: list[int], first: int, stop: int,
+                 opened: int) -> None:
+            # the states with closed counts first..stop-1 take one
+            # transition each to ``to`` (None where a test failed), which
+            # uses one closed block less when ``opened``: each of them is
+            # then a choice
+            nonlocal steps
+            part = vec[first:stop]
+            moved = len(part) - part.count(0)
+            steps += moved
+            if to is None or not moved:
+                return
+            if opened:
+                part = [c * ways for c, ways in enumerate(part, first)]
+            key, closes = to
+            at = first - opened + closes
+            acc = nxt.setdefault(key, [])
+            if len(acc) < at + len(part):
+                acc.extend([0] * (at + len(part) - len(acc)))
+            acc[at:at + len(part)] = map(int.__add__,
+                                         acc[at:at + len(part)], part)
+
+        for blocks, vec in states.items():
+            # a join keeps the block count: it needs
+            # d - pos > lo - (open + closed) blocks
+            first = max(0, lo - len(blocks) - (d - pos) + 1)
+            for j, m in enumerate(blocks):
+                if _within_bound(adj, m, v, bound):
+                    move(settle([*blocks[:j], m | bit, *blocks[j + 1:]]),
+                         vec, first, len(vec), 0)
+            to = settle([*blocks, bit])
+            move(to, vec, max(first, 1), len(vec), 1)
+            move(to, vec, 0, hi - len(blocks), 0)
+            if len(nxt) > _FRONTIER_MAX_STATES:
+                return None
+        if steps > limit:
+            check_budget(steps, what)
+        if sum(len(vec) - vec.count(0)
+               for vec in nxt.values()) > _FRONTIER_MAX_STATES:
+            return None
+        states = nxt
+    for c, ways in enumerate(states.get((), [])):   # none if no partition
+        counts[c] = ways
     return counts
 
 
@@ -285,12 +435,14 @@ def _exact_counts(g: Graph, prop: ColoringProperty, lo: int,
     """c[i] for lo <= i <= hi, indexed by i: colorings whose range is
     exactly the first i colors.
 
-    A class-local property the partition engine cannot prune by size takes the
-    inclusion-exclusion route over vertex subsets on at most _SUBSET_MAX_N
-    vertices, charged 2^n*(n+1) steps; every other property takes the
-    partition engine, charged as its walk prescribes.  Both assume the
-    count depends only on |I|; for a suspect property the plain counts are
-    taken once and combined by inclusion-exclusion over colors instead.
+    A property with a size ``bound`` takes the frontier route, or the walk
+    where its states outgrow _FRONTIER_MAX_STATES; a class-local property
+    the partition engine cannot prune by size takes the inclusion-exclusion
+    route over vertex subsets on at most _SUBSET_MAX_N vertices, charged
+    2^n*(n+1) steps; every other property takes the partition engine,
+    charged as its walk prescribes.  All assume the count depends only on
+    |I|; for a suspect property the plain counts are taken once and
+    combined by inclusion-exclusion over colors instead.
     """
     if not prop.known_polynomial:
         top = min(hi, _domain_size(g, prop))
@@ -301,7 +453,9 @@ def _exact_counts(g: Graph, prop: ColoringProperty, lo: int,
     allowed = _class_predicate(g, prop)
     if allowed is not None and prop.bound is None:
         return _subset_counts(g, allowed, prop.hereditary, hi)
-    p = _partition_counts(g, prop, lo, hi)
+    p = _frontier_counts(g, prop, lo, hi) if prop.bound is not None else None
+    if p is None:
+        p = _partition_counts(g, prop, lo, hi)
     return [factorial(i) * c for i, c in enumerate(p)]
 
 
@@ -311,11 +465,13 @@ def other_route_count_at(g: Graph, prop: ColoringProperty,
     take on g, or None where brute force should count instead.
 
     Where inclusion-exclusion built the polynomial, the partition engine
-    counts (``pruned_count_at``); where the engine built it for a
-    class-local row with a ``bound``, inclusion-exclusion counts;
-    harmonious takes its per-k algorithm.  Acyclic, the other ``pair:``
-    tokens, edge-domain and audit-gated properties, and inputs above
-    _SUBSET_MAX_N vertices (harmonious aside), have no second route.
+    counts (``pruned_count_at``); where the frontier route built it, or the
+    walk it handed a wide frontier to, for a class-local row with a
+    ``bound`` (proper, mcc, du), inclusion-exclusion counts what that
+    dynamic program built; harmonious takes its per-k algorithm.  Acyclic,
+    the other ``pair:`` tokens, edge-domain and audit-gated properties, and
+    inputs above _SUBSET_MAX_N vertices (harmonious aside), have no second
+    route.
 
     None too where brute force at k would not fit the budget: the pruned
     walks charge per node, so they would trip only after the work brute
@@ -357,10 +513,12 @@ def brute_count_at(g: Graph, prop: ColoringProperty, k: int) -> int:
 def exact_color_count(g: Graph, prop: ColoringProperty, i: int) -> int:
     """Number of colorings that use exactly i colors (all i present).
 
-    Read from ``_exact_counts``: by inclusion-exclusion over vertex subsets
-    for a class-local property on at most _SUBSET_MAX_N vertices, otherwise
-    as i! times the number of set partitions of the domain into exactly i
-    blocks whose canonical block coloring satisfies the property.
+    Read from ``_exact_counts``: i! times the number of set partitions of
+    the domain into exactly i blocks whose canonical block coloring
+    satisfies the property, by the frontier route for a property with a
+    size bound and by the walk otherwise, or by inclusion-exclusion over
+    vertex subsets for a class-local property on at most _SUBSET_MAX_N
+    vertices.
     """
     if i < 0:
         raise ValueError("color count must be nonnegative")

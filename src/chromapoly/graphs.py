@@ -346,6 +346,40 @@ def mcs_ordered(g: Graph) -> Graph:
                        simple=g.simple)
 
 
+def frontier_order(adj: Sequence[int]) -> list[int]:
+    """An order of the elements 0..len(adj)-1, given by adjacency masks,
+    that keeps the frontier (the placed elements with an unplaced
+    neighbour) small: next comes the element that leaves the fewest
+    placed elements with an unplaced neighbour, ties go to the one with
+    more placed neighbours, then to the lower index."""
+    n = len(adj)
+    unplaced, placed = (1 << n) - 1, 0
+
+    def score(v: int) -> int:
+        # frontier growth * n - placed neighbours: growth is at most 1
+        rest = unplaced ^ 1 << v
+        nb = adj[v] & placed
+        growth = bool(adj[v] & rest) - sum(
+            not adj[u] & rest for u in bits(nb))
+        return growth * n - nb.bit_count()
+
+    scores = [score(v) for v in range(n)]
+    order = []
+    for _ in range(n):
+        v = min(range(n), key=scores.__getitem__)   # first minimum
+        order.append(v)
+        unplaced ^= 1 << v
+        placed |= 1 << v
+        scores[v] = n + 1
+        # only the scores within two steps of v can move
+        near = adj[v]
+        for u in bits(adj[v] & placed):
+            near |= adj[u]
+        for w in bits(near & unplaced):
+            scores[w] = score(w)
+    return order
+
+
 # ---------------------------------------------------------------------------
 # cuts and cocircuits
 

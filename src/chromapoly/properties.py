@@ -6,8 +6,10 @@ concrete families the counting routes support, and each constructor states
 the facts those routes read: ``row``, the two-level class/pair instantiation
 (`PairProperty`) the property equals, ``hereditary`` and ``bound``.  The
 partition walk tests a placement by the bound or the row, and a leaf by
-``row_holds``, which ``pair_check`` runs too; a row whose pair predicate is
-``all`` feeds its class predicate to the inclusion-exclusion route.  Convex,
+``row_holds``, which ``pair_check`` runs too; the frontier route reads the
+bound, and du's class predicate on each complete component; a row whose
+pair predicate is ``all`` feeds its class predicate to the
+inclusion-exclusion route.  Convex,
 mcc, du and hfree are stated by their class predicate alone; the other
 checkers are independent code, compared with their rows.
 
@@ -59,7 +61,8 @@ class ColoringProperty:
     # the bound decides); the walk cuts a failed placement, tests no leaf
     hereditary: bool = False
     # no valid coloring has a monochromatic component of more elements, edges
-    # adjacent when they share an end; the walk cuts a block that outgrows it
+    # adjacent when they share an end; the walk and the frontier route cut a
+    # block that outgrows it
     bound: int | None = None
     # the class/pair instantiation the property equals, if it has one
     row: PairProperty | None = None

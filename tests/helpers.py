@@ -279,3 +279,21 @@ def oracle_shifted(p: Poly, c) -> Poly:
             out[j] += a * comb(i, j) * pw
             pw *= c
     return Poly(MONOMIAL, tuple(out))
+
+
+def grid_graph(rows: int, cols: int, row_major: bool = True) -> Graph:
+    """The rows x cols grid, its vertices numbered along the rows or, with
+    ``row_major`` false, down the columns."""
+    def index(i, j):
+        return i * cols + j if row_major else j * rows + i
+    edges = [(index(i, j), index(i, j + 1))
+             for i in range(rows) for j in range(cols - 1)]
+    edges += [(index(i, j), index(i + 1, j))
+              for i in range(rows - 1) for j in range(cols)]
+    return build_graph(rows * cols, [(min(e), max(e)) for e in edges])
+
+
+def random_tree(rng: random.Random, n: int) -> Graph:
+    """A tree on 0..n-1: each vertex after the first hangs from an earlier
+    one."""
+    return build_graph(n, [(rng.randrange(v), v) for v in range(1, n)])

@@ -147,11 +147,13 @@ def test_eval_answers_easy_points_without_the_polynomial(
         payload = json.loads(out)
         assert payload["fast"] == fast
         assert value is None or payload["value"] == value
-    # other points still need the polynomial, out of reach here
+    # other points need the polynomial: the frontier route builds C40's
+    # within the same budget, (X-1)^40 + (X-1) at X = 3
     monkeypatch.undo()
     code, out = run_cli(capsys, "eval", "--graph", str(c40), "--prop",
                         "proper", "--point", "3", "--budget", "100000")
-    assert code == 3
+    assert code == 0, out
+    assert json.loads(out)["value"] == str(2 ** 40 + 2)
 
 
 def test_eval_proper_easy_points_match_the_polynomial(capsys, k3, p3):
@@ -312,9 +314,9 @@ def test_identity_honors_budget(capsys, monkeypatch):
     monkeypatch.setenv("CHROMAPOLY_BUDGET", "10000")
     code, out = run_cli(capsys, *argv)
     assert code == 3 and json.loads(out) == expected
-    # run-all reads the same limit
-    code, out = run_cli(capsys, "identity", "run-all", "--max-n", "8")
-    assert code == 3 and json.loads(out)["error"]["code"] == "budget"
+    # run-all reads the same limit, and trips on the same identity
+    code, out = run_cli(capsys, "identity", "run-all", "--max-n", "9")
+    assert code == 3 and json.loads(out) == expected
 
 
 def test_identity_rejects_vacuous_bounds(capsys):
@@ -462,22 +464,26 @@ def test_budget_validation(capsys, k3):
 
 
 def test_budget_env_override(capsys, k3, monkeypatch):
-    # a walk with a placement test, the size bound (proper) or the row on
-    # the grown block (harmonious), charges one step per node it enters and
-    # stops at the first one over the limit; on an edgeless graph every
-    # placement passes
+    # a walk with a placement test, here the row on the grown block
+    # (harmonious), charges one step per node it enters and stops at the
+    # first one over the limit; on an edgeless graph every placement
+    # passes.  Proper's polynomial comes from the frontier route, whose
+    # states on an edgeless graph are only the block counts: it fits
     monkeypatch.setenv("CHROMAPOLY_BUDGET", "10000")
     path_text = emit_edge_list(edgeless_graph(20))
     big = k3 + ".big"
     with open(big, "w") as fh:
         fh.write(path_text)
-    for prop in ("proper", "harmonious"):
-        code, out = run_cli(capsys, "poly", "--graph", big, "--prop", prop)
-        assert code == 3
-        assert json.loads(out) == {"error": {
-            "code": "budget",
-            "message": "partition enumeration needs 10001 operations, "
-                       "budget is 10000"}}
+    code, out = run_cli(capsys, "poly", "--graph", big, "--prop",
+                        "harmonious")
+    assert code == 3
+    assert json.loads(out) == {"error": {
+        "code": "budget",
+        "message": "partition enumeration needs 10001 operations, "
+                   "budget is 10000"}}
+    code, out = run_cli(capsys, "poly", "--graph", big, "--prop", "proper")
+    assert code == 0
+    assert json.loads(out)["counts_at"]["3"] == str(3 ** 20)
 
 
 def test_pruned_walk_runs_on_what_an_estimate_refused(capsys, tmp_path):
@@ -492,12 +498,20 @@ def test_pruned_walk_runs_on_what_an_estimate_refused(capsys, tmp_path):
     assert payload["cross_checked"] is False
 
 
-@pytest.mark.parametrize("route", ["_subset_counts", "_partition_counts"])
+# the tokens whose polynomial or k = 3 check each route carries
+_ROUTE_TOKENS = {"_subset_counts": ("convex", "mcc:t=2", "injective"),
+                 "_partition_counts": ("convex", "injective"),
+                 "_frontier_counts": ("mcc:t=2",)}
+
+
+@pytest.mark.parametrize("route", ["_subset_counts", "_partition_counts",
+                                   "_frontier_counts"])
 def test_each_exact_route_is_caught_by_the_other(capsys, g12, monkeypatch,
                                                  route):
     # convex and injective are built by inclusion-exclusion and checked at
-    # k = 3 by the partition engine, mcc the other way round: a wrong count
-    # at i = 3 shows only at k = 3, whichever route carries it
+    # k = 3 by the partition engine; mcc is built by the frontier route and
+    # checked by inclusion-exclusion: a wrong count at i = 3 shows only at
+    # k = 3, whichever route carries it
     original = getattr(counting, route)
 
     def corrupted(*args, **kwargs):
@@ -506,7 +520,7 @@ def test_each_exact_route_is_caught_by_the_other(capsys, g12, monkeypatch,
         return counts
 
     monkeypatch.setattr(counting, route, corrupted)
-    for token in ("convex", "mcc:t=2", "injective"):
+    for token in _ROUTE_TOKENS[route]:
         code, out = run_cli(capsys, "poly", "--graph", g12, "--prop", token)
         assert code == 4, token
         assert json.loads(out)["error"]["message"] == (
@@ -526,10 +540,16 @@ def test_k3_check_fits_wherever_brute_force_fits(capsys, g12, token):
 
 
 def test_partition_walk_too_deep_is_an_input_error(capsys, tmp_path):
+    # the walk recurses once per element; the frontier route, which builds
+    # proper's polynomial, does not recurse
     path = tmp_path / "p1200.el"
     path.write_text(emit_edge_list(path_graph(1200)))
     code, out = run_cli(capsys, "poly", "--graph", str(path), "--prop",
                         "proper")
+    assert code == 0
+    assert json.loads(out)["counts_at"]["2"] == "2"
+    code, out = run_cli(capsys, "poly", "--graph", str(path), "--prop",
+                        "acyclic")
     assert code == 2
     error = json.loads(out)["error"]
     assert error["code"] == "input" and "1200 domain elements" in error[

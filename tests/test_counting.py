@@ -28,8 +28,8 @@ from chromapoly.properties import (
     t_improper_property, trivial_property,
 )
 from helpers import (
-    all_graphs_up_to, bell_number, random_connected_graph, random_graph,
-    relabel, stirling2,
+    all_graphs_up_to, bell_number, grid_graph, random_connected_graph,
+    random_graph, random_tree, relabel, stirling2,
 )
 
 PROPER = proper_property()
@@ -285,7 +285,9 @@ def test_du_leaf_tests_every_block_size_before_a_pattern(monkeypatch):
     # one after the other made 823 searches for K2 and 522 for P3 here, and
     # P3 on 8 vertices has no partition into blocks of 3, 6, ... vertices.
     # The walk's vertex order sets which block fails first: 165 searches
-    # in maximum cardinality search order, 158 in input order
+    # in maximum cardinality search order, 158 in input order.  The
+    # polynomial comes from the frontier route, which searches each
+    # complete component of K2's size once (10 here), and none for P3
     g = random_graph(random.Random(0), 8, min_n=8)
     searches = [0]
     search = graphs.has_induced_copy
@@ -293,13 +295,18 @@ def test_du_leaf_tests_every_block_size_before_a_pattern(monkeypatch):
     def counted(*args):
         searches[0] += 1
         return search(*args)
-    for pattern, expected in ((complete_graph(2), 165), (path_graph(3), 0)):
+    for pattern, walked, built in ((complete_graph(2), 165, 10),
+                                   (path_graph(3), 0, 0)):
         prop = du_property(pattern)
-        searches[0] = 0
         monkeypatch.setattr(graphs, "has_induced_copy", counted)
+        searches[0] = 0
+        at8 = pruned_count_at(g, prop, 8)
+        assert searches[0] == walked
+        searches[0] = 0
         poly = chi_polynomial(g, prop)
+        assert searches[0] == built
         monkeypatch.undo()
-        assert searches[0] == expected
+        assert poly.eval(8) == at8
         assert [poly.eval(k) for k in range(4)] == [
             brute_count_at(g, prop, k) for k in range(4)]
 
@@ -857,3 +864,111 @@ def test_chi_polynomial_matches_deletion_contraction():
         g = random_graph(rng, 6)
         oracle = _deletion_contraction(g.n, list(g.edges))
         assert chi_polynomial(g, PROPER).equals(oracle), g.edges
+
+
+FRONTIER_TOKENS = ("proper", "mcc:t=1", "mcc:t=2", "mcc:t=3", "du:H=K1",
+                   "du:H=K2", "du:H=P3", "du:H=K3", "edge")
+
+
+def test_frontier_route_matches_the_walk():
+    # the dynamic program and the partition walk count the same partitions
+    # at every (lo, hi) on seeded graphs, a third of them multigraphs
+    rng = random.Random(97)
+    for trial in range(24):
+        g = random_graph(rng, 9, p=(0.2, 0.4, 0.6)[trial % 3])
+        if trial % 3 == 1 and g.edges:
+            g = build_graph(g.n, g.edges,
+                            [rng.randint(1, 3) for _ in g.edges],
+                            simple=False)
+        for token in FRONTIER_TOKENS:
+            prop = parse_property(token)
+            if prop.domain == "edge" and (not g.simple or g.edge_count > 11):
+                continue
+            d = g.n if prop.domain == "vertex" else g.edge_count
+            for lo, hi in ((0, d), (0, 2), (0, 3), (2, 2), (3, 3), (1, d),
+                           (d, d)):
+                assert counting._frontier_counts(g, prop, lo, hi) == (
+                    _partition_counts(g, prop, lo, hi, "pruned enumeration")
+                ), (token, g, lo, hi)
+
+
+def test_proper_polynomial_closed_forms_past_the_walk():
+    # C_n: (X-1)^n + (-1)^n (X-1); P_n and every tree on n vertices:
+    # X (X-1)^(n-1)
+    x, x1 = from_monomial([0, 1]), from_monomial([-1, 1])
+    rng = random.Random(5)
+    for n in (40, 67, 100):
+        assert chi_polynomial(cycle_graph(n), PROPER).equals(
+            x1 ** n + from_monomial([(-1) ** n]) * x1)
+        tree = x * x1 ** (n - 1)
+        assert chi_polynomial(path_graph(n), PROPER).equals(tree)
+        assert chi_polynomial(random_tree(rng, n), PROPER).equals(tree)
+
+
+def _contracted(g, u, v):
+    """g with the edge uv contracted: v merged into u, the vertices above v
+    moved down one, parallel edges merged."""
+    def image(w):
+        w = u if w == v else w
+        return w - (w > v)
+    pairs = {tuple(sorted((image(a), image(b)))) for a, b in g.edges
+             if {a, b} != {u, v}}
+    return build_graph(g.n - 1, sorted(pairs))
+
+
+def test_proper_polynomial_deletion_contraction_on_30_vertices():
+    rng = random.Random(31)
+    for _ in range(3):
+        g = random_tree(rng, 30)
+        extra = set()
+        while len(extra) < 6:
+            u, v = sorted(rng.sample(range(30), 2))
+            if (u, v) not in g.edges:
+                extra.add((u, v))
+        g = build_graph(30, list(g.edges) + sorted(extra))
+        for u, v in rng.sample(g.edges, 2):
+            deleted = build_graph(30, [e for e in g.edges if e != (u, v)])
+            assert chi_polynomial(g, PROPER).equals(
+                chi_polynomial(deleted, PROPER)
+                - chi_polynomial(_contracted(g, u, v), PROPER)), (g, u, v)
+
+
+def test_frontier_route_hands_a_wide_frontier_to_the_walk(monkeypatch):
+    # past _FRONTIER_MAX_STATES states the dynamic program gives up and
+    # _exact_counts takes the walk's counts
+    walks = []
+    walk = counting._partition_counts
+
+    def counted(*args, **kwargs):
+        walks.append(args[1].name)
+        return walk(*args, **kwargs)
+    monkeypatch.setattr(counting, "_partition_counts", counted)
+    cap = counting._FRONTIER_MAX_STATES
+    g = random_graph(random.Random(3), 8, min_n=8)
+    for token in ("proper", "mcc:t=2", "du:H=K2"):
+        prop = parse_property(token)
+        dp = _exact_counts(g, prop, 0, 8)
+        assert walks == []
+        monkeypatch.setattr(counting, "_FRONTIER_MAX_STATES", 1)
+        assert counting._frontier_counts(g, prop, 0, 8) is None
+        assert _exact_counts(g, prop, 0, 8) == dp == [
+            factorial(i) * c for i, c in enumerate(walk(g, prop, 0, 8))]
+        assert walks == [token]
+        monkeypatch.setattr(counting, "_FRONTIER_MAX_STATES", cap)
+        walks.clear()
+
+
+def test_frontier_route_charges_its_transitions():
+    # one step per transition, checked after each element, so a budget
+    # below the total trips at the last one; the order breaks ties by
+    # index, so the 4x10 grid's two numberings are charged differently
+    for g, cost in ((grid_graph(4, 10), 13393),
+                    (grid_graph(4, 10, row_major=False), 13018)):
+        run = lambda: chi_polynomial(g, PROPER)
+        with budget(cost):
+            run()
+        with budget(cost - 1), pytest.raises(BudgetExceededError) as info:
+            run()
+        assert str(info.value) == (
+            f"frontier enumeration needs {cost} operations, "
+            f"budget is {cost - 1}")

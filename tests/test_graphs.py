@@ -10,14 +10,15 @@ from chromapoly.graphs import (
     box_join, build_graph, cocircuit_counts,
     complete_graph, connected_components, count_cuts_by_size, cycle_graph,
     disjoint_union,
-    edgeless_graph, enumerate_cocircuits, harmonious_gadget,
+    edgeless_graph, enumerate_cocircuits, frontier_order, harmonious_gadget,
     has_induced_copy, induced_subgraph, is_connected, is_isomorphic, join,
     line_graph, mask_isomorphic, mcc_extension, mcs_ordered, path_graph,
     standard_graph, star_graph, stretch, strip_isolated, t_pendant,
 )
 from helpers import (
-    all_graphs_up_to, automorphisms, random_connected_graph, random_graph,
-    relabel, shore_cocircuit_oracle, shore_cut_oracle, shore_pairs,
+    all_graphs_up_to, automorphisms, grid_graph, random_connected_graph,
+    random_graph, relabel, shore_cocircuit_oracle, shore_cut_oracle,
+    shore_pairs,
 )
 
 
@@ -465,3 +466,36 @@ def _edge_signature(g):
     deg = [a.bit_count() for a in g.adj]
     return Counter((min(deg[u], deg[v]), max(deg[u], deg[v]), m)
                    for (u, v), m in zip(g.edges, g.mult))
+
+
+def _frontier(adj, placed):
+    """The placed elements with an unplaced neighbour."""
+    return {u for u in placed
+            if any((adj[u] >> w) & 1 and w not in placed
+                   for w in range(len(adj)))}
+
+
+def test_frontier_order_takes_the_least_frontier_first():
+    # each step, recomputed from scratch over sets: the element placed
+    # leaves the fewest placed elements with an unplaced neighbour, then
+    # has the most placed neighbours, then the lowest index
+    rng = random.Random(41)
+    for trial in range(30):
+        g = random_graph(rng, 9, p=(0.2, 0.4)[trial % 2])
+        order, placed = frontier_order(g.adj), set()
+        assert sorted(order) == list(range(g.n))
+        for v in order:
+            def rank(w):
+                return (len(_frontier(g.adj, placed | {w})),
+                        -sum((g.adj[w] >> u) & 1 for u in placed), w)
+            assert rank(v) == min(rank(w) for w in range(g.n)
+                                  if w not in placed), (g, order)
+            placed.add(v)
+    assert frontier_order(path_graph(6).adj) == list(range(6))
+    assert frontier_order([]) == []
+    # on the 4x10 grid, in both numberings, the frontier never holds more
+    # than 4 elements, the grid's pathwidth
+    for g in (grid_graph(4, 10), grid_graph(4, 10, row_major=False)):
+        order = frontier_order(g.adj)
+        assert max(len(_frontier(g.adj, set(order[:i])))
+                   for i in range(g.n + 1)) == 4
