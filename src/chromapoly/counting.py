@@ -19,9 +19,9 @@ The exact routes everything else is checked against:
   program that places the domain elements in a min-frontier order and keeps
   only the blocks and components that still have an unplaced neighbour.
   Its cost follows the width of that frontier, not Bell(D); ``_exact_counts``
-  picks it for every such row, and hands the walk any graph whose states
-  after one element outgrow _FRONTIER_MAX_STATES.  It is charged one step
-  per transition as it goes.
+  picks it for every such row.  It is charged one step per transition as
+  it goes, and hands the walk, with the steps charged so far, any graph
+  whose table of counts outgrows _FRONTIER_MAX_STATES.
 * inclusion-exclusion -- the other way to the same counts, for the
   class-local vertex properties the engine cannot prune by size (a ``row``
   whose pair predicate is ``all`` and no ``bound``: convex, timp, cocolor,
@@ -140,15 +140,17 @@ def _row_placed(g: Graph, row, blocks, v: int, b: int, used: int) -> bool:
 
 
 def _partition_counts(g: Graph, prop: ColoringProperty, lo: int, hi: int,
-                      what: str = "partition enumeration") -> list[int]:
+                      what: str = "partition enumeration",
+                      spent: int = 0) -> list[int]:
     """p[i] for 0 <= i <= hi: set partitions of the domain into exactly i
     blocks whose canonical block coloring satisfies the property, counted in
     one pass over restricted-growth strings (Knuth, TAOCP 4A 7.2.1.5).
     Entries below ``lo`` are 0: branches that cannot reach lo blocks are cut.
     ``pruned_count_at`` counts by it, and ``_exact_counts`` wherever neither
     the frontier route nor inclusion-exclusion does: the hereditary rows
-    without a bound, acyclic, harmonious and rainbow among them, and the
-    bound rows whose frontier outgrows _FRONTIER_MAX_STATES.
+    without a bound, acyclic, harmonious and rainbow among them; and
+    ``_frontier_counts`` for the bound rows whose frontier outgrows
+    _FRONTIER_MAX_STATES, passing as ``spent`` the steps it charged.
 
     One walk tests each placement of element pos in block b once, before
     it places it and recurses; the test is chosen here:
@@ -170,6 +172,8 @@ def _partition_counts(g: Graph, prop: ColoringProperty, lo: int, hi: int,
     graph invariants, and only the nodes, and so the charge, follow the
     order.  The walk without one visits exactly the partitions into lo..hi
     blocks, so it keeps g as given and is charged their number up front.
+    Either charge adds to the ``spent`` steps, so that a count handed over
+    is priced against one budget.
     """
     d = _domain_size(g, prop)
     counts = [0] * (hi + 1)
@@ -192,7 +196,7 @@ def _partition_counts(g: Graph, prop: ColoringProperty, lo: int, hi: int,
         def fits(pos: int, b: int, used: int) -> bool:
             return _row_placed(g, row, blocks, pos, b, used)
     else:
-        check_budget(sum(stirling2_row(d, hi)[lo:]), what)
+        check_budget(spent + sum(stirling2_row(d, hi)[lo:]), what)
     if prop.hereditary and fits is not None:
         leaf = None
     elif prop.family == "du":
@@ -210,7 +214,7 @@ def _partition_counts(g: Graph, prop: ColoringProperty, lo: int, hi: int,
         def leaf(used: int) -> bool:
             return checker(g, tuple(colors), used)
     # read once: the walk compares its own count at every node
-    steps, limit = 0, budget_limit()
+    steps, limit = spent, budget_limit()
 
     def rec(pos: int, used: int):
         nonlocal steps
@@ -243,36 +247,38 @@ def _partition_counts(g: Graph, prop: ColoringProperty, lo: int, hi: int,
     return counts
 
 
-# the most states the frontier route keeps after one element: past it the
-# walk counts instead, so that a wide frontier cannot exhaust memory
+# the most counts the frontier route keeps for the next element: past it
+# the walk counts instead, so that a wide frontier cannot exhaust memory
 _FRONTIER_MAX_STATES = 2 ** 16
 
 
-def _frontier_counts(g: Graph, prop: ColoringProperty, lo: int, hi: int,
-                     what: str = "frontier enumeration") -> list[int] | None:
+def _frontier_counts(g: Graph, prop: ColoringProperty, lo: int,
+                     hi: int) -> list[int]:
     """``_partition_counts`` for a property with a size ``bound``, by a
     frontier (transfer-matrix) dynamic program over the domain elements
     (Biggs, Damerell and Sands, J. Combin. Theory B 12, 1972; Salas and
-    Sokal, J. Stat. Phys. 104, 2001); None where the states after one
-    element would number more than _FRONTIER_MAX_STATES.
+    Sokal, J. Stat. Phys. 104, 2001).  Where the counts it keeps for the
+    next element would number more than _FRONTIER_MAX_STATES, checked as it
+    adds them, it hands the count to the walk, which goes on from the steps
+    already charged.
 
     Elements are placed in ``frontier_order``, edges adjacent when they
     share an end.  A placed element is live while it has an unplaced
-    neighbour.  A state is, per open block, the mask of its components that
-    still hold a live element (its components are the connected parts of
-    that mask), and the number of blocks with no live element, the closed
-    ones; it counts the partial partitions that reach it, kept as one list
-    per open-block tuple, indexed by the closed count.  An element joins an
-    open block, merging the components it touches, unless that outgrows the
-    bound; or one of the closed blocks, which are all alike to it; or a new
-    block, while fewer than hi are used.  Joins are cut, as in the walk,
+    neighbour.  A state is the tuple of the open blocks, each the mask of
+    its components that still hold a live element (its components are the
+    connected parts of that mask); it keeps the numbers of partial
+    partitions that reach it in one list, indexed by the number of blocks
+    with no live element, the closed ones.  An element joins an open block,
+    merging the components it touches, unless that outgrows the bound; or
+    one of the closed blocks, which are all alike to it; or a new block,
+    while fewer than hi are used.  Joins are cut, as in the walk,
     once the elements left can only just reach lo blocks.  A component
     whose last live element dies is complete: a property that is not
     hereditary (du) runs its class predicate on it then, once per
     component, which is its whole row because du's predicate holds on a
     mask exactly when it holds on each component; the bound decides the
     others.  One step is charged per transition of a state, checked after
-    each element.
+    each element under "frontier enumeration".
     """
     d = _domain_size(g, prop)
     counts = [0] * (hi + 1)
@@ -296,6 +302,7 @@ def _frontier_counts(g: Graph, prop: ColoringProperty, lo: int, hi: int,
                 dying |= 1 << u
         live = (live | bit) & ~dying
         nxt: dict = {}
+        held = 0    # the counts nxt keeps: per state, one per closed count
 
         def settle(blocks: list[int]):
             # drop the components that died, testing each: the open-block
@@ -329,7 +336,7 @@ def _frontier_counts(g: Graph, prop: ColoringProperty, lo: int, hi: int,
             # transition each to ``to`` (None where a test failed), which
             # uses one closed block less when ``opened``: each of them is
             # then a choice
-            nonlocal steps
+            nonlocal steps, held
             part = vec[first:stop]
             moved = len(part) - part.count(0)
             steps += moved
@@ -340,8 +347,10 @@ def _frontier_counts(g: Graph, prop: ColoringProperty, lo: int, hi: int,
             key, closes = to
             at = first - opened + closes
             acc = nxt.setdefault(key, [])
-            if len(acc) < at + len(part):
-                acc.extend([0] * (at + len(part) - len(acc)))
+            grow = at + len(part) - len(acc)
+            if grow > 0:
+                acc.extend([0] * grow)
+                held += grow
             acc[at:at + len(part)] = map(int.__add__,
                                          acc[at:at + len(part)], part)
 
@@ -356,13 +365,10 @@ def _frontier_counts(g: Graph, prop: ColoringProperty, lo: int, hi: int,
             to = settle([*blocks, bit])
             move(to, vec, max(first, 1), len(vec), 1)
             move(to, vec, 0, hi - len(blocks), 0)
-            if len(nxt) > _FRONTIER_MAX_STATES:
-                return None
+            if held > _FRONTIER_MAX_STATES:
+                return _partition_counts(g, prop, lo, hi, spent=steps)
         if steps > limit:
-            check_budget(steps, what)
-        if sum(len(vec) - vec.count(0)
-               for vec in nxt.values()) > _FRONTIER_MAX_STATES:
-            return None
+            check_budget(steps, "frontier enumeration")
         states = nxt
     for c, ways in enumerate(states.get((), [])):   # none if no partition
         counts[c] = ways
@@ -436,7 +442,7 @@ def _exact_counts(g: Graph, prop: ColoringProperty, lo: int,
     exactly the first i colors.
 
     A property with a size ``bound`` takes the frontier route, or the walk
-    where its states outgrow _FRONTIER_MAX_STATES; a class-local property
+    where its counts outgrow _FRONTIER_MAX_STATES; a class-local property
     the partition engine cannot prune by size takes the inclusion-exclusion
     route over vertex subsets on at most _SUBSET_MAX_N vertices, charged
     2^n*(n+1) steps; every other property takes the partition engine,
@@ -453,8 +459,9 @@ def _exact_counts(g: Graph, prop: ColoringProperty, lo: int,
     allowed = _class_predicate(g, prop)
     if allowed is not None and prop.bound is None:
         return _subset_counts(g, allowed, prop.hereditary, hi)
-    p = _frontier_counts(g, prop, lo, hi) if prop.bound is not None else None
-    if p is None:
+    if prop.bound is not None:
+        p = _frontier_counts(g, prop, lo, hi)
+    else:
         p = _partition_counts(g, prop, lo, hi)
     return [factorial(i) * c for i, c in enumerate(p)]
 

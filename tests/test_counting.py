@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from dataclasses import replace
 from itertools import combinations, product
 from math import comb, factorial
@@ -866,13 +867,18 @@ def test_chi_polynomial_matches_deletion_contraction():
         assert chi_polynomial(g, PROPER).equals(oracle), g.edges
 
 
+def _walk_refused(*args, **kwargs):
+    raise AssertionError("the frontier route handed its count to the walk")
+
+
 FRONTIER_TOKENS = ("proper", "mcc:t=1", "mcc:t=2", "mcc:t=3", "du:H=K1",
                    "du:H=K2", "du:H=P3", "du:H=K3", "edge")
 
 
-def test_frontier_route_matches_the_walk():
+def test_frontier_route_matches_the_walk(monkeypatch):
     # the dynamic program and the partition walk count the same partitions
     # at every (lo, hi) on seeded graphs, a third of them multigraphs
+    monkeypatch.setattr(counting, "_partition_counts", _walk_refused)
     rng = random.Random(97)
     for trial in range(24):
         g = random_graph(rng, 9, p=(0.2, 0.4, 0.6)[trial % 3])
@@ -892,11 +898,14 @@ def test_frontier_route_matches_the_walk():
                 ), (token, g, lo, hi)
 
 
-def test_proper_polynomial_closed_forms_past_the_walk():
+def test_proper_polynomial_closed_forms_past_the_walk(monkeypatch):
     # C_n: (X-1)^n + (-1)^n (X-1); P_n and every tree on n vertices:
-    # X (X-1)^(n-1)
+    # X (X-1)^(n-1); all by the dynamic program within an eighth of its cap
+    # (the seeded trees peak at 5,481 states)
+    monkeypatch.setattr(counting, "_FRONTIER_MAX_STATES", 2 ** 13)
+    monkeypatch.setattr(counting, "_partition_counts", _walk_refused)
     x, x1 = from_monomial([0, 1]), from_monomial([-1, 1])
-    rng = random.Random(5)
+    rng = random.Random(3)
     for n in (40, 67, 100):
         assert chi_polynomial(cycle_graph(n), PROPER).equals(
             x1 ** n + from_monomial([(-1) ** n]) * x1)
@@ -950,12 +959,61 @@ def test_frontier_route_hands_a_wide_frontier_to_the_walk(monkeypatch):
         dp = _exact_counts(g, prop, 0, 8)
         assert walks == []
         monkeypatch.setattr(counting, "_FRONTIER_MAX_STATES", 1)
-        assert counting._frontier_counts(g, prop, 0, 8) is None
         assert _exact_counts(g, prop, 0, 8) == dp == [
             factorial(i) * c for i, c in enumerate(walk(g, prop, 0, 8))]
         assert walks == [token]
         monkeypatch.setattr(counting, "_FRONTIER_MAX_STATES", cap)
         walks.clear()
+
+
+def test_frontier_route_hands_its_charge_to_the_walk(monkeypatch):
+    # a count handed over is priced against one budget: the walk goes on
+    # from the steps the dynamic program charged before it gave up
+    g = random_graph(random.Random(3), 8, min_n=8)
+    walk, walk_cost = counting._partition_counts, 431
+    with budget(walk_cost):
+        walk(g, PROPER, 0, 8)
+    with budget(walk_cost - 1), pytest.raises(BudgetExceededError):
+        walk(g, PROPER, 0, 8)
+    handed = []
+
+    def recorded(*args, spent=0, **kwargs):
+        handed.append(spent)
+        return walk(*args, spent=spent, **kwargs)
+    monkeypatch.setattr(counting, "_partition_counts", recorded)
+    monkeypatch.setattr(counting, "_FRONTIER_MAX_STATES", 4)
+    _exact_counts(g, PROPER, 0, 8)
+    assert handed == [8]
+    cost = walk_cost + 8
+    with budget(cost):
+        _exact_counts(g, PROPER, 0, 8)
+    with budget(cost - 1), pytest.raises(BudgetExceededError) as info:
+        _exact_counts(g, PROPER, 0, 8)
+    assert str(info.value) == (
+        f"partition enumeration needs {cost} operations, "
+        f"budget is {cost - 1}")
+
+
+def test_frontier_route_memory_stays_within_its_cap(monkeypatch):
+    # the 8x8 grid's frontier is 8 wide: uncapped, the dynamic program
+    # would hold megabytes of counts before a budget of 10^6 trips; capped
+    # at 2^8 counts it hands over (to a stub walk here) within 256 KiB
+    handed = []
+
+    def stub(g, prop, lo, hi, spent):
+        handed.append(spent)
+        return [0] * (hi + 1)
+    monkeypatch.setattr(counting, "_partition_counts", stub)
+    monkeypatch.setattr(counting, "_FRONTIER_MAX_STATES", 2 ** 8)
+    g = grid_graph(8, 8)
+    tracemalloc.start()
+    try:
+        with budget(10 ** 6):
+            counting._frontier_counts(g, PROPER, 0, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(handed) == 1 and peak < 2 ** 18, (handed, peak)
 
 
 def test_frontier_route_charges_its_transitions():
