@@ -8,8 +8,7 @@ checks every supported polynomial identity exactly.
 
 from .counting import (
     AuditReport, brute_count_at, chi_polynomial, convex_fast,
-    count_clique_partitions, edge_chi_polynomial, exact_color_count,
-    harmonious_fast,
+    count_clique_partitions, exact_color_count, harmonious_fast,
     interpolation_chain, polynomiality_audit, proper_fast, pruned_count_at,
 )
 from .cnf import CnfInstance, count_models, parse_cnf

@@ -380,7 +380,19 @@ def _budget_from(args) -> int:
 
 def main(argv=None) -> int:
     """Run one command with every enumeration counted against one budget,
-    and the int/str digit limit lifted for its output while it runs."""
+    and the int/str digit limit lifted for its output while it runs.  Once
+    stdout's reader has gone it ends in exit 2, without a traceback."""
+    try:
+        code = _run(argv)
+        sys.stdout.flush()      # a reader that has gone shows here
+    except BrokenPipeError:
+        # so that the flush at interpreter exit stays silent too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return INPUT_ERROR
+    return code
+
+
+def _run(argv) -> int:
     try:
         # global flags count before or after the subcommand; the later wins
         args = build_parser().parse_args(argv, argparse.Namespace(

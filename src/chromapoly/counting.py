@@ -11,9 +11,10 @@ The exact routes everything else is checked against:
   do not apply.  It is one walk over the partitions that tests each
   placement once, before it recurses, by a fact the property states: its
   size ``bound`` (proper, mcc, du, edge), acyclic's placed-vertex test or
-  its row on the grown block (the other hereditary properties).  The leaf
-  tests the non-hereditary ones by their row or, with none (rainbow), their
-  checker.
+  its row on the grown block (the other hereditary properties), placing
+  the elements in ``mcs_order``.  The leaf tests the non-hereditary ones by
+  their row or, with none (rainbow), their checker.  Like the frontier
+  route, it reads adjacency masks (``line_graph``'s for edges) and an order.
 * the frontier route -- the same partition counts for a property with a
   size ``bound`` (proper, mcc, du, edge), by a transfer-matrix dynamic
   program that places the domain elements in a min-frontier order and keeps
@@ -58,17 +59,15 @@ from .errors import (
 from .graphs import (
     Graph, _reach, bits, box_join, build_graph, cocircuit_counts,
     complete_graph, connected_components, disjoint_union, frontier_order,
-    join, line_graph, mcs_ordered, star_graph, strip_isolated,
+    join, line_graph, mcs_order, star_graph, strip_isolated,
 )
 from .polynomials import (
     Poly, from_binomial, lagrange_interpolate, stirling2_row,
 )
 from .properties import (
-    ColoringProperty, _pred_all, harmonious_property, proper_property,
-    row_holds,
+    ColoringProperty, _pred_all, harmonious_property, row_holds,
 )
 
-_PROPER = proper_property()
 _HARMONIOUS = harmonious_property()
 
 
@@ -99,15 +98,6 @@ def _acyclic_placed(adj, blocks: list[int], v: int, b: int) -> bool:
                 return False
             hits &= ~comp
     return True
-
-
-def _edge_adjacency(g: Graph) -> list[int]:
-    """Per edge of g, the mask of the edges that share an end with it."""
-    inc = [0] * g.n     # per vertex, the mask of its edges
-    for e, (u, v) in enumerate(g.edges):
-        inc[u] |= 1 << e
-        inc[v] |= 1 << e
-    return [inc[u] ^ inc[v] for u, v in g.edges]     # e itself cancels
 
 
 def _within_bound(adj, block: int, v: int, bound: int) -> bool:
@@ -152,7 +142,7 @@ def _partition_counts(g: Graph, prop: ColoringProperty, lo: int, hi: int,
     ``_frontier_counts`` for the bound rows whose frontier outgrows
     _FRONTIER_MAX_STATES, passing as ``spent`` the steps it charged.
 
-    One walk tests each placement of element pos in block b once, before
+    One walk tests each placement of an element in block b once, before
     it places it and recurses; the test is chosen here:
 
     * a ``bound`` (proper, mcc, du, edge): the placed element's component
@@ -166,12 +156,12 @@ def _partition_counts(g: Graph, prop: ColoringProperty, lo: int, hi: int,
     tokens) is tested at the leaf too: by ``row_holds`` on the block masks,
     du's block sizes first, or by its checker where it has no row.  A walk
     with a placement test charges one step per node it enters, and enters
-    a node only when the placement passed.  On the vertex domain it first
-    renumbers g in maximum cardinality search order, so that a placement
-    fails as soon as the vertices that refute it are placed: the counts are
-    graph invariants, and only the nodes, and so the charge, follow the
-    order.  The walk without one visits exactly the partitions into lo..hi
-    blocks, so it keeps g as given and is charged their number up front.
+    a node only when the placement passed.  On both domains it follows
+    ``mcs_order``: depth pos places element order[pos], so that a placement
+    fails as soon as the elements that refute it are placed.  The counts do
+    not depend on the order; only the nodes, and so the charge, follow it.
+    The walk without one visits exactly the partitions into lo..hi blocks,
+    so it keeps index order and is charged their number up front.
     Either charge adds to the ``spent`` steps, so that a count handed over
     is priced against one budget.
     """
@@ -179,24 +169,23 @@ def _partition_counts(g: Graph, prop: ColoringProperty, lo: int, hi: int,
     counts = [0] * (hi + 1)
     if lo > min(d, hi):
         return counts
-    if prop.domain == "vertex" and (prop.hereditary or prop.bound is not None):
-        g = mcs_ordered(g)
     checker, bound, row = prop.checker, prop.bound, prop.row
-    adj = g.adj if prop.domain == "vertex" else _edge_adjacency(g)
+    adj = g.adj if prop.domain == "vertex" else line_graph(g).adj
     colors = [0] * d
     blocks = [0] * min(d, hi)       # per block, its element mask
     fits = None
     if bound is not None:
-        def fits(pos: int, b: int, used: int) -> bool:
-            return _within_bound(adj, blocks[b], pos, bound)
+        def fits(v: int, b: int, used: int) -> bool:
+            return _within_bound(adj, blocks[b], v, bound)
     elif prop.family == "acyclic":
-        def fits(pos: int, b: int, used: int) -> bool:
-            return _acyclic_placed(adj, blocks, pos, b)
+        def fits(v: int, b: int, used: int) -> bool:
+            return _acyclic_placed(adj, blocks, v, b)
     elif prop.hereditary and row is not None:
-        def fits(pos: int, b: int, used: int) -> bool:
-            return _row_placed(g, row, blocks, pos, b, used)
+        def fits(v: int, b: int, used: int) -> bool:
+            return _row_placed(g, row, blocks, v, b, used)
     else:
         check_budget(spent + sum(stirling2_row(d, hi)[lo:]), what)
+    order = range(d) if fits is None else mcs_order(adj)
     if prop.hereditary and fits is not None:
         leaf = None
     elif prop.family == "du":
@@ -229,12 +218,13 @@ def _partition_counts(g: Graph, prop: ColoringProperty, lo: int, hi: int,
         # joining an existing block keeps the block count, so it is open
         # only while the remaining elements can still reach lo blocks;
         # b == used opens a new block, while fewer than hi are open
-        bit = 1 << pos
+        v = order[pos]
+        bit = 1 << v
         first = 0 if d - pos > lo - used else used
         for b in range(first, used + (used < hi)):
-            colors[pos] = b + 1
+            colors[v] = b + 1
             now = used + (b == used)
-            if fits is None or fits(pos, b, now):
+            if fits is None or fits(v, b, now):
                 blocks[b] |= bit
                 rec(pos + 1, now)
                 blocks[b] ^= bit
@@ -287,7 +277,7 @@ def _frontier_counts(g: Graph, prop: ColoringProperty, lo: int,
     bound, test = prop.bound, None if prop.hereditary else prop.row.class_pred
     if prop.family == "du" and d % bound:
         return counts   # each class covers whole copies of the pattern
-    adj = g.adj if prop.domain == "vertex" else _edge_adjacency(g)
+    adj = g.adj if prop.domain == "vertex" else line_graph(g).adj
     verdicts: dict[int, bool] = {}     # per complete component
     states = {(): [1]}
     unplaced, live = (1 << d) - 1, 0
@@ -674,11 +664,6 @@ def proper_fast(g: Graph, k: int) -> int:
                 elif side[w] == side[v]:
                     return 0
     return 2 ** components
-
-
-def edge_chi_polynomial(g: Graph) -> Poly:
-    """Proper edge colorings, via the chromatic polynomial of the line graph."""
-    return chi_polynomial(line_graph(g), _PROPER)
 
 
 # ---------------------------------------------------------------------------

@@ -243,12 +243,19 @@ def t_pendant(g: Graph, t: int) -> Graph:
 
 
 def line_graph(g: Graph) -> Graph:
-    """One vertex per edge of g; adjacency iff the underlying edges share an endpoint."""
+    """One vertex per edge of g, e for ``g.edges[e]``, two adjacent iff their
+    edges share an end: read from one incidence mask per vertex, at a cost
+    that follows the line graph's size, not the m^2 pairs of edges."""
     if not g.simple:
         raise ValueError("line graph is defined on simple graphs")
-    edges = [(i, j) for i, j in combinations(range(g.edge_count), 2)
-             if set(g.edges[i]) & set(g.edges[j])]
-    return build_graph(g.edge_count, edges)
+    inc = [0] * g.n     # per vertex, the mask of its edges
+    for e, (u, v) in enumerate(g.edges):
+        inc[u] |= 1 << e
+        inc[v] |= 1 << e
+    # e itself cancels; the pairs come out sorted, as Graph wants them
+    edges = tuple((e, f) for e, (u, v) in enumerate(g.edges)
+                  for f in bits((inc[u] ^ inc[v]) & -(2 << e)))
+    return Graph(g.edge_count, edges, (1,) * len(edges))
 
 
 # ---------------------------------------------------------------------------
@@ -322,13 +329,12 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     return Graph(len(keep), tuple(edges), tuple(mult), g.simple, labels)
 
 
-def mcs_ordered(g: Graph) -> Graph:
-    """g renumbered in maximum cardinality search order (Tarjan and
-    Yannakakis, SIAM J. Comput. 1984): next comes the unplaced vertex with
-    the most placed neighbours, ties go to the one with more neighbours,
-    then to the lower index.  Multiplicities are kept and labels dropped;
-    g itself when the order is the identity."""
-    n, adj = g.n, g.adj
+def mcs_order(adj: Sequence[int]) -> list[int]:
+    """An order of the elements 0..len(adj)-1, given by adjacency masks, by
+    maximum cardinality search (Tarjan and Yannakakis, SIAM J. Comput.
+    1984): next comes the unplaced element with the most placed neighbours,
+    ties go to the one with more neighbours, then to the lower index."""
+    n = len(adj)
     # placed neighbours * n + neighbours: a degree is below n
     score = [a.bit_count() for a in adj]
     order, placed = [], 0
@@ -339,11 +345,7 @@ def mcs_ordered(g: Graph) -> Graph:
         score[v] = -1
         for w in bits(adj[v] & ~placed):
             score[w] += n
-    if order == list(range(n)):
-        return g
-    new = {v: i for i, v in enumerate(order)}
-    return build_graph(n, [(new[u], new[v]) for u, v in g.edges], g.mult,
-                       simple=g.simple)
+    return order
 
 
 def frontier_order(adj: Sequence[int]) -> list[int]:

@@ -48,7 +48,8 @@ class Bounds:
     def __post_init__(self):
         # below these a run checks nothing, or cannot draw a graph at all
         for name, least in (("max_n", 0), ("max_e", 0), ("max_join", 0),
-                            ("max_l", 1), ("k_max", 0), ("samples", 1)):
+                            ("max_l", 1), ("max_m", 3), ("k_max", 0),
+                            ("samples", 1)):
             value = getattr(self, name)
             if value is not None and value < least:
                 raise ValueError(f"{name} must be at least {least}, "

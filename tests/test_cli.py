@@ -320,8 +320,10 @@ def test_identity_honors_budget(capsys, monkeypatch):
 
 
 def test_identity_rejects_vacuous_bounds(capsys):
+    # below 3 edges no bridgeless connected graph is left to stretch
     bad = (("--samples", "0"), ("--max-join", "-1"), ("--max-l", "0"),
-           ("--k-max", "-1"), ("--max-n", "-1"), ("--max-e", "-1"))
+           ("--k-max", "-1"), ("--max-n", "-1"), ("--max-e", "-1"),
+           ("--max-m", "2"))
     for flag, value in bad:
         for command in (("run", "--name", "join_shift"), ("run-all",)):
             code, out = run_cli(capsys, "identity", *command, flag, value)
@@ -676,6 +678,24 @@ def test_identity_unknown_name(capsys):
     code, out = run_cli(capsys, "identity", "run", "--name", "bogus")
     assert code == 2
     assert json.loads(out)["error"]["code"] == "input"
+
+
+def test_a_reader_that_has_gone_ends_in_exit_2_without_a_traceback(k3):
+    # stdout's read end is closed before the command writes: its answer,
+    # or its argparse error, meets a broken pipe
+    import os
+    import subprocess
+    for argv in (("poly", "--graph", k3, "--prop", "proper"),
+                 ("poly", "--graph", k3)):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "chromapoly.cli", *argv],
+                stdout=write, stderr=subprocess.PIPE)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (2, b""), argv
 
 
 def test_console_entry_point(k3):

@@ -10,7 +10,7 @@ from chromapoly import counting, graphs
 from chromapoly.counting import (
     _class_predicate, _exact_counts, _partition_counts, brute_count_at,
     chi_polynomial, convex_fast, count_clique_partitions,
-    edge_chi_polynomial, exact_color_count, harmonious_fast,
+    exact_color_count, harmonious_fast,
     interpolation_chain, other_route_count_at, polynomiality_audit,
     proper_fast, pruned_count_at,
 )
@@ -285,8 +285,9 @@ def test_du_leaf_tests_every_block_size_before_a_pattern(monkeypatch):
     # refused before any block runs its pattern search: testing the blocks
     # one after the other made 823 searches for K2 and 522 for P3 here, and
     # P3 on 8 vertices has no partition into blocks of 3, 6, ... vertices.
-    # The walk's vertex order sets which block fails first: 165 searches
-    # in maximum cardinality search order, 158 in input order.  The
+    # The walk's vertex order sets which block fails first, and g's own
+    # numbering the order of each block's components: 164 searches in
+    # maximum cardinality search order, 158 in input order.  The
     # polynomial comes from the frontier route, which searches each
     # complete component of K2's size once (10 here), and none for P3
     g = random_graph(random.Random(0), 8, min_n=8)
@@ -296,7 +297,7 @@ def test_du_leaf_tests_every_block_size_before_a_pattern(monkeypatch):
     def counted(*args):
         searches[0] += 1
         return search(*args)
-    for pattern, walked, built in ((complete_graph(2), 165, 10),
+    for pattern, walked, built in ((complete_graph(2), 164, 10),
                                    (path_graph(3), 0, 0)):
         prop = du_property(pattern)
         monkeypatch.setattr(graphs, "has_induced_copy", counted)
@@ -310,6 +311,30 @@ def test_du_leaf_tests_every_block_size_before_a_pattern(monkeypatch):
         assert poly.eval(8) == at8
         assert [poly.eval(k) for k in range(4)] == [
             brute_count_at(g, prop, k) for k in range(4)]
+
+
+def test_walk_predicates_read_the_callers_graph():
+    # the walk places path_graph(5)'s vertices in maximum cardinality
+    # search order, 1 2 3 0 4, without a renumbered copy of the graph: its
+    # row predicates, at each placement and at the leaf, get the caller's g
+    # and masks in g's numbering, so they count proper colorings
+    g = path_graph(5)
+    seen = []
+
+    def edgeless(h, mask):
+        seen.append(h)
+        return not any(h.adj[v] & mask for v in range(h.n) if mask >> v & 1)
+
+    def anything(h, mask):
+        seen.append(h)
+        return True
+
+    placed = replace(PROPER, bound=None,
+                     row=PairProperty(edgeless, anything, "spy", "spy"))
+    for prop in (placed, replace(placed, hereditary=False, bound=1)):
+        seen.clear()
+        assert pruned_count_at(g, prop, 3) == 48
+        assert seen and all(h is g for h in seen)
 
 
 def test_clique_cover_relation():
@@ -453,10 +478,11 @@ def test_convex_fast_matches_brute():
 
 
 def test_edge_chi():
-    assert edge_chi_polynomial(complete_graph(3)).eval(3) == 6
-    assert edge_chi_polynomial(path_graph(3)).eval(2) == 2
-    assert edge_chi_polynomial(complete_graph(2)).eval(0) == 0
-    assert edge_chi_polynomial(star_graph(3)).equals(
+    edge = edge_proper_property()
+    assert chi_polynomial(complete_graph(3), edge).eval(3) == 6
+    assert chi_polynomial(path_graph(3), edge).eval(2) == 2
+    assert chi_polynomial(complete_graph(2), edge).eval(0) == 0
+    assert chi_polynomial(star_graph(3), edge).equals(
         chi_polynomial(complete_graph(3), PROPER))
 
 
@@ -465,11 +491,10 @@ def test_edge_chi_matches_direct_edge_enumeration():
     edge_prop = edge_proper_property()
     for _ in range(10):
         g = random_graph(rng, 5)
+        poly = chi_polynomial(g, edge_prop)
         for k in range(4):
-            assert edge_chi_polynomial(g).eval(k) == brute_count_at(
-                g, edge_prop, k)
-        assert chi_polynomial(g, edge_prop).equals(
-            chi_polynomial(line_graph(g), PROPER))
+            assert poly.eval(k) == brute_count_at(g, edge_prop, k)
+        assert poly.equals(chi_polynomial(line_graph(g), PROPER))
 
 
 def test_pruned_count_matches_brute():
@@ -530,7 +555,7 @@ def test_acyclic_walk_matches_brute():
 
 
 def test_counts_do_not_depend_on_the_vertex_numbering():
-    # the walks renumber the vertices in maximum cardinality search order,
+    # the walks place the vertices in maximum cardinality search order,
     # which depends on the numbering they are given: every count must not.
     # Each seeded graph, a third of them multigraphs, and three random
     # renumberings of it give the same polynomial and the same counts at

@@ -12,7 +12,7 @@ from chromapoly.graphs import (
     disjoint_union,
     edgeless_graph, enumerate_cocircuits, frontier_order, harmonious_gadget,
     has_induced_copy, induced_subgraph, is_connected, is_isomorphic, join,
-    line_graph, mask_isomorphic, mcc_extension, mcs_ordered, path_graph,
+    line_graph, mask_isomorphic, mcc_extension, mcs_order, path_graph,
     standard_graph, star_graph, stretch, strip_isolated, t_pendant,
 )
 from helpers import (
@@ -183,6 +183,15 @@ def test_line_graph():
     assert is_isomorphic(line_graph(complete_graph(3)), complete_graph(3))
     assert is_isomorphic(line_graph(star_graph(3)), complete_graph(3))
     assert line_graph(edgeless_graph(4)).n == 0
+    # vertex e is edge e: adjacent to exactly the edges sharing an end
+    rng = random.Random(17)
+    for _ in range(300):
+        g = random_graph(rng, 9)
+        adj = line_graph(g).adj
+        for e, ends in enumerate(g.edges):
+            assert adj[e] == sum(1 << f for f, other in enumerate(g.edges)
+                                 if f != e and set(ends) & set(other))
+    assert line_graph(path_graph(1200)).edge_count == 1198
 
 
 def test_connected_components():
@@ -430,16 +439,15 @@ def test_relabel_preserves_labels():
     assert h.edges == ((0, 2),)
 
 
-def test_mcs_ordered_places_the_most_placed_neighbours_first():
-    # vertex i has, among vertices i.., the most neighbours below i, then
-    # the most neighbours; multiplicities follow their edges, and an order
-    # that is already the identity hands back g itself.  A path numbered
-    # from one end is not in that order: an inner vertex has more
+def test_mcs_order_places_the_most_placed_neighbours_first():
+    # each element has, among those not yet placed, the most placed
+    # neighbours, then the most neighbours, then the lowest index; only the
+    # distinct pairs count, so multiplicities change nothing.  A path
+    # numbered from one end is not in that order: an inner vertex has more
     # neighbours, so it comes first
     for g in (complete_graph(5), star_graph(4), edgeless_graph(3)):
-        assert mcs_ordered(g) is g
-    assert mcs_ordered(path_graph(5)).edges == (
-        (0, 1), (0, 3), (1, 2), (2, 4))
+        assert mcs_order(g.adj) == list(range(g.n))
+    assert mcs_order(path_graph(5).adj) == [1, 2, 3, 0, 4]
     rng = random.Random(5)
     for trial in range(40):
         g = random_graph(rng, 8, p=0.35)
@@ -447,25 +455,16 @@ def test_mcs_ordered_places_the_most_placed_neighbours_first():
             g = build_graph(g.n, g.edges,
                             [rng.randint(1, 3) for _ in g.edges],
                             simple=False)
-        h = mcs_ordered(g)
-        assert mcs_ordered(h) is h
-        assert h.simple == g.simple and h.labels is None
-        assert is_isomorphic(h, g)
-        assert _edge_signature(h) == _edge_signature(g)
-        for i in range(h.n):
-            placed = (1 << i) - 1
-
-            def score(v):
-                return ((h.adj[v] & placed).bit_count(),
-                        h.adj[v].bit_count())
-            assert all(score(i) >= score(v) for v in range(i, h.n)), (g, i)
-
-
-def _edge_signature(g):
-    """Each edge's multiplicity with its ends' degrees: an invariant."""
-    deg = [a.bit_count() for a in g.adj]
-    return Counter((min(deg[u], deg[v]), max(deg[u], deg[v]), m)
-                   for (u, v), m in zip(g.edges, g.mult))
+        order = mcs_order(g.adj)
+        assert sorted(order) == list(range(g.n))
+        placed = 0
+        for v in order:
+            def score(w):
+                return ((g.adj[w] & placed).bit_count(),
+                        g.adj[w].bit_count(), -w)
+            rest = [w for w in range(g.n) if not (placed >> w) & 1]
+            assert max(rest, key=score) == v, (g, order)
+            placed |= 1 << v
 
 
 def _frontier(adj, placed):

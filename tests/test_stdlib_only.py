@@ -1,6 +1,7 @@
 """The package imports nothing outside the standard library: every absolute
 import in ``src/chromapoly`` names a top-level module of
-``sys.stdlib_module_names``."""
+``sys.stdlib_module_names``.  And no module but ``__init__`` imports a name
+it never reads."""
 
 import ast
 import sys
@@ -25,3 +26,50 @@ def test_src_imports_only_the_standard_library():
                for name in _absolute_imports(ast.parse(path.read_text()))
                if name.split(".")[0] not in sys.stdlib_module_names]
     assert foreign == []
+
+
+def _imported_names(tree):
+    """Each name an import binds, with its line; ``__future__`` binds none."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def _read_names(tree):
+    """Every name the module reads, inside string annotations too."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            names |= _string_annotation_names(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.returns is not None:
+                names |= _string_annotation_names(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            names |= _string_annotation_names(node.annotation)
+    return names
+
+
+def _string_annotation_names(annotation):
+    names = set()
+    for node in ast.walk(annotation):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names |= _read_names(ast.parse(node.value, mode="eval"))
+    return names
+
+
+def test_src_modules_use_every_name_they_import():
+    # a deletion that leaves its import behind fails here; the package's
+    # __init__ imports to export
+    unused = [(path.name, line, name)
+              for path in sorted(SRC.rglob("*.py"))
+              if path.name != "__init__.py"
+              for tree in [ast.parse(path.read_text())]
+              for name, line in _imported_names(tree)
+              if name not in _read_names(tree)]
+    assert unused == []
