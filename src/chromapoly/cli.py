@@ -16,6 +16,7 @@ certification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -108,8 +109,8 @@ def _counts_at(g, prop) -> dict:
     k = 0, 1 and 2, running the checker on every coloring; k = 3 is counted
     by the exact route that did not build the polynomial where one exists
     and brute force at k = 3 would fit the budget (``other_route_count_at``),
-    by brute force otherwise (acyclic among them).  Stopping at the first
-    trip loses nothing: ``cross_checked`` needs all four counts."""
+    by brute force otherwise (edge-proper among them).  Stopping at the
+    first trip loses nothing: ``cross_checked`` needs all four counts."""
     out = {}
     for k in range(4):
         try:
@@ -366,6 +367,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one tree ``_run`` parses with, built on its first call rather
+    than at import: building it costs more than many commands."""
+    return build_parser()
+
+
 def _budget_from(args) -> int:
     env = os.environ.get(BUDGET_ENV) or str(DEFAULT_BUDGET)
     try:
@@ -395,7 +403,7 @@ def main(argv=None) -> int:
 def _run(argv) -> int:
     try:
         # global flags count before or after the subcommand; the later wins
-        args = build_parser().parse_args(argv, argparse.Namespace(
+        args = _parser().parse_args(argv, argparse.Namespace(
             budget=None, workers=1, seed=0, format="json"))
         limit = _budget_from(args)
         if args.workers < 1:

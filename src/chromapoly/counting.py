@@ -36,10 +36,11 @@ The routes check each other: ``other_route_count_at`` counts at one
 palette by the engine where inclusion-exclusion built the polynomial, and by
 inclusion-exclusion where the frontier route (or the walk it handed over
 to) built it for a class-local row with a ``bound`` (proper, mcc, du).
-Harmonious is checked by its per-k algorithm below; every other property
-(acyclic and edge among them) only by the oracle.  The second route runs
-only where the oracle at that palette would fit the budget, so it never
-reaches further than the oracle does.
+Harmonious is checked by its per-k algorithm below, acyclic by the walk
+with its row's generic placement test; every other property (edge among
+them) only by the oracle.  The second route runs only where the oracle at
+that palette would fit the budget, so it never reaches further than the
+oracle does.
 
 Fast special cases (the harmonious per-k algorithm, the convex/cocircuit
 count, proper at k <= 2) and the interpolation chains that recover a
@@ -48,7 +49,7 @@ polynomial from shifted evaluations live here too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, factorial
@@ -57,9 +58,9 @@ from .errors import (
     BudgetExceededError, NotPolynomialError, budget_limit, check_budget,
 )
 from .graphs import (
-    Graph, _reach, bits, box_join, build_graph, cocircuit_counts,
-    complete_graph, connected_components, disjoint_union, frontier_order,
-    join, line_graph, mcs_order, star_graph, strip_isolated,
+    _FRONTIER_MAX_STATES, Graph, _reach, bits, box_join, build_graph,
+    cocircuit_counts, complete_graph, connected_components, disjoint_union,
+    frontier_order, join, line_graph, mcs_order, star_graph, strip_isolated,
 )
 from .polynomials import (
     Poly, from_binomial, lagrange_interpolate, stirling2_row,
@@ -235,11 +236,6 @@ def _partition_counts(g: Graph, prop: ColoringProperty, lo: int, hi: int,
         raise ValueError(f"{what} over {d} domain elements "
                          "exceeds the recursion limit") from None
     return counts
-
-
-# the most counts the frontier route keeps for the next element: past it
-# the walk counts instead, so that a wide frontier cannot exhaust memory
-_FRONTIER_MAX_STATES = 2 ** 16
 
 
 def _frontier_counts(g: Graph, prop: ColoringProperty, lo: int,
@@ -465,10 +461,13 @@ def other_route_count_at(g: Graph, prop: ColoringProperty,
     counts (``pruned_count_at``); where the frontier route built it, or the
     walk it handed a wide frontier to, for a class-local row with a
     ``bound`` (proper, mcc, du), inclusion-exclusion counts what that
-    dynamic program built; harmonious takes its per-k algorithm.  Acyclic,
-    the other ``pair:`` tokens, edge-domain and audit-gated properties, and
-    inputs above _SUBSET_MAX_N vertices (harmonious aside), have no second
-    route.
+    dynamic program built; harmonious takes its per-k algorithm.  Acyclic
+    takes the walk again, testing each placement by ``_row_placed`` on its
+    edgeless/forest row instead of ``_acyclic_placed``: the two counts
+    share the recursion over partitions but not the predicate that prunes
+    it.  The other ``pair:`` tokens, edge-domain and audit-gated
+    properties, and inputs above _SUBSET_MAX_N vertices (harmonious and
+    acyclic aside), have no second route.
 
     None too where brute force at k would not fit the budget: the pruned
     walks charge per node, so they would trip only after the work brute
@@ -477,14 +476,18 @@ def other_route_count_at(g: Graph, prop: ColoringProperty,
     exceed 3^n on n <= 3.
     """
     harmonious = prop.family == "harmonious"
+    acyclic = prop.family == "acyclic"
     allowed = _class_predicate(g, prop) if prop.known_polynomial else None
-    if not harmonious and allowed is None:
+    if not harmonious and not acyclic and allowed is None:
         return None
     try:
         # brute force's charge on the vertex domain
         check_budget(k ** g.n, "coloring enumeration")
         if harmonious:
             return harmonious_fast(g, k)
+        if acyclic:
+            # untagged, the walk tests the row, not _acyclic_placed
+            return pruned_count_at(g, replace(prop, family=""), k)
         if prop.bound is None:
             return pruned_count_at(g, prop, k)
         c = _subset_counts(g, allowed, prop.hereditary, k)

@@ -464,10 +464,84 @@ def cocircuit_counts(g: Graph) -> tuple[int, dict[int, int]]:
     return sum(by_size.values()), dict(sorted(by_size.items()))
 
 
+# the most counts a frontier dynamic program keeps for its next element
+# (the partition route in ``counting`` and ``count_cuts_by_size``): past it
+# the count goes to an enumeration instead, so that a wide frontier cannot
+# exhaust memory
+_FRONTIER_MAX_STATES = 2 ** 16
+
+
 def count_cuts_by_size(g: Graph) -> dict[int, int]:
     """Number of vertex bipartitions (unordered, nonempty shores) per
-    crossing size.  The 2^(n-1) - 1 bipartitions, as the shores holding
-    vertex 0, are charged against the budget before any is counted.
+    crossing size, by a transfer-matrix dynamic program over the vertices
+    in ``frontier_order`` (Biggs, Damerell and Sands, J. Combin. Theory B
+    12, 1972).  Its cost follows the width of that frontier, not 2^(n-1).
+
+    A placed vertex is live while it has an unplaced neighbour.  A state
+    is the mask of the live vertices on side 1; it keeps its counts per
+    crossing size packed into one int, an n-bit slot per size (Kronecker
+    substitution), wide enough for the at most 2^(n-1) assignments it
+    counts.  Placing v on side 0 adds its live neighbours on side 1
+    to the crossing size, placing it on side 1 those on side 0: every
+    placed neighbour of v is live.  A vertex leaves the key once its last
+    neighbour is placed.  The first vertex goes on side 0 only, so the
+    program counts half of Z_s, the 2^n side assignments with crossing
+    size s, and the count at s is (Z_s - 2[s = 0]) / 2: the assignments
+    with one empty side are no bipartition.
+
+    One step is charged per (state, size) slot moved, from the lowest to
+    the highest nonzero size of each state, checked before each vertex
+    under "cut enumeration".  Where the slots kept for the next vertex
+    number more than _FRONTIER_MAX_STATES, the graph goes to
+    ``_gray_code_cuts``, charged on top of the steps already spent.
+    """
+    if not g.simple:
+        raise ValueError("cut counting is defined on simple graphs")
+    n = g.n
+    if n <= 1:
+        return {}
+    adj = g.adj
+    states = {0: 1}
+    kept, steps, limit = 1, 0, budget_limit()
+    unplaced, live = (1 << n) - 1, 0
+    for pos, v in enumerate(frontier_order(adj)):
+        steps += kept if pos == 0 else 2 * kept
+        if steps > limit:
+            check_budget(steps, "cut enumeration")
+        bit = 1 << v
+        unplaced ^= bit
+        placed = adj[v] & ~unplaced     # v's placed neighbours, all live
+        dying = 0 if adj[v] & unplaced else bit
+        for u in bits(placed):
+            if not adj[u] & unplaced:
+                dying |= 1 << u
+        live = (live | bit) & ~dying
+        degree = placed.bit_count()
+        nxt: dict[int, int] = {}
+        for key, val in states.items():
+            ones = (placed & key).bit_count()
+            to = key & live
+            nxt[to] = nxt.get(to, 0) + (val << n * ones)
+            if pos:
+                to = (key | bit) & live
+                nxt[to] = nxt.get(to, 0) + (val << n * (degree - ones))
+        states = nxt
+        # the slots from each state's lowest to its highest nonzero size
+        kept = sum((val.bit_length() - 1) // n
+                   - ((val & -val).bit_length() - 1) // n + 1
+                   for val in states.values())
+        if kept > _FRONTIER_MAX_STATES:
+            return _gray_code_cuts(g, steps)
+    val, slot = states[0] - 1, (1 << n) - 1     # S = V is no bipartition
+    return {s: c for s in range(g.edge_count + 1)
+            if (c := (val >> n * s) & slot)}
+
+
+def _gray_code_cuts(g: Graph, spent: int) -> dict[int, int]:
+    """``count_cuts_by_size`` by visiting every bipartition, for a graph
+    whose frontier is too wide: the 2^(n-1) - 1 bipartitions, as the shores
+    holding vertex 0, are charged against the budget on top of the
+    ``spent`` steps before any is counted.
 
     The shores S are walked in binary-reflected Gray-code order (Knuth,
     TAOCP 4A, 7.2.1.1): step i flips the one vertex v = (i & -i).bit_length(),
@@ -475,11 +549,7 @@ def count_cuts_by_size(g: Graph) -> dict[int, int]:
     if v joins S and down if it leaves.  So each shore costs O(1) mask work,
     not a pass over every edge.  The walk also reaches S = V, which is no
     bipartition and is taken off size 0."""
-    check_budget(2 ** max(g.n - 1, 0), "cut enumeration")
-    if not g.simple:
-        raise ValueError("cut counting is defined on simple graphs")
-    if g.n <= 1:
-        return {}
+    check_budget(spent + 2 ** (g.n - 1), "cut enumeration")
     adj = g.adj
     deg = [a.bit_count() for a in adj]
     sizes = [0] * (g.edge_count + 1)

@@ -260,6 +260,32 @@ def test_gadget_certify(capsys, tmp_path):
                        "models": "6"}
 
 
+def test_one_parser_serves_every_call(capsys, k3, tmp_path, monkeypatch):
+    # each call's output and exit code equal a run with a parser of its
+    # own, the reused tree is built once, and no call leaks into the next
+    cnf = tmp_path / "one.cnf"
+    cnf.write_text("c semantics monotone2sat\np cnf 2 1\n1 2 0\n")
+    calls = [("poly", "--graph", k3, "--prop", "proper"),
+             ("poly", "--graph", k3),
+             ("poly", "--graph", k3, "--prop", "acyclic", "--format", "text"),
+             ("eval", "--graph", k3, "--prop", "proper", "--point", "4",
+              "--seed", "3"),
+             ("gadget", "certify", "monotone_maxcut", "--cnf", str(cnf))]
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert [code for code, _ in fresh] == [0, 2, 0, 0, 0]
+    assert fresh[2][1].startswith("basis: binomial\n")
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    assert [run_cli(capsys, *argv) for argv in calls] == fresh
+    assert len(built) == 1
+
+
 def test_gadget_certify_mismatch_exit_code(capsys, tmp_path):
     cnf = tmp_path / "neg.cnf"
     cnf.write_text("c semantics nae3\np cnf 4 2\n1 2 3 0\n-1 2 4 0\n")
@@ -529,7 +555,32 @@ def test_each_exact_route_is_caught_by_the_other(capsys, g12, monkeypatch,
             "internal cross-check failed at k=3"), token
 
 
-@pytest.mark.parametrize("token", ["convex", "proper", "cocolor"])
+def test_acyclic_is_caught_by_its_row(capsys, tmp_path, monkeypatch):
+    # the acyclic walk tests a placement by _acyclic_placed; the k = 3
+    # check walks again with the row's generic test, so a placement test
+    # that refuses every third block shows at k = 3, where C10 has
+    # acyclic colorings that use all three colors
+    path = tmp_path / "c10.el"
+    path.write_text(emit_edge_list(cycle_graph(10)))
+    placed = counting._acyclic_placed
+    monkeypatch.setattr(counting, "_acyclic_placed",
+                        lambda adj, blocks, v, b: b < 2 and placed(
+                            adj, blocks, v, b))
+    brute = cli.brute_count_at
+
+    def brute_below_3(g, prop, k):
+        assert k < 3, "brute force counted k = 3"
+        return brute(g, prop, k)
+
+    monkeypatch.setattr(cli, "brute_count_at", brute_below_3)
+    code, out = run_cli(capsys, "poly", "--graph", str(path), "--prop",
+                        "acyclic")
+    assert code == 4
+    assert json.loads(out)["error"]["message"] == (
+        "internal cross-check failed at k=3")
+
+
+@pytest.mark.parametrize("token", ["convex", "proper", "cocolor", "acyclic"])
 def test_k3_check_fits_wherever_brute_force_fits(capsys, g12, token):
     # the other exact route counts k = 3 only where brute force's
     # 3^12 = 531441 steps fit, so cross_checked is what it was with brute

@@ -1,9 +1,10 @@
 import random
+import time
 from math import comb
 
 import pytest
 
-from chromapoly import counting
+from chromapoly import counting, graphs
 from chromapoly.cnf import CnfInstance, count_models
 from chromapoly.counting import brute_count_at, pruned_count_at
 from chromapoly.errors import BudgetExceededError, budget
@@ -173,6 +174,29 @@ def test_monotone_certification_multiplier_is_three():
     assert multipliers == {3}
 
 
+@pytest.mark.parametrize("num_vars, clauses, seed", [(11, 10, 4), (6, 20, 2)])
+def test_monotone_certification_at_real_size(monkeypatch, num_vars, clauses,
+                                             seed):
+    # 72- and 127-vertex gadgets: the cut program counts them itself (the
+    # Gray-code loop is patched to fail), with at most 20,480 and 10,880
+    # slots kept against the cap of 65,536
+    rng = random.Random(seed)
+    cnf = CnfInstance(num_vars, tuple(
+        tuple(sorted(rng.sample(range(1, num_vars + 1), 2)))
+        for _ in range(clauses)), "monotone2sat")
+
+    def refuse(g, spent):
+        raise AssertionError("the cut program handed over")
+
+    monkeypatch.setattr(graphs, "_gray_code_cuts", refuse)
+    start = time.perf_counter()
+    cert = certify_monotone_maxcut(cnf)
+    assert time.perf_counter() - start < 1.0
+    assert cert.match and cert.detail["multiplier"] == 3
+    assert cert.detail["clauses"] == clauses
+    assert monotone2sat_to_maxcut(cnf)[0].n == 1 + num_vars + 6 * clauses
+
+
 def test_maxcut_cocircuits_construction():
     g = complete_graph(2)
     gp, kp = maxcut_to_cocircuits(g, 1)
@@ -317,17 +341,18 @@ def test_mcs_order_tests_the_bridges_as_soon_as_they_are_placed(
 
 
 def test_cut_certifications_trip_the_budget_before_enumerating():
-    # the cut loop charges 2^(n-1) up front: 16 vertices in the monotone
-    # gadget.  The cocircuit walk charges as it goes and stops at the first
-    # total over the limit: 1553 steps on K4 stretched to length 3, 8435 on
-    # the 14-vertex maxcut_cocirc extension of K3 (walked before the base
-    # graph's cuts are counted)
+    # the cut program charges each vertex's (state, size) slots before it
+    # moves them: 487 steps on the 16-vertex monotone gadget, where the
+    # Gray-code loop charged its 2^15 shores.  The cocircuit walk charges
+    # as it goes and stops at the first total over the limit: 1553 steps
+    # on K4 stretched to length 3, 8435 on the 14-vertex maxcut_cocirc
+    # extension of K3 (walked before the base graph's cuts are counted)
     cnf = CnfInstance(3, ((1, 2), (2, 3)), "monotone2sat")
-    with budget(10 ** 4), pytest.raises(BudgetExceededError) as info:
+    with budget(486), pytest.raises(BudgetExceededError) as info:
         certify_monotone_maxcut(cnf)
     assert str(info.value) == (
-        "cut enumeration needs 32768 operations, budget is 10000")
-    with budget(32768):
+        "cut enumeration needs 487 operations, budget is 486")
+    with budget(487):
         assert certify_monotone_maxcut(cnf).match
     with budget(1552), pytest.raises(BudgetExceededError) as info:
         stretch_identity_check(complete_graph(4), 3)

@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from chromapoly import graphs
 from chromapoly.errors import BudgetExceededError, budget
 from chromapoly.graphs import (
     box_join, build_graph, cocircuit_counts,
@@ -325,19 +326,55 @@ def test_cocircuit_walk_charges_a_node_its_mask_words():
 
 
 def test_cut_loops_check_budget_before_connectivity():
-    # 2^19 bipartitions of an edgeless 20-vertex graph: the cut loop's
-    # budget trips before the graph is found disconnected; the cocircuit
-    # walk charges only the nodes it visits, so it finds the graph
-    # disconnected first
+    # the cocircuit walk charges only the nodes it visits, so it finds an
+    # edgeless 20-vertex graph disconnected first; the cut program charges
+    # one step per (state, size) slot it moves, and the edgeless graph keeps
+    # one state and one slot: 39 steps count its 2^19 - 1 bipartitions,
+    # all of size 0
     g = edgeless_graph(20)
     with budget(10 ** 4):
         with pytest.raises(ValueError, match="^graph must be connected$"):
             enumerate_cocircuits(g)
-        with pytest.raises(BudgetExceededError,
-                           match="^cut enumeration needs 524288 operations"):
-            count_cuts_by_size(g)
-    with budget(8):
+    with budget(39):
+        assert count_cuts_by_size(g) == {0: 2 ** 19 - 1}
+    with budget(38), pytest.raises(BudgetExceededError) as info:
+        count_cuts_by_size(g)
+    assert str(info.value) == (
+        "cut enumeration needs 39 operations, budget is 38")
+    with budget(15):
         assert count_cuts_by_size(path_graph(4)) == {1: 3, 2: 3, 3: 1}
+    with budget(14), pytest.raises(BudgetExceededError):
+        count_cuts_by_size(path_graph(4))
+
+
+def test_cut_program_hands_a_wide_frontier_to_the_gray_code_loop(
+        monkeypatch):
+    # past the cap on kept slots the program hands K12 to the loop over
+    # all 2^11 shores, which charges them up front on top of the 31 steps
+    # the program spent
+    g = complete_graph(12)
+    assert count_cuts_by_size(g) == shore_cut_oracle(g)
+    handed = []
+    loop = graphs._gray_code_cuts
+    monkeypatch.setattr(graphs, "_gray_code_cuts",
+                        lambda g, spent: handed.append(spent) or loop(g, spent))
+    monkeypatch.setattr(graphs, "_FRONTIER_MAX_STATES", 8)
+    with budget(2 ** 11 + 31):
+        assert count_cuts_by_size(g) == shore_cut_oracle(g)
+    assert handed == [31]
+    with budget(2 ** 11 + 30), pytest.raises(BudgetExceededError) as info:
+        count_cuts_by_size(g)
+    assert str(info.value) == (
+        "cut enumeration needs 2079 operations, budget is 2078")
+
+
+def test_cut_program_refuses_multigraphs():
+    g = build_graph(3, [(0, 1), (1, 2)], [2, 1])
+    with pytest.raises(ValueError,
+                       match="^cut counting is defined on simple graphs$"):
+        count_cuts_by_size(g)
+    assert count_cuts_by_size(edgeless_graph(1)) == {}
+    assert count_cuts_by_size(edgeless_graph(0)) == {}
 
 
 def test_count_cuts_by_size():
@@ -348,8 +385,15 @@ def test_count_cuts_by_size():
     assert sum(count_cuts_by_size(path_graph(4)).values()) == 7
 
 
-def test_count_cuts_by_size_matches_the_shore_oracle_and_networkx():
+def test_count_cuts_by_size_matches_the_shore_oracle_and_networkx(
+        monkeypatch):
     nx = pytest.importorskip("networkx")
+
+    def refuse(g, spent):
+        raise AssertionError("the cut program handed over")
+
+    # the transfer-matrix program counts every graph here itself
+    monkeypatch.setattr("chromapoly.graphs._gray_code_cuts", refuse)
     rng = random.Random(37)
     graphs = ([edgeless_graph(n) for n in range(4)] + [complete_graph(2)]
               + [disjoint_union(complete_graph(4), cycle_graph(5)),
