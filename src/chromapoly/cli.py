@@ -109,8 +109,8 @@ def _counts_at(g, prop) -> dict:
     k = 0, 1 and 2, running the checker on every coloring; k = 3 is counted
     by the exact route that did not build the polynomial where one exists
     and brute force at k = 3 would fit the budget (``other_route_count_at``),
-    by brute force otherwise (edge-proper among them).  Stopping at the
-    first trip loses nothing: ``cross_checked`` needs all four counts."""
+    by brute force otherwise.  Stopping at the first trip loses nothing:
+    ``cross_checked`` needs all four counts."""
     out = {}
     for k in range(4):
         try:

@@ -1,46 +1,38 @@
 """Exact counting of colorings and assembly of counting polynomials.
 
-The exact routes everything else is checked against:
+A polynomial is assembled from the exact-color counts c(0..D), c(i) the
+colorings whose range is exactly the first i colors; ``_exact_counts``
+builds them by one of these routes:
 
-* ``brute_count_at`` -- plain enumeration of all k^D colorings; the oracle.
-* the partition engine -- i! times the number of set partitions of the
-  domain into exactly i blocks whose canonical coloring satisfies the
-  property, for every i in one pass.  Valid whenever the property passes the
-  polynomiality audit; ``pruned_count_at`` reads it, and so do
-  ``chi_polynomial`` and ``exact_color_count`` wherever the next two routes
-  do not apply.  It is one walk over the partitions that tests each
-  placement once, before it recurses, by a fact the property states: its
-  size ``bound`` (proper, mcc, du, edge), acyclic's placed-vertex test or
-  its row on the grown block (the other hereditary properties), placing
-  the elements in ``mcs_order``.  The leaf tests the non-hereditary ones by
-  their row or, with none (rainbow), their checker.  Like the frontier
-  route, it reads adjacency masks (``line_graph``'s for edges) and an order.
-* the frontier route -- the same partition counts for a property with a
-  size ``bound`` (proper, mcc, du, edge), by a transfer-matrix dynamic
-  program that places the domain elements in a min-frontier order and keeps
-  only the blocks and components that still have an unplaced neighbour.
-  Its cost follows the width of that frontier, not Bell(D); ``_exact_counts``
-  picks it for every such row.  It is charged one step per transition as
-  it goes, and hands the walk, with the steps charged so far, any graph
-  whose table of counts outgrows _FRONTIER_MAX_STATES.
-* inclusion-exclusion -- the other way to the same counts, for the
-  class-local vertex properties the engine cannot prune by size (a ``row``
-  whose pair predicate is ``all`` and no ``bound``: convex, timp, cocolor,
-  hfree, injective, trivial and such ``pair:`` tokens) on at most 20
-  vertices: one sum over the 2^n vertex subsets (Bjorklund, Husfeldt and
-  Koivisto, SIAM J. Comput. 2009).  ``_exact_counts`` picks it; it is
-  charged 2^n*(n+1) steps, one per subset and palette size, before its
-  first predicate call.
+* the frontier route (``_frontier_counts``) -- a property with a size
+  ``bound`` (proper, mcc, du, edge): a transfer-matrix dynamic program whose
+  cost follows the width of its frontier, not Bell(D).  It hands a graph
+  whose table of counts outgrows _FRONTIER_MAX_STATES to the walk.
+* inclusion-exclusion (``_subset_counts``) -- a class-local vertex property
+  with no ``bound`` (a ``row`` whose pair predicate is ``all``: convex,
+  timp, cocolor, hfree, injective, trivial and such ``pair:`` tokens) on at
+  most 20 vertices: one sum over the 2^n vertex subsets (Bjorklund,
+  Husfeldt and Koivisto, SIAM J. Comput. 2009).
+* the partition walk (``_partition_counts``) -- every other property
+  known to be polynomial: i! times the set partitions of the domain into i
+  blocks whose canonical coloring satisfies the property, for every i in
+  one pass.  ``pruned_count_at`` counts at one palette by it.
+* brute force (``brute_count_at``) -- plain enumeration of all k^D
+  colorings, the oracle; a property not known to be polynomial takes its
+  counts from it.
 
-The routes check each other: ``other_route_count_at`` counts at one
-palette by the engine where inclusion-exclusion built the polynomial, and by
-inclusion-exclusion where the frontier route (or the walk it handed over
-to) built it for a class-local row with a ``bound`` (proper, mcc, du).
-Harmonious is checked by its per-k algorithm below, acyclic by the walk
-with its row's generic placement test; every other property (edge among
-them) only by the oracle.  The second route runs only where the oracle at
-that palette would fit the budget, so it never reaches further than the
-oracle does.
+The k = 3 cross-check is ``other_route_count_at``, a route that did not
+build the counts:
+
+* inclusion-exclusion for a class-local row with a ``bound`` (proper, mcc,
+  du), and for edge-proper on the line graph with at most 20 vertices;
+* the partition walk where inclusion-exclusion built them;
+* harmonious's per-k algorithm;
+* acyclic's walk with its row's generic placement test;
+* brute force for every other property.
+
+A second route runs only where brute force at that palette would fit the
+budget, so it never reaches further than the oracle does.
 
 Fast special cases (the harmonious per-k algorithm, the convex/cocircuit
 count, proper at k <= 2) and the interpolation chains that recover a
@@ -66,7 +58,8 @@ from .polynomials import (
     Poly, from_binomial, lagrange_interpolate, stirling2_row,
 )
 from .properties import (
-    ColoringProperty, _pred_all, harmonious_property, row_holds,
+    ColoringProperty, _pred_all, _pred_edgeless, harmonious_property,
+    row_holds,
 )
 
 _HARMONIOUS = harmonious_property()
@@ -130,25 +123,21 @@ def _row_placed(g: Graph, row, blocks, v: int, b: int, used: int) -> bool:
         pair(g, grown | blocks[c]) for c in range(used)))
 
 
-def _partition_counts(g: Graph, prop: ColoringProperty, lo: int, hi: int,
+def _partition_counts(g: Graph, prop: ColoringProperty, hi: int,
                       what: str = "partition enumeration",
                       spent: int = 0) -> list[int]:
     """p[i] for 0 <= i <= hi: set partitions of the domain into exactly i
     blocks whose canonical block coloring satisfies the property, counted in
     one pass over restricted-growth strings (Knuth, TAOCP 4A 7.2.1.5).
-    Entries below ``lo`` are 0: branches that cannot reach lo blocks are cut.
-    ``pruned_count_at`` counts by it, and ``_exact_counts`` wherever neither
-    the frontier route nor inclusion-exclusion does: the hereditary rows
-    without a bound, acyclic, harmonious and rainbow among them; and
-    ``_frontier_counts`` for the bound rows whose frontier outgrows
-    _FRONTIER_MAX_STATES, passing as ``spent`` the steps it charged.
 
-    One walk tests each placement of an element in block b once, before
-    it places it and recurses; the test is chosen here:
+    The elements are placed in ``mcs_order`` of the domain's adjacency
+    (``line_graph``'s for edges), so that a placement fails as soon as the
+    elements that refute it are placed; the counts do not depend on the
+    order.  Each placement of an element in block b is tested once, before
+    the walk recurses:
 
     * a ``bound`` (proper, mcc, du, edge): the placed element's component
-      in its block has at most ``bound`` elements, where two edges are
-      adjacent when they share an end;
+      in its block has at most ``bound`` elements;
     * acyclic: ``_acyclic_placed``;
     * any other hereditary property with a row: ``_row_placed``;
     * otherwise none.
@@ -156,20 +145,13 @@ def _partition_counts(g: Graph, prop: ColoringProperty, lo: int, hi: int,
     A property that is not hereditary (convex, du, rainbow, ``pair:``
     tokens) is tested at the leaf too: by ``row_holds`` on the block masks,
     du's block sizes first, or by its checker where it has no row.  A walk
-    with a placement test charges one step per node it enters, and enters
-    a node only when the placement passed.  On both domains it follows
-    ``mcs_order``: depth pos places element order[pos], so that a placement
-    fails as soon as the elements that refute it are placed.  The counts do
-    not depend on the order; only the nodes, and so the charge, follow it.
-    The walk without one visits exactly the partitions into lo..hi blocks,
-    so it keeps index order and is charged their number up front.
-    Either charge adds to the ``spent`` steps, so that a count handed over
-    is priced against one budget.
+    with a placement test is charged one step per node it enters; one
+    without is charged up front the number of partitions into at most hi
+    blocks, the leaves it visits.  Either charge adds to ``spent``, the
+    steps a caller handing a count over has already charged.
     """
     d = _domain_size(g, prop)
     counts = [0] * (hi + 1)
-    if lo > min(d, hi):
-        return counts
     checker, bound, row = prop.checker, prop.bound, prop.row
     adj = g.adj if prop.domain == "vertex" else line_graph(g).adj
     colors = [0] * d
@@ -185,8 +167,8 @@ def _partition_counts(g: Graph, prop: ColoringProperty, lo: int, hi: int,
         def fits(v: int, b: int, used: int) -> bool:
             return _row_placed(g, row, blocks, v, b, used)
     else:
-        check_budget(spent + sum(stirling2_row(d, hi)[lo:]), what)
-    order = range(d) if fits is None else mcs_order(adj)
+        check_budget(spent + sum(stirling2_row(d, hi)), what)
+    order = mcs_order(adj)
     if prop.hereditary and fits is not None:
         leaf = None
     elif prop.family == "du":
@@ -216,13 +198,10 @@ def _partition_counts(g: Graph, prop: ColoringProperty, lo: int, hi: int,
             if leaf is None or leaf(used):
                 counts[used] += 1
             return
-        # joining an existing block keeps the block count, so it is open
-        # only while the remaining elements can still reach lo blocks;
         # b == used opens a new block, while fewer than hi are open
         v = order[pos]
         bit = 1 << v
-        first = 0 if d - pos > lo - used else used
-        for b in range(first, used + (used < hi)):
+        for b in range(used + (used < hi)):
             colors[v] = b + 1
             now = used + (b == used)
             if fits is None or fits(v, b, now):
@@ -238,7 +217,7 @@ def _partition_counts(g: Graph, prop: ColoringProperty, lo: int, hi: int,
     return counts
 
 
-def _frontier_counts(g: Graph, prop: ColoringProperty, lo: int,
+def _frontier_counts(g: Graph, prop: ColoringProperty,
                      hi: int) -> list[int]:
     """``_partition_counts`` for a property with a size ``bound``, by a
     frontier (transfer-matrix) dynamic program over the domain elements
@@ -257,19 +236,16 @@ def _frontier_counts(g: Graph, prop: ColoringProperty, lo: int,
     with no live element, the closed ones.  An element joins an open block,
     merging the components it touches, unless that outgrows the bound; or
     one of the closed blocks, which are all alike to it; or a new block,
-    while fewer than hi are used.  Joins are cut, as in the walk,
-    once the elements left can only just reach lo blocks.  A component
-    whose last live element dies is complete: a property that is not
-    hereditary (du) runs its class predicate on it then, once per
-    component, which is its whole row because du's predicate holds on a
-    mask exactly when it holds on each component; the bound decides the
-    others.  One step is charged per transition of a state, checked after
-    each element under "frontier enumeration".
+    while fewer than hi are used.  A component whose last live element
+    dies is complete: a property that is not hereditary (du) runs its class
+    predicate on it then, once per component, which is its whole row
+    because du's predicate holds on a mask exactly when it holds on each
+    component; the bound decides the others.  One step is charged per
+    transition of a state, checked after each element under "frontier
+    enumeration".
     """
     d = _domain_size(g, prop)
     counts = [0] * (hi + 1)
-    if lo > min(d, hi):
-        return counts
     bound, test = prop.bound, None if prop.hereditary else prop.row.class_pred
     if prop.family == "du" and d % bound:
         return counts   # each class covers whole copies of the pattern
@@ -278,7 +254,7 @@ def _frontier_counts(g: Graph, prop: ColoringProperty, lo: int,
     states = {(): [1]}
     unplaced, live = (1 << d) - 1, 0
     steps, limit = 0, budget_limit()
-    for pos, v in enumerate(frontier_order(adj)):
+    for v in frontier_order(adj):
         bit = 1 << v
         unplaced ^= bit
         # v and the placed neighbours whose last unplaced neighbour it was
@@ -316,22 +292,20 @@ def _frontier_counts(g: Graph, prop: ColoringProperty, lo: int,
                 blocks = kept
             return tuple(sorted(blocks)), closes
 
-        def move(to, vec: list[int], first: int, stop: int,
-                 opened: int) -> None:
-            # the states with closed counts first..stop-1 take one
+        def move(to, vec: list[int], stop: int, opened: int) -> None:
+            # the states with closed counts opened..stop-1 take one
             # transition each to ``to`` (None where a test failed), which
             # uses one closed block less when ``opened``: each of them is
             # then a choice
             nonlocal steps, held
-            part = vec[first:stop]
+            part = vec[opened:stop]
             moved = len(part) - part.count(0)
             steps += moved
             if to is None or not moved:
                 return
             if opened:
-                part = [c * ways for c, ways in enumerate(part, first)]
-            key, closes = to
-            at = first - opened + closes
+                part = [c * ways for c, ways in enumerate(part, 1)]
+            key, at = to
             acc = nxt.setdefault(key, [])
             grow = at + len(part) - len(acc)
             if grow > 0:
@@ -341,18 +315,15 @@ def _frontier_counts(g: Graph, prop: ColoringProperty, lo: int,
                                          acc[at:at + len(part)], part)
 
         for blocks, vec in states.items():
-            # a join keeps the block count: it needs
-            # d - pos > lo - (open + closed) blocks
-            first = max(0, lo - len(blocks) - (d - pos) + 1)
             for j, m in enumerate(blocks):
                 if _within_bound(adj, m, v, bound):
                     move(settle([*blocks[:j], m | bit, *blocks[j + 1:]]),
-                         vec, first, len(vec), 0)
+                         vec, len(vec), 0)
             to = settle([*blocks, bit])
-            move(to, vec, max(first, 1), len(vec), 1)
-            move(to, vec, 0, hi - len(blocks), 0)
+            move(to, vec, len(vec), 1)
+            move(to, vec, hi - len(blocks), 0)
             if held > _FRONTIER_MAX_STATES:
-                return _partition_counts(g, prop, lo, hi, spent=steps)
+                return _partition_counts(g, prop, hi, spent=steps)
         if steps > limit:
             check_budget(steps, "frontier enumeration")
         states = nxt
@@ -422,19 +393,12 @@ def _subset_counts(g: Graph, allowed, hereditary: bool,
     return counts
 
 
-def _exact_counts(g: Graph, prop: ColoringProperty, lo: int,
-                  hi: int) -> list[int]:
-    """c[i] for lo <= i <= hi, indexed by i: colorings whose range is
-    exactly the first i colors.
-
-    A property with a size ``bound`` takes the frontier route, or the walk
-    where its counts outgrow _FRONTIER_MAX_STATES; a class-local property
-    the partition engine cannot prune by size takes the inclusion-exclusion
-    route over vertex subsets on at most _SUBSET_MAX_N vertices, charged
-    2^n*(n+1) steps; every other property takes the partition engine,
-    charged as its walk prescribes.  All assume the count depends only on
-    |I|; for a suspect property the plain counts are taken once and
-    combined by inclusion-exclusion over colors instead.
+def _exact_counts(g: Graph, prop: ColoringProperty, hi: int) -> list[int]:
+    """c[i] for 0 <= i <= hi: colorings whose range is exactly the first i
+    colors, by the route the module docstring assigns to the property.
+    Each route charges the budget as its own docstring says; a property not
+    known to be polynomial is charged brute force's plain counts at
+    0..min(hi, D), which inclusion-exclusion over colors combines.
     """
     if not prop.known_polynomial:
         top = min(hi, _domain_size(g, prop))
@@ -446,51 +410,45 @@ def _exact_counts(g: Graph, prop: ColoringProperty, lo: int,
     if allowed is not None and prop.bound is None:
         return _subset_counts(g, allowed, prop.hereditary, hi)
     if prop.bound is not None:
-        p = _frontier_counts(g, prop, lo, hi)
+        p = _frontier_counts(g, prop, hi)
     else:
-        p = _partition_counts(g, prop, lo, hi)
+        p = _partition_counts(g, prop, hi)
     return [factorial(i) * c for i, c in enumerate(p)]
 
 
 def other_route_count_at(g: Graph, prop: ColoringProperty,
                          k: int) -> int | None:
-    """The count at palette k by an exact route ``_exact_counts`` did not
-    take on g, or None where brute force should count instead.
+    """The count at palette k by a route ``_exact_counts`` did not take on
+    g (the module docstring lists them), or None where the property has
+    none or brute force should count instead.
 
-    Where inclusion-exclusion built the polynomial, the partition engine
-    counts (``pruned_count_at``); where the frontier route built it, or the
-    walk it handed a wide frontier to, for a class-local row with a
-    ``bound`` (proper, mcc, du), inclusion-exclusion counts what that
-    dynamic program built; harmonious takes its per-k algorithm.  Acyclic
-    takes the walk again, testing each placement by ``_row_placed`` on its
-    edgeless/forest row instead of ``_acyclic_placed``: the two counts
-    share the recursion over partitions but not the predicate that prunes
-    it.  The other ``pair:`` tokens, edge-domain and audit-gated
-    properties, and inputs above _SUBSET_MAX_N vertices (harmonious and
-    acyclic aside), have no second route.
-
-    None too where brute force at k would not fit the budget: the pruned
-    walks charge per node, so they would trip only after the work brute
-    force refuses up front.  And None where the route itself trips it,
-    although brute force fits: inclusion-exclusion's 2^n*(n+1) steps
-    exceed 3^n on n <= 3.
+    It is None where brute force at k, k^D colorings on the property's own
+    domain, would not fit the budget: the pruned walks charge per node, so
+    they would trip only after the work brute force refuses up front.  And
+    None where the route itself trips the budget although brute force
+    fits: inclusion-exclusion's 2^n*(n+1) steps exceed 3^n on n <= 3.
     """
     harmonious = prop.family == "harmonious"
     acyclic = prop.family == "acyclic"
+    edge = prop.family == "edge" and g.edge_count <= _SUBSET_MAX_N
     allowed = _class_predicate(g, prop) if prop.known_polynomial else None
-    if not harmonious and not acyclic and allowed is None:
+    if not (harmonious or acyclic or edge or allowed is not None):
         return None
     try:
-        # brute force's charge on the vertex domain
-        check_budget(k ** g.n, "coloring enumeration")
+        check_budget(k ** _domain_size(g, prop), "coloring enumeration")
         if harmonious:
             return harmonious_fast(g, k)
         if acyclic:
             # untagged, the walk tests the row, not _acyclic_placed
             return pruned_count_at(g, replace(prop, family=""), k)
-        if prop.bound is None:
+        if edge:
+            # the classes of a proper edge coloring are edgeless in the
+            # line graph, whose adjacency the frontier route also read
+            c = _subset_counts(line_graph(g), _pred_edgeless, True, k)
+        elif prop.bound is None:
             return pruned_count_at(g, prop, k)
-        c = _subset_counts(g, allowed, prop.hereditary, k)
+        else:
+            c = _subset_counts(g, allowed, prop.hereditary, k)
     except BudgetExceededError:
         return None
     return sum(comb(k, i) * ci for i, ci in enumerate(c))
@@ -511,18 +469,12 @@ def brute_count_at(g: Graph, prop: ColoringProperty, k: int) -> int:
 
 
 def exact_color_count(g: Graph, prop: ColoringProperty, i: int) -> int:
-    """Number of colorings that use exactly i colors (all i present).
-
-    Read from ``_exact_counts``: i! times the number of set partitions of
-    the domain into exactly i blocks whose canonical block coloring
-    satisfies the property, by the frontier route for a property with a
-    size bound and by the walk otherwise, or by inclusion-exclusion over
-    vertex subsets for a class-local property on at most _SUBSET_MAX_N
-    vertices.
-    """
+    """Number of colorings that use exactly i colors (all i present): entry
+    i of ``_exact_counts`` up to i, so it is charged for the counts at
+    0..i together."""
     if i < 0:
         raise ValueError("color count must be nonnegative")
-    return _exact_counts(g, prop, i, i)[i]
+    return _exact_counts(g, prop, i)[i]
 
 
 def chi_polynomial(g: Graph, prop: ColoringProperty) -> Poly:
@@ -536,7 +488,7 @@ def chi_polynomial(g: Graph, prop: ColoringProperty) -> Poly:
         report = polynomiality_audit(g, prop, k_max=4)
         if not report.passed():
             raise NotPolynomialError(report)
-    return from_binomial(_exact_counts(g, prop, 0, _domain_size(g, prop)))
+    return from_binomial(_exact_counts(g, prop, _domain_size(g, prop)))
 
 
 # ---------------------------------------------------------------------------
@@ -682,7 +634,7 @@ def pruned_count_at(g: Graph, prop: ColoringProperty, k: int) -> int:
     if k < 0 or not prop.known_polynomial:
         return brute_count_at(g, prop, k)
     hi = min(k, _domain_size(g, prop))
-    p = _partition_counts(g, prop, 0, hi, "pruned enumeration")
+    p = _partition_counts(g, prop, hi, "pruned enumeration")
     return sum(comb(k, i) * factorial(i) * c for i, c in enumerate(p))
 
 

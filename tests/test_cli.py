@@ -580,6 +580,38 @@ def test_acyclic_is_caught_by_its_row(capsys, tmp_path, monkeypatch):
         "internal cross-check failed at k=3")
 
 
+def test_edge_proper_is_caught_by_inclusion_exclusion(capsys, tmp_path,
+                                                       monkeypatch):
+    # the frontier route builds edge-proper's polynomial on the line graph;
+    # the k = 3 check sums over its edge subsets, so a wrong count at i = 3
+    # shows with brute force refused at k = 3.  The graph has at most 16
+    # edges, so that brute force's 3^m fits the default budget
+    g = random_graph(random.Random(5), 8, min_n=8, p=0.45)
+    assert 3 < g.edge_count <= 16
+    path = tmp_path / "g8.el"
+    path.write_text(emit_edge_list(g))
+    frontier = counting._frontier_counts
+
+    def corrupted(*args, **kwargs):
+        counts = frontier(*args, **kwargs)
+        counts[3] += 1
+        return counts
+
+    monkeypatch.setattr(counting, "_frontier_counts", corrupted)
+    brute = cli.brute_count_at
+
+    def brute_below_3(g, prop, k):
+        assert k < 3, "brute force counted k = 3"
+        return brute(g, prop, k)
+
+    monkeypatch.setattr(cli, "brute_count_at", brute_below_3)
+    code, out = run_cli(capsys, "poly", "--graph", str(path), "--prop",
+                        "edge")
+    assert code == 4
+    assert json.loads(out)["error"]["message"] == (
+        "internal cross-check failed at k=3")
+
+
 @pytest.mark.parametrize("token", ["convex", "proper", "cocolor", "acyclic"])
 def test_k3_check_fits_wherever_brute_force_fits(capsys, g12, token):
     # the other exact route counts k = 3 only where brute force's

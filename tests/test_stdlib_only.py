@@ -1,7 +1,8 @@
 """The package imports nothing outside the standard library: every absolute
 import in ``src/chromapoly`` names a top-level module of
-``sys.stdlib_module_names``.  And no module but ``__init__`` imports a name
-it never reads."""
+``sys.stdlib_module_names``.  No module but ``__init__`` imports a name it
+never reads, and every module-level private name is read somewhere in the
+package besides its own definition."""
 
 import ast
 import sys
@@ -73,3 +74,45 @@ def test_src_modules_use_every_name_they_import():
               for name, line in _imported_names(tree)
               if name not in _read_names(tree)]
     assert unused == []
+
+
+def _defined_privates(statement):
+    """The private names a module-level statement defines."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+        names = [statement.name]
+    elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
+        targets = (statement.targets if isinstance(statement, ast.Assign)
+                   else [statement.target])
+        names = [node.id for target in targets for node in ast.walk(target)
+                 if isinstance(node, ast.Name)]
+    else:
+        names = []
+    return [name for name in names
+            if name.startswith("_") and not name.startswith("__")]
+
+
+def _statement_reads(statement):
+    """Every name a statement reads: loaded, imported from another module,
+    or looked up as an attribute."""
+    reads = _read_names(statement)
+    for node in ast.walk(statement):
+        if isinstance(node, ast.ImportFrom):
+            reads |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Attribute):
+            reads.add(node.attr)
+    return reads
+
+
+def test_src_private_module_names_are_all_read():
+    # a module-level private function, class or constant that nothing in
+    # the package reads, outside its own definition, is dead code
+    statements = [statement for path in sorted(SRC.rglob("*.py"))
+                  for statement in ast.parse(path.read_text()).body]
+    reads = [_statement_reads(statement) for statement in statements]
+    unread = [name
+              for i, statement in enumerate(statements)
+              for name in _defined_privates(statement)
+              if not any(name in names
+                         for j, names in enumerate(reads) if j != i)]
+    assert unread == []
