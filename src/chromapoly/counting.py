@@ -6,8 +6,9 @@ builds them by one of these routes:
 
 * the frontier route (``_frontier_counts``) -- a property with a size
   ``bound`` (proper, mcc, du, edge): a transfer-matrix dynamic program whose
-  cost follows the width of its frontier, not Bell(D).  It hands a graph
-  whose table of counts outgrows _FRONTIER_MAX_STATES to the walk.
+  cost follows the width of ``graphs.frontier_sweep``'s frontier, not
+  Bell(D).  It hands a graph whose table of counts outgrows
+  _FRONTIER_MAX_STATES to the walk.
 * inclusion-exclusion (``_subset_counts``) -- a class-local vertex property
   with no ``bound`` (a ``row`` whose pair predicate is ``all``: convex,
   timp, cocolor, hfree, injective, trivial and such ``pair:`` tokens) on at
@@ -52,7 +53,7 @@ from .errors import (
 from .graphs import (
     _FRONTIER_MAX_STATES, Graph, _reach, bits, box_join, build_graph,
     cocircuit_counts, complete_graph, connected_components, disjoint_union,
-    frontier_order, join, line_graph, mcs_order, star_graph, strip_isolated,
+    frontier_sweep, join, line_graph, mcs_order, star_graph, strip_isolated,
 )
 from .polynomials import (
     Poly, from_binomial, lagrange_interpolate, stirling2_row,
@@ -124,7 +125,6 @@ def _row_placed(g: Graph, row, blocks, v: int, b: int, used: int) -> bool:
 
 
 def _partition_counts(g: Graph, prop: ColoringProperty, hi: int,
-                      what: str = "partition enumeration",
                       spent: int = 0) -> list[int]:
     """p[i] for 0 <= i <= hi: set partitions of the domain into exactly i
     blocks whose canonical block coloring satisfies the property, counted in
@@ -167,7 +167,8 @@ def _partition_counts(g: Graph, prop: ColoringProperty, hi: int,
         def fits(v: int, b: int, used: int) -> bool:
             return _row_placed(g, row, blocks, v, b, used)
     else:
-        check_budget(spent + sum(stirling2_row(d, hi)), what)
+        check_budget(spent + sum(stirling2_row(d, hi)),
+                     "partition enumeration")
     order = mcs_order(adj)
     if prop.hereditary and fits is not None:
         leaf = None
@@ -193,7 +194,7 @@ def _partition_counts(g: Graph, prop: ColoringProperty, hi: int,
         if fits is not None:
             steps += 1
             if steps > limit:
-                check_budget(steps, what)
+                check_budget(steps, "partition enumeration")
         if pos == d:
             if leaf is None or leaf(used):
                 counts[used] += 1
@@ -212,7 +213,7 @@ def _partition_counts(g: Graph, prop: ColoringProperty, hi: int,
     try:
         rec(0, 0)
     except RecursionError:
-        raise ValueError(f"{what} over {d} domain elements "
+        raise ValueError(f"partition enumeration over {d} domain elements "
                          "exceeds the recursion limit") from None
     return counts
 
@@ -227,22 +228,21 @@ def _frontier_counts(g: Graph, prop: ColoringProperty,
     adds them, it hands the count to the walk, which goes on from the steps
     already charged.
 
-    Elements are placed in ``frontier_order``, edges adjacent when they
-    share an end.  A placed element is live while it has an unplaced
-    neighbour.  A state is the tuple of the open blocks, each the mask of
-    its components that still hold a live element (its components are the
-    connected parts of that mask); it keeps the numbers of partial
-    partitions that reach it in one list, indexed by the number of blocks
-    with no live element, the closed ones.  An element joins an open block,
-    merging the components it touches, unless that outgrows the bound; or
-    one of the closed blocks, which are all alike to it; or a new block,
-    while fewer than hi are used.  A component whose last live element
-    dies is complete: a property that is not hereditary (du) runs its class
-    predicate on it then, once per component, which is its whole row
-    because du's predicate holds on a mask exactly when it holds on each
-    component; the bound decides the others.  One step is charged per
-    transition of a state, checked after each element under "frontier
-    enumeration".
+    ``frontier_sweep`` places the elements and says which are live, edges
+    adjacent when they share an end.  A state is the tuple
+    of the open blocks, each the mask of its components that still hold a
+    live element (its components are the connected parts of that mask); it
+    keeps the numbers of partial partitions that reach it in one list,
+    indexed by the number of blocks with no live element, the closed ones.
+    An element joins an open block, merging the components it touches,
+    unless that outgrows the bound; or one of the closed blocks, which are
+    all alike to it; or a new block, while fewer than hi are used.  A
+    component whose last live element dies is complete: a property that is
+    not hereditary (du) runs its class predicate on it then, once per
+    component, which is its whole row because du's predicate holds on a
+    mask exactly when it holds on each component; the bound decides the
+    others.  One step is charged per transition of a state, checked after
+    each element under "frontier enumeration".
     """
     d = _domain_size(g, prop)
     counts = [0] * (hi + 1)
@@ -252,17 +252,11 @@ def _frontier_counts(g: Graph, prop: ColoringProperty,
     adj = g.adj if prop.domain == "vertex" else line_graph(g).adj
     verdicts: dict[int, bool] = {}     # per complete component
     states = {(): [1]}
-    unplaced, live = (1 << d) - 1, 0
+    live = 0
     steps, limit = 0, budget_limit()
-    for v in frontier_order(adj):
+    for v, now in frontier_sweep(adj):
         bit = 1 << v
-        unplaced ^= bit
-        # v and the placed neighbours whose last unplaced neighbour it was
-        dying = 0
-        for u in bits((adj[v] | bit) & ~unplaced):
-            if not adj[u] & unplaced:
-                dying |= 1 << u
-        live = (live | bit) & ~dying
+        dying, live = (live | bit) & ~now, now
         nxt: dict = {}
         held = 0    # the counts nxt keeps: per state, one per closed count
 
@@ -585,8 +579,6 @@ def convex_fast(g: Graph, k: int) -> int:
         return 0
     if ncomp == 2:
         return 2
-    if g.n == 1:
-        return 2
     # convexity ignores multiplicities: count on the underlying simple graph
     total, _ = cocircuit_counts(build_graph(g.n, g.edges))
     return 2 + 2 * total
@@ -634,7 +626,7 @@ def pruned_count_at(g: Graph, prop: ColoringProperty, k: int) -> int:
     if k < 0 or not prop.known_polynomial:
         return brute_count_at(g, prop, k)
     hi = min(k, _domain_size(g, prop))
-    p = _partition_counts(g, prop, hi, "pruned enumeration")
+    p = _partition_counts(g, prop, hi)
     return sum(comb(k, i) * factorial(i) * c for i, c in enumerate(p))
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import budget_limit, check_budget
 
@@ -348,30 +348,41 @@ def mcs_order(adj: Sequence[int]) -> list[int]:
     return order
 
 
-def frontier_order(adj: Sequence[int]) -> list[int]:
-    """An order of the elements 0..len(adj)-1, given by adjacency masks,
-    that keeps the frontier (the placed elements with an unplaced
-    neighbour) small: next comes the element that leaves the fewest
-    placed elements with an unplaced neighbour, ties go to the one with
-    more placed neighbours, then to the lower index."""
+def frontier_sweep(adj: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """Place the elements 0..len(adj)-1, given by adjacency masks, one at a
+    time, and yield each element v with the mask of the live elements once
+    v is placed.
+
+    A placed element is live while it has an unplaced neighbour; the live
+    elements are the frontier.  An element dies when its last unplaced
+    neighbour is placed, or on placement if it has none.  Next comes the
+    element that leaves the fewest live elements, ties go to the one with
+    more placed neighbours, then to the lower index.  The frontier dynamic
+    programs read the live set from here."""
     n = len(adj)
-    unplaced, placed = (1 << n) - 1, 0
+    unplaced, placed, live = (1 << n) - 1, 0, 0
+
+    def dying(v: int) -> int:
+        # v and its placed neighbours left with no unplaced neighbour by v
+        rest = unplaced ^ 1 << v
+        gone = 0 if adj[v] & rest else 1 << v
+        for u in bits(adj[v] & placed):
+            if not adj[u] & rest:
+                gone |= 1 << u
+        return gone
 
     def score(v: int) -> int:
         # frontier growth * n - placed neighbours: growth is at most 1
-        rest = unplaced ^ 1 << v
-        nb = adj[v] & placed
-        growth = bool(adj[v] & rest) - sum(
-            not adj[u] & rest for u in bits(nb))
-        return growth * n - nb.bit_count()
+        return ((1 - dying(v).bit_count()) * n
+                - (adj[v] & placed).bit_count())
 
     scores = [score(v) for v in range(n)]
-    order = []
     for _ in range(n):
         v = min(range(n), key=scores.__getitem__)   # first minimum
-        order.append(v)
+        live = (live | 1 << v) & ~dying(v)
         unplaced ^= 1 << v
         placed |= 1 << v
+        yield v, live
         scores[v] = n + 1
         # only the scores within two steps of v can move
         near = adj[v]
@@ -379,7 +390,6 @@ def frontier_order(adj: Sequence[int]) -> list[int]:
             near |= adj[u]
         for w in bits(near & unplaced):
             scores[w] = score(w)
-    return order
 
 
 # ---------------------------------------------------------------------------
@@ -474,20 +484,20 @@ _FRONTIER_MAX_STATES = 2 ** 16
 def count_cuts_by_size(g: Graph) -> dict[int, int]:
     """Number of vertex bipartitions (unordered, nonempty shores) per
     crossing size, by a transfer-matrix dynamic program over the vertices
-    in ``frontier_order`` (Biggs, Damerell and Sands, J. Combin. Theory B
-    12, 1972).  Its cost follows the width of that frontier, not 2^(n-1).
+    as ``frontier_sweep`` places them (Biggs, Damerell and Sands, J.
+    Combin. Theory B 12, 1972).  Its cost follows the width of that
+    frontier, not 2^(n-1).
 
-    A placed vertex is live while it has an unplaced neighbour.  A state
-    is the mask of the live vertices on side 1; it keeps its counts per
-    crossing size packed into one int, an n-bit slot per size (Kronecker
-    substitution), wide enough for the at most 2^(n-1) assignments it
-    counts.  Placing v on side 0 adds its live neighbours on side 1
-    to the crossing size, placing it on side 1 those on side 0: every
-    placed neighbour of v is live.  A vertex leaves the key once its last
-    neighbour is placed.  The first vertex goes on side 0 only, so the
-    program counts half of Z_s, the 2^n side assignments with crossing
-    size s, and the count at s is (Z_s - 2[s = 0]) / 2: the assignments
-    with one empty side are no bipartition.
+    A state is the mask of the live vertices on side 1; it keeps its counts
+    per crossing size packed into one int, an n-bit slot per size
+    (Kronecker substitution), wide enough for the at most 2^(n-1)
+    assignments it counts.  Placing v on side 0 adds its live neighbours on
+    side 1 to the crossing size, placing it on side 1 those on side 0:
+    every placed neighbour of v is live.  A vertex leaves the key once it
+    dies.  The first vertex goes on side 0 only, so the program counts half
+    of Z_s, the 2^n side assignments with crossing size s, and the count at
+    s is (Z_s - 2[s = 0]) / 2: the assignments with one empty side are no
+    bipartition.
 
     One step is charged per (state, size) slot moved, from the lowest to
     the highest nonzero size of each state, checked before each vertex
@@ -503,19 +513,14 @@ def count_cuts_by_size(g: Graph) -> dict[int, int]:
     adj = g.adj
     states = {0: 1}
     kept, steps, limit = 1, 0, budget_limit()
-    unplaced, live = (1 << n) - 1, 0
-    for pos, v in enumerate(frontier_order(adj)):
+    live = 0
+    for pos, (v, now) in enumerate(frontier_sweep(adj)):
         steps += kept if pos == 0 else 2 * kept
         if steps > limit:
             check_budget(steps, "cut enumeration")
         bit = 1 << v
-        unplaced ^= bit
-        placed = adj[v] & ~unplaced     # v's placed neighbours, all live
-        dying = 0 if adj[v] & unplaced else bit
-        for u in bits(placed):
-            if not adj[u] & unplaced:
-                dying |= 1 << u
-        live = (live | bit) & ~dying
+        placed = adj[v] & live      # v's placed neighbours, all live
+        live = now
         degree = placed.bit_count()
         nxt: dict[int, int] = {}
         for key, val in states.items():

@@ -609,7 +609,7 @@ def test_acyclic_walk_charges_the_nodes_it_visits():
     with budget(44), pytest.raises(BudgetExceededError) as info:
         pruned_count_at(g, inj, 7)
     assert str(info.value) == (
-        "pruned enumeration needs 45 operations, budget is 44")
+        "partition enumeration needs 45 operations, budget is 44")
 
 
 def _charge_total(run):
@@ -679,7 +679,7 @@ def test_leaf_checked_walk_refused_before_its_first_checker_call(
     with budget(4139), pytest.raises(BudgetExceededError) as info:
         pruned_count_at(g, CONVEX, 8)
     assert str(info.value) == (
-        "pruned enumeration needs 4140 operations, budget is 4139")
+        "partition enumeration needs 4140 operations, budget is 4139")
     assert calls == []
 
 
@@ -917,8 +917,7 @@ def test_frontier_route_matches_the_walk(monkeypatch):
             d = g.n if prop.domain == "vertex" else g.edge_count
             for hi in (1, 2, 3, d):
                 assert counting._frontier_counts(g, prop, hi) == (
-                    _partition_counts(g, prop, hi, "pruned enumeration")
-                ), (token, g, hi)
+                    _partition_counts(g, prop, hi)), (token, g, hi)
 
 
 def test_proper_polynomial_closed_forms_past_the_walk(monkeypatch):

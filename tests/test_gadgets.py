@@ -310,7 +310,7 @@ def test_pruned_budget_counts_visited_nodes():
     with budget(53), pytest.raises(BudgetExceededError) as info:
         pruned_count_at(g, mcc_property(2), 2)
     assert str(info.value) == (
-        "pruned enumeration needs 54 operations, budget is 53")
+        "partition enumeration needs 54 operations, budget is 53")
     with budget(54):
         assert pruned_count_at(g, mcc_property(2), 2) == 10
 
@@ -330,7 +330,7 @@ def test_mcs_order_tests_the_bridges_as_soon_as_they_are_placed(
     with budget(1007), pytest.raises(BudgetExceededError) as info:
         pruned_count_at(g, mcc2, 2)
     assert str(info.value) == (
-        "pruned enumeration needs 1008 operations, budget is 1007")
+        "partition enumeration needs 1008 operations, budget is 1007")
     with budget(1008):
         assert pruned_count_at(g, mcc2, 2) == 30
     monkeypatch.setattr(counting, "mcs_order",

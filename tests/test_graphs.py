@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 from math import comb
@@ -11,7 +12,7 @@ from chromapoly.graphs import (
     box_join, build_graph, cocircuit_counts,
     complete_graph, connected_components, count_cuts_by_size, cycle_graph,
     disjoint_union,
-    edgeless_graph, enumerate_cocircuits, frontier_order, harmonious_gadget,
+    edgeless_graph, enumerate_cocircuits, frontier_sweep, harmonious_gadget,
     has_induced_copy, induced_subgraph, is_connected, is_isomorphic, join,
     line_graph, mask_isomorphic, mcc_extension, mcs_order, path_graph,
     standard_graph, star_graph, stretch, strip_isolated, t_pendant,
@@ -368,6 +369,28 @@ def test_cut_program_hands_a_wide_frontier_to_the_gray_code_loop(
         "cut enumeration needs 2079 operations, budget is 2078")
 
 
+def test_cut_program_memory_stays_within_its_cap(monkeypatch):
+    # K16's frontier takes in every placed vertex: uncapped, the program
+    # would hold megabytes of counts before a budget of 10^7 trips; capped
+    # at 2^8 slots it hands over (to a stub loop here) within 256 KiB
+    handed = []
+
+    def stub(g, spent):
+        handed.append(spent)
+        return {}
+    monkeypatch.setattr(graphs, "_gray_code_cuts", stub)
+    monkeypatch.setattr(graphs, "_FRONTIER_MAX_STATES", 2 ** 8)
+    g = complete_graph(16)
+    tracemalloc.start()
+    try:
+        with budget(10 ** 7):
+            count_cuts_by_size(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(handed) == 1 and peak < 2 ** 18, (handed, peak)
+
+
 def test_cut_program_refuses_multigraphs():
     g = build_graph(3, [(0, 1), (1, 2)], [2, 1])
     with pytest.raises(ValueError,
@@ -518,27 +541,35 @@ def _frontier(adj, placed):
                    for w in range(len(adj)))}
 
 
-def test_frontier_order_takes_the_least_frontier_first():
+def test_frontier_sweep_takes_the_least_frontier_first():
     # each step, recomputed from scratch over sets: the element placed
     # leaves the fewest placed elements with an unplaced neighbour, then
-    # has the most placed neighbours, then the lowest index
+    # has the most placed neighbours, then the lowest index; the mask it
+    # comes with is that frontier, on simple graphs and multigraphs
     rng = random.Random(41)
-    for trial in range(30):
-        g = random_graph(rng, 9, p=(0.2, 0.4)[trial % 2])
-        order, placed = frontier_order(g.adj), set()
-        assert sorted(order) == list(range(g.n))
-        for v in order:
+    cases = [random_graph(rng, 9, p=(0.2, 0.4)[trial % 2])
+             for trial in range(30)]
+    for _ in range(6):
+        g = random_graph(rng, 9, p=0.4)
+        cases.append(build_graph(g.n, g.edges,
+                                 [rng.randint(1, 3) for _ in g.edges],
+                                 simple=False))
+    assert sum(1 for g in cases if not g.simple and g.edges) >= 4
+    for g in cases:
+        sweep, placed = list(frontier_sweep(g.adj)), set()
+        assert sorted(v for v, _ in sweep) == list(range(g.n))
+        for v, live in sweep:
             def rank(w):
                 return (len(_frontier(g.adj, placed | {w})),
                         -sum((g.adj[w] >> u) & 1 for u in placed), w)
             assert rank(v) == min(rank(w) for w in range(g.n)
-                                  if w not in placed), (g, order)
+                                  if w not in placed), (g, sweep)
             placed.add(v)
-    assert frontier_order(path_graph(6).adj) == list(range(6))
-    assert frontier_order([]) == []
+            assert {u for u in range(g.n) if (live >> u) & 1} == (
+                _frontier(g.adj, placed)), (g, sweep)
+    assert [v for v, _ in frontier_sweep(path_graph(6).adj)] == list(range(6))
+    assert list(frontier_sweep([])) == []
     # on the 4x10 grid, in both numberings, the frontier never holds more
     # than 4 elements, the grid's pathwidth
     for g in (grid_graph(4, 10), grid_graph(4, 10, row_major=False)):
-        order = frontier_order(g.adj)
-        assert max(len(_frontier(g.adj, set(order[:i])))
-                   for i in range(g.n + 1)) == 4
+        assert max(live.bit_count() for _, live in frontier_sweep(g.adj)) == 4
