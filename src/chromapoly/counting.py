@@ -144,11 +144,11 @@ def _partition_counts(g: Graph, prop: ColoringProperty, hi: int,
 
     A property that is not hereditary (convex, du, rainbow, ``pair:``
     tokens) is tested at the leaf too: by ``row_holds`` on the block masks,
-    du's block sizes first, or by its checker where it has no row.  A walk
-    with a placement test is charged one step per node it enters; one
-    without is charged up front the number of partitions into at most hi
-    blocks, the leaves it visits.  Either charge adds to ``spent``, the
-    steps a caller handing a count over has already charged.
+    or by its checker where it has no row.  A walk with a placement test is
+    charged one step per node it enters; one without is charged up front
+    the number of partitions into at most hi blocks, the leaves it visits.
+    Either charge adds to ``spent``, the steps a caller handing a count
+    over has already charged.
     """
     d = _domain_size(g, prop)
     counts = [0] * (hi + 1)
@@ -172,14 +172,6 @@ def _partition_counts(g: Graph, prop: ColoringProperty, hi: int,
     order = mcs_order(adj)
     if prop.hereditary and fits is not None:
         leaf = None
-    elif prop.family == "du":
-        size = prop.param.n
-
-        def leaf(used: int) -> bool:
-            # every block covers whole copies of the pattern: all the sizes
-            # are tested before the first block's pattern search
-            return (all(b.bit_count() % size == 0 for b in blocks[:used])
-                    and row_holds(row, g, blocks[:used]))
     elif row is not None:
         def leaf(used: int) -> bool:
             return row_holds(row, g, blocks[:used])

@@ -13,19 +13,22 @@ class ChromapolyError(Exception):
 
 
 class BudgetExceededError(ChromapolyError):
-    """An enumeration would exceed the configured operation budget.
+    """An enumeration would exceed the configured operation budget, or a
+    dynamic program its cap on the counts it keeps (``unit`` and ``bound``
+    name them in the message).
 
     Exceeding the budget is always an error, never a silent approximation.
     """
 
-    def __init__(self, cost: int, limit: int, what: str = "enumeration"):
+    def __init__(self, cost: int, limit: int, what: str = "enumeration",
+                 unit: str = "operations", bound: str = "budget"):
         self.cost = cost
         self.budget = limit
         # a cost past 4300 decimal digits, the interpreter's default limit
         # on int-to-str conversion, is given as a power of two
         needs = (str(cost) if cost < 10 ** 4300
                  else f"at least 2^{cost.bit_length() - 1}")
-        super().__init__(f"{what} needs {needs} operations, budget is {limit}")
+        super().__init__(f"{what} needs {needs} {unit}, {bound} is {limit}")
 
 
 @contextmanager

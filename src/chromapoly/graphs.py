@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .errors import budget_limit, check_budget
+from .errors import BudgetExceededError, budget_limit, check_budget
 
 
 @dataclass(frozen=True)
@@ -474,9 +474,9 @@ def cocircuit_counts(g: Graph) -> tuple[int, dict[int, int]]:
     return sum(by_size.values()), dict(sorted(by_size.items()))
 
 
-# the most counts a frontier dynamic program keeps for its next element
-# (the partition route in ``counting`` and ``count_cuts_by_size``): past it
-# the count goes to an enumeration instead, so that a wide frontier cannot
+# the most counts a frontier dynamic program keeps for its next element:
+# past it the partition route in ``counting`` hands the count to its walk,
+# and ``count_cuts_by_size`` refuses, so that a wide frontier cannot
 # exhaust memory
 _FRONTIER_MAX_STATES = 2 ** 16
 
@@ -502,8 +502,8 @@ def count_cuts_by_size(g: Graph) -> dict[int, int]:
     One step is charged per (state, size) slot moved, from the lowest to
     the highest nonzero size of each state, checked before each vertex
     under "cut enumeration".  Where the slots kept for the next vertex
-    number more than _FRONTIER_MAX_STATES, the graph goes to
-    ``_gray_code_cuts``, charged on top of the steps already spent.
+    number more than _FRONTIER_MAX_STATES, the program refuses with a
+    BudgetExceededError naming that cap.
     """
     if not g.simple:
         raise ValueError("cut counting is defined on simple graphs")
@@ -536,38 +536,11 @@ def count_cuts_by_size(g: Graph) -> dict[int, int]:
                    - ((val & -val).bit_length() - 1) // n + 1
                    for val in states.values())
         if kept > _FRONTIER_MAX_STATES:
-            return _gray_code_cuts(g, steps)
+            raise BudgetExceededError(kept, _FRONTIER_MAX_STATES,
+                                      "cut enumeration", "kept counts", "cap")
     val, slot = states[0] - 1, (1 << n) - 1     # S = V is no bipartition
     return {s: c for s in range(g.edge_count + 1)
             if (c := (val >> n * s) & slot)}
-
-
-def _gray_code_cuts(g: Graph, spent: int) -> dict[int, int]:
-    """``count_cuts_by_size`` by visiting every bipartition, for a graph
-    whose frontier is too wide: the 2^(n-1) - 1 bipartitions, as the shores
-    holding vertex 0, are charged against the budget on top of the
-    ``spent`` steps before any is counted.
-
-    The shores S are walked in binary-reflected Gray-code order (Knuth,
-    TAOCP 4A, 7.2.1.1): step i flips the one vertex v = (i & -i).bit_length(),
-    and the crossing size moves by deg v - 2 |N(v) & S| (S without v), up
-    if v joins S and down if it leaves.  So each shore costs O(1) mask work,
-    not a pass over every edge.  The walk also reaches S = V, which is no
-    bipartition and is taken off size 0."""
-    check_budget(spent + 2 ** (g.n - 1), "cut enumeration")
-    adj = g.adj
-    deg = [a.bit_count() for a in adj]
-    sizes = [0] * (g.edge_count + 1)
-    x, size = 1, deg[0]
-    sizes[size] = 1
-    for i in range(1, 1 << (g.n - 1)):
-        v = (i & -i).bit_length()
-        d = deg[v] - 2 * (adj[v] & x).bit_count()
-        x ^= 1 << v
-        size += d if (x >> v) & 1 else -d
-        sizes[size] += 1
-    sizes[0] -= 1
-    return {s: c for s, c in enumerate(sizes) if c}
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ class ColoringProperty:
     name: str
     domain: str
     checker: Checker
-    family: str = ""           # tag for eval easy routes, chains, du leaf
+    family: str = ""           # tag for eval easy routes, chains, route choices
     param: object = None       # t for mcc/timp, pattern graph for du/hfree
     known_polynomial: bool = True
     # the row's predicates reject every superset of a mask they reject (edge:

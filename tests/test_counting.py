@@ -280,16 +280,15 @@ def test_du_vanishing_and_mcc1_is_chromatic():
             chi_polynomial(h, PROPER))
 
 
-def test_du_leaf_tests_every_block_size_before_a_pattern(monkeypatch):
-    # a leaf with a block that cannot hold whole copies of the pattern is
-    # refused before any block runs its pattern search: testing the blocks
-    # one after the other made 823 searches for K2 and 522 for P3 here, and
-    # P3 on 8 vertices has no partition into blocks of 3, 6, ... vertices.
-    # The walk's vertex order sets which block fails first, and g's own
-    # numbering the order of each block's components: 164 searches in
-    # maximum cardinality search order, 158 in input order.  The
-    # polynomial comes from the frontier route, which searches each
-    # complete component of K2's size once (10 here), and none for P3
+def test_du_walk_tests_its_row_at_the_leaf(monkeypatch):
+    # the walk's leaf tests the blocks one after the other with du's row,
+    # whose predicate refuses a block that cannot hold whole copies of the
+    # pattern before its search: 841 searches for K2 and 524 for P3 here,
+    # where P3 on 8 vertices has no partition into blocks of 3, 6, ...
+    # vertices but a block of 3 is searched before a later one fails.  The
+    # walk's vertex order sets which block fails first.  The polynomial
+    # comes from the frontier route, which searches each complete
+    # component of K2's size once (10 here), and none for P3
     g = random_graph(random.Random(0), 8, min_n=8)
     searches = [0]
     search = graphs.has_induced_copy
@@ -297,8 +296,8 @@ def test_du_leaf_tests_every_block_size_before_a_pattern(monkeypatch):
     def counted(*args):
         searches[0] += 1
         return search(*args)
-    for pattern, walked, built in ((complete_graph(2), 164, 10),
-                                   (path_graph(3), 0, 0)):
+    for pattern, walked, built in ((complete_graph(2), 841, 10),
+                                   (path_graph(3), 524, 0)):
         prop = du_property(pattern)
         monkeypatch.setattr(graphs, "has_induced_copy", counted)
         searches[0] = 0

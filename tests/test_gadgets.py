@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from chromapoly import counting, graphs
+from chromapoly import counting, gadgets, graphs
 from chromapoly.cnf import CnfInstance, count_models
 from chromapoly.counting import brute_count_at, pruned_count_at
 from chromapoly.errors import BudgetExceededError, budget
@@ -175,26 +175,48 @@ def test_monotone_certification_multiplier_is_three():
 
 
 @pytest.mark.parametrize("num_vars, clauses, seed", [(11, 10, 4), (6, 20, 2)])
-def test_monotone_certification_at_real_size(monkeypatch, num_vars, clauses,
-                                             seed):
-    # 72- and 127-vertex gadgets: the cut program counts them itself (the
-    # Gray-code loop is patched to fail), with at most 20,480 and 10,880
-    # slots kept against the cap of 65,536
+def test_monotone_certification_at_real_size(num_vars, clauses, seed):
+    # 72- and 127-vertex gadgets: the cut program counts them with at most
+    # 20,480 and 10,880 slots kept against the cap of 65,536
     rng = random.Random(seed)
     cnf = CnfInstance(num_vars, tuple(
         tuple(sorted(rng.sample(range(1, num_vars + 1), 2)))
         for _ in range(clauses)), "monotone2sat")
-
-    def refuse(g, spent):
-        raise AssertionError("the cut program handed over")
-
-    monkeypatch.setattr(graphs, "_gray_code_cuts", refuse)
     start = time.perf_counter()
     cert = certify_monotone_maxcut(cnf)
     assert time.perf_counter() - start < 1.0
     assert cert.match and cert.detail["multiplier"] == 3
     assert cert.detail["clauses"] == clauses
     assert monotone2sat_to_maxcut(cnf)[0].n == 1 + num_vars + 6 * clauses
+
+
+def test_widest_small_monotone_gadget_fits_the_cut_program(monkeypatch):
+    # this 4-clause gadget keeps at most 272 slots: it certifies under a cap
+    # of 2^9 and is refused under 2^8.  The widest gadget of at most 4
+    # clauses over at most 8 variables keeps 544, far below the real cap
+    cnf = CnfInstance(5, ((1, 4), (2, 5), (3, 4), (3, 5)), "monotone2sat")
+    monkeypatch.setattr(graphs, "_FRONTIER_MAX_STATES", 2 ** 9)
+    cert = certify_monotone_maxcut(cnf)
+    assert (cert.models, cert.graph_count) == (13, 1053)
+    assert cert.match and cert.detail["multiplier"] == 3
+    monkeypatch.setattr(graphs, "_FRONTIER_MAX_STATES", 2 ** 8)
+    with pytest.raises(BudgetExceededError) as info:
+        certify_monotone_maxcut(cnf)
+    assert str(info.value) == (
+        "cut enumeration needs 272 kept counts, cap is 256")
+
+
+def test_maxcut_cocircuits_walk_refuses_before_counting_cuts(monkeypatch):
+    # a base graph dense enough to pass the cut program's cap has an
+    # extension with at least 2^(n^2) cocircuits: their walk trips the
+    # budget before any cut of K18 is counted
+    def refuse(g):
+        raise AssertionError("the cuts were counted")
+
+    monkeypatch.setattr(gadgets, "count_cuts_by_size", refuse)
+    with budget(10 ** 6), pytest.raises(BudgetExceededError) as info:
+        certify_maxcut_cocircuits(complete_graph(18), 5)
+    assert str(info.value).startswith("cocircuit enumeration needs ")
 
 
 def test_maxcut_cocircuits_construction():
@@ -342,11 +364,11 @@ def test_mcs_order_tests_the_bridges_as_soon_as_they_are_placed(
 
 def test_cut_certifications_trip_the_budget_before_enumerating():
     # the cut program charges each vertex's (state, size) slots before it
-    # moves them: 487 steps on the 16-vertex monotone gadget, where the
-    # Gray-code loop charged its 2^15 shores.  The cocircuit walk charges
-    # as it goes and stops at the first total over the limit: 1553 steps
-    # on K4 stretched to length 3, 8435 on the 14-vertex maxcut_cocirc
-    # extension of K3 (walked before the base graph's cuts are counted)
+    # moves them: 487 steps on the 16-vertex monotone gadget.  The
+    # cocircuit walk charges as it goes and stops at the first total over
+    # the limit: 1553 steps on K4 stretched to length 3, 8435 on the
+    # 14-vertex maxcut_cocirc extension of K3 (walked before the base
+    # graph's cuts are counted)
     cnf = CnfInstance(3, ((1, 2), (2, 3)), "monotone2sat")
     with budget(486), pytest.raises(BudgetExceededError) as info:
         certify_monotone_maxcut(cnf)

@@ -348,47 +348,37 @@ def test_cut_loops_check_budget_before_connectivity():
         count_cuts_by_size(path_graph(4))
 
 
-def test_cut_program_hands_a_wide_frontier_to_the_gray_code_loop(
-        monkeypatch):
-    # past the cap on kept slots the program hands K12 to the loop over
-    # all 2^11 shores, which charges them up front on top of the 31 steps
-    # the program spent
+def test_cut_program_refuses_past_its_cap(monkeypatch):
+    # past the cap on kept counts the program refuses with the cap in the
+    # message, after the 31 steps it spends on K12 up to there; a budget
+    # below those steps trips first
     g = complete_graph(12)
     assert count_cuts_by_size(g) == shore_cut_oracle(g)
-    handed = []
-    loop = graphs._gray_code_cuts
-    monkeypatch.setattr(graphs, "_gray_code_cuts",
-                        lambda g, spent: handed.append(spent) or loop(g, spent))
     monkeypatch.setattr(graphs, "_FRONTIER_MAX_STATES", 8)
-    with budget(2 ** 11 + 31):
-        assert count_cuts_by_size(g) == shore_cut_oracle(g)
-    assert handed == [31]
-    with budget(2 ** 11 + 30), pytest.raises(BudgetExceededError) as info:
+    with budget(31), pytest.raises(BudgetExceededError) as info:
         count_cuts_by_size(g)
     assert str(info.value) == (
-        "cut enumeration needs 2079 operations, budget is 2078")
+        "cut enumeration needs 16 kept counts, cap is 8")
+    with budget(30), pytest.raises(BudgetExceededError) as info:
+        count_cuts_by_size(g)
+    assert str(info.value) == (
+        "cut enumeration needs 31 operations, budget is 30")
 
 
 def test_cut_program_memory_stays_within_its_cap(monkeypatch):
     # K16's frontier takes in every placed vertex: uncapped, the program
     # would hold megabytes of counts before a budget of 10^7 trips; capped
-    # at 2^8 slots it hands over (to a stub loop here) within 256 KiB
-    handed = []
-
-    def stub(g, spent):
-        handed.append(spent)
-        return {}
-    monkeypatch.setattr(graphs, "_gray_code_cuts", stub)
+    # at 2^8 slots it refuses within 256 KiB
     monkeypatch.setattr(graphs, "_FRONTIER_MAX_STATES", 2 ** 8)
     g = complete_graph(16)
     tracemalloc.start()
     try:
-        with budget(10 ** 7):
+        with budget(10 ** 7), pytest.raises(BudgetExceededError) as info:
             count_cuts_by_size(g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(handed) == 1 and peak < 2 ** 18, (handed, peak)
+    assert "cap is 256" in str(info.value) and peak < 2 ** 18, peak
 
 
 def test_cut_program_refuses_multigraphs():
@@ -408,15 +398,8 @@ def test_count_cuts_by_size():
     assert sum(count_cuts_by_size(path_graph(4)).values()) == 7
 
 
-def test_count_cuts_by_size_matches_the_shore_oracle_and_networkx(
-        monkeypatch):
+def test_count_cuts_by_size_matches_the_shore_oracle_and_networkx():
     nx = pytest.importorskip("networkx")
-
-    def refuse(g, spent):
-        raise AssertionError("the cut program handed over")
-
-    # the transfer-matrix program counts every graph here itself
-    monkeypatch.setattr("chromapoly.graphs._gray_code_cuts", refuse)
     rng = random.Random(37)
     graphs = ([edgeless_graph(n) for n in range(4)] + [complete_graph(2)]
               + [disjoint_union(complete_graph(4), cycle_graph(5)),
