@@ -155,9 +155,10 @@ def _easy_point(g, prop, point: Fraction):
     """(label, value) when a route that counts at this one palette size
     applies, else None: harmonious at every k (0 while C(k, 2) < m, brute
     force on the graph without its isolated vertices otherwise), convex at
-    k <= 2 (cocircuits, by a walk over the shores that lead to one) and
-    proper at k <= 2 (two-coloring).  Each route is exact where it applies,
-    so ``eval`` reports it without building the polynomial."""
+    k <= 2 (cocircuits, by a walk over the shores that lead to one up to 13
+    vertices and a frontier program past that) and proper at k <= 2
+    (two-coloring).  Each route is exact where it applies, so ``eval``
+    reports it without building the polynomial."""
     if point.denominator != 1 or point < 0:
         return None
     k = int(point)

@@ -35,9 +35,9 @@ build the counts:
 A second route runs only where brute force at that palette would fit the
 budget, so it never reaches further than the oracle does.
 
-Fast special cases (the harmonious per-k algorithm, the convex/cocircuit
-count, proper at k <= 2) and the interpolation chains that recover a
-polynomial from shifted evaluations live here too.
+Fast special cases (the harmonious per-k algorithm, convex at k <= 2 from
+``graphs.cocircuit_counts``, proper at k <= 2) and the interpolation chains
+that recover a polynomial from shifted evaluations live here too.
 """
 
 from __future__ import annotations
@@ -556,8 +556,11 @@ def harmonious_fast(g: Graph, k: int) -> int:
 def convex_fast(g: Graph, k: int) -> int:
     """Convex count for k <= 2 via components and cocircuits: a connected
     graph's convex 2-colorings are its two monochromatic ones and two per
-    cocircuit, whose shores take one color each.  The cocircuit walk costs
-    at most n nodes per cocircuit, not 2^(n-1) bipartitions."""
+    cocircuit, whose shores take one color each.  ``cocircuit_counts``
+    counts them by a walk over the shores on at most 13 vertices and by a
+    frontier program past that, never 2^(n-1) bipartitions; neither builds
+    a convex polynomial, so this count is independent of the routes that
+    do."""
     if k not in (0, 1, 2):
         raise ValueError("fast convex path covers k in {0, 1, 2}")
     if g.n == 0:

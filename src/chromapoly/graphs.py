@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -377,8 +378,14 @@ def frontier_sweep(adj: Sequence[int]) -> Iterator[tuple[int, int]]:
                 - (adj[v] & placed).bit_count())
 
     scores = [score(v) for v in range(n)]
+    # a lazy heap of (score, element): an entry whose score has moved, or
+    # whose element is placed, is dropped when it comes up
+    heap = list(zip(scores, range(n)))
+    heapify(heap)
     for _ in range(n):
-        v = min(range(n), key=scores.__getitem__)   # first minimum
+        s, v = heappop(heap)
+        while s != scores[v]:
+            s, v = heappop(heap)
         live = (live | 1 << v) & ~dying(v)
         unplaced ^= 1 << v
         placed |= 1 << v
@@ -389,7 +396,9 @@ def frontier_sweep(adj: Sequence[int]) -> Iterator[tuple[int, int]]:
         for u in bits(adj[v] & placed):
             near |= adj[u]
         for w in bits(near & unplaced):
-            scores[w] = score(w)
+            if (s := score(w)) != scores[w]:
+                scores[w] = s
+                heappush(heap, (s, w))
 
 
 # ---------------------------------------------------------------------------
@@ -406,33 +415,58 @@ def enumerate_cocircuits(g: Graph) -> CocircuitSummary:
     return CocircuitSummary(*cocircuit_counts(g))
 
 
+# the most counts a frontier dynamic program keeps for its next element:
+# past it the partition route in ``counting`` and ``cocircuit_counts`` hand
+# the count to their walks, and ``count_cuts_by_size`` refuses, so that a
+# wide frontier cannot exhaust memory
+_FRONTIER_MAX_STATES = 2 ** 16
+
+
 def cocircuit_counts(g: Graph) -> tuple[int, dict[int, int]]:
     """Total and per-size cocircuit counts of a connected simple graph.
 
     A cocircuit is the crossing set of a bipartition whose two shores are
-    both connected.  The walk backtracks over the shores S that hold vertex
-    0 (Tsukiyama, Shirakawa, Ozaki and Ariyoshi, J. ACM 27(4), 1980; Provan
-    and Shier, Algorithmica 15, 1996).  A node keeps S connected and an
-    excluded set X, and branches on the lowest neighbour u of S outside X:
-    u joins S or u joins X.  A branch is kept only while X lies inside one
-    component C of G - S.  Then V - C is a cocircuit shore below it, so the
-    walk visits at most n nodes per cocircuit instead of testing all
-    2^(n-1) - 1 bipartitions.  A node with every neighbour of S in X has
-    G - S connected: it is one cocircuit.  Each node is charged the 64-bit
-    words of its masks, ceil(n / 64) steps, and each vertex a component
-    search reaches one step, as it happens.
+    both connected.  The route follows from the graph alone: where the
+    walk's worst case, n * (2^(n-1) - 1) nodes, fits under
+    _FRONTIER_MAX_STATES (n <= 13), ``_cocircuit_walk`` counts them, at a
+    cost that follows the cocircuits; on larger graphs
+    ``_cocircuit_frontier`` does, at a cost that follows the frontier's
+    width, and it hands a graph whose counts pass that cap to the walk.
+    Both charge under "cocircuit enumeration".
     """
     if not g.simple:
         raise ValueError("cut enumeration is defined on simple graphs")
     if not is_connected(g):
         raise ValueError("graph must be connected")
+    if g.n <= 1:
+        return 0, {}
+    if g.n * ((1 << g.n - 1) - 1) <= _FRONTIER_MAX_STATES:
+        return _cocircuit_walk(g)
+    return _cocircuit_frontier(g)
+
+
+def _cocircuit_walk(g: Graph, spent: int = 0) -> tuple[int, dict[int, int]]:
+    """``cocircuit_counts`` by a walk that backtracks over the shores S
+    that hold vertex 0 (Tsukiyama, Shirakawa, Ozaki and Ariyoshi, J. ACM
+    27(4), 1980; Provan and Shier, Algorithmica 15, 1996), on a connected
+    simple graph with at least two vertices.  A node keeps S connected and
+    an excluded set X, and branches on the lowest neighbour u of S outside
+    X: u joins S or u joins X.  A branch is kept only while X lies inside
+    one component C of G - S.  Then V - C is a cocircuit shore below it, so
+    the walk visits at most n nodes per cocircuit instead of testing all
+    2^(n-1) - 1 bipartitions.  A node with every neighbour of S in X has
+    G - S connected: it is one cocircuit.  Each node is charged the 64-bit
+    words of its masks, ceil(n / 64) steps, and each vertex a component
+    search reaches one step, as it happens, on top of the ``spent`` steps
+    a caller has charged already.
+    """
     what = "cocircuit enumeration"
     adj, full = g.adj, (1 << g.n) - 1
     by_size: dict[int, int] = {}
-    steps, limit = 0, budget_limit()
+    steps, limit = spent, budget_limit()
     words = (g.n + 63) // 64
     # (S, X, neighbours of S outside S, crossing edges, C or 0 while unknown)
-    stack = [(1, 0, adj[0], adj[0].bit_count(), 0)] if g.n > 1 else []
+    stack = [(1, 0, adj[0], adj[0].bit_count(), 0)]
     while stack:
         s, x, nbr, cross, comp = stack.pop()
         steps += words
@@ -474,11 +508,81 @@ def cocircuit_counts(g: Graph) -> tuple[int, dict[int, int]]:
     return sum(by_size.values()), dict(sorted(by_size.items()))
 
 
-# the most counts a frontier dynamic program keeps for its next element:
-# past it the partition route in ``counting`` hands the count to its walk,
-# and ``count_cuts_by_size`` refuses, so that a wide frontier cannot
-# exhaust memory
-_FRONTIER_MAX_STATES = 2 ** 16
+def _kept_slots(states: dict, n: int) -> int:
+    """The n-bit slots from each packed count's lowest to its highest
+    nonzero size, summed over the states."""
+    return sum((val.bit_length() - 1) // n
+               - ((val & -val).bit_length() - 1) // n + 1
+               for val in states.values())
+
+
+def _slot_counts(val: int, n: int) -> dict[int, int]:
+    """The nonzero n-bit slots of a packed count, by size."""
+    slot = (1 << n) - 1
+    return {s: c for s in range((val.bit_length() + n - 1) // n)
+            if (c := (val >> n * s) & slot)}
+
+
+def _cocircuit_frontier(g: Graph) -> tuple[int, dict[int, int]]:
+    """``cocircuit_counts`` by ``count_cuts_by_size``'s transfer-matrix
+    program with a connectivity index (Biggs, Damerell and Sands, J.
+    Combin. Theory B 12, 1972), on a connected simple graph with at least
+    two vertices.
+
+    A state keeps, per side, the sorted live-vertex masks of that side's
+    components.  Placing v on a side merges the components that hold its
+    placed neighbours there.  A component whose live vertices all die
+    stays in its side as the mask 0, and the side is closed: a side that
+    holds a dead component and anything else is refused, which covers
+    both a second component and a later vertex.  A cocircuit is a state
+    whose two sides are closed once every vertex is placed.  The counts
+    per crossing size, the packing, the first vertex on side 0 and the
+    charge per slot moved are those of ``count_cuts_by_size``.  Where the
+    slots kept for the next vertex pass _FRONTIER_MAX_STATES, the program
+    hands the graph to ``_cocircuit_walk``, which goes on from the steps
+    already charged.
+    """
+    n, adj = g.n, g.adj
+    states = {((), ()): 1}
+    kept, steps, limit = 1, 0, budget_limit()
+    live = 0
+    for pos, (v, now) in enumerate(frontier_sweep(adj)):
+        steps += kept if pos == 0 else 2 * kept
+        if steps > limit:
+            check_budget(steps, "cocircuit enumeration")
+        bit = 1 << v
+        placed = adj[v] & live      # v's placed neighbours, all live
+        gone = (live | bit) & ~now  # the vertices that die with v
+        live = now
+        degree = placed.bit_count()
+        nxt: dict[tuple, int] = {}
+        for key, val in states.items():
+            for side in (0, 1) if pos else (0,):
+                joined, comps = bit, []
+                for c in key[side]:
+                    if c & placed:
+                        joined |= c
+                    else:
+                        comps.append(c & live)
+                comps.append(joined & live)
+                comps.sort()
+                # a dead component, the mask 0, sorts first and must be alone
+                if len(comps) > 1 and not comps[0]:
+                    continue
+                mine, theirs = tuple(comps), key[1 - side]
+                if gone and any(c & gone for c in theirs):
+                    theirs = tuple(sorted([c & live for c in theirs]))
+                    if len(theirs) > 1 and not theirs[0]:
+                        continue
+                to = (mine, theirs) if side == 0 else (theirs, mine)
+                cross = degree - (joined & placed).bit_count()
+                nxt[to] = nxt.get(to, 0) + (val << n * cross)
+        states = nxt
+        kept = _kept_slots(states, n)
+        if kept > _FRONTIER_MAX_STATES:
+            return _cocircuit_walk(g, steps)
+    by_size = _slot_counts(states.get(((0,), (0,)), 0), n)
+    return sum(by_size.values()), by_size
 
 
 def count_cuts_by_size(g: Graph) -> dict[int, int]:
@@ -531,16 +635,11 @@ def count_cuts_by_size(g: Graph) -> dict[int, int]:
                 to = (key | bit) & live
                 nxt[to] = nxt.get(to, 0) + (val << n * (degree - ones))
         states = nxt
-        # the slots from each state's lowest to its highest nonzero size
-        kept = sum((val.bit_length() - 1) // n
-                   - ((val & -val).bit_length() - 1) // n + 1
-                   for val in states.values())
+        kept = _kept_slots(states, n)
         if kept > _FRONTIER_MAX_STATES:
             raise BudgetExceededError(kept, _FRONTIER_MAX_STATES,
                                       "cut enumeration", "kept counts", "cap")
-    val, slot = states[0] - 1, (1 << n) - 1     # S = V is no bipartition
-    return {s: c for s in range(g.edge_count + 1)
-            if (c := (val >> n * s) & slot)}
+    return _slot_counts(states[0] - 1, n)       # S = V is no bipartition
 
 
 # ---------------------------------------------------------------------------

@@ -297,3 +297,33 @@ def random_tree(rng: random.Random, n: int) -> Graph:
     """A tree on 0..n-1: each vertex after the first hangs from an earlier
     one."""
     return build_graph(n, [(rng.randrange(v), v) for v in range(1, n)])
+
+
+def scan_frontier_sweep(adj: Sequence[int]) -> list[tuple[int, int]]:
+    """``graphs.frontier_sweep``'s (element, live mask) pairs, choosing each
+    next element by a full scan of the scores: the element that leaves the
+    fewest live elements, then the one with more placed neighbours, then
+    the lower index."""
+    n = len(adj)
+    unplaced, placed, live = (1 << n) - 1, 0, 0
+
+    def dying(v: int) -> int:
+        rest = unplaced ^ 1 << v
+        gone = 0 if adj[v] & rest else 1 << v
+        for u in range(n):
+            if (placed >> u) & 1 and (adj[v] >> u) & 1 and not adj[u] & rest:
+                gone |= 1 << u
+        return gone
+
+    def score(v: int) -> int:
+        return ((1 - dying(v).bit_count()) * n
+                - (adj[v] & placed).bit_count())
+
+    out = []
+    for _ in range(n):
+        v = min((w for w in range(n) if (unplaced >> w) & 1), key=score)
+        live = (live | 1 << v) & ~dying(v)
+        unplaced ^= 1 << v
+        placed |= 1 << v
+        out.append((v, live))
+    return out

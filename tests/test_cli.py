@@ -2,6 +2,7 @@ import json
 import random
 import sys
 import time
+from math import comb
 
 import pytest
 
@@ -125,8 +126,8 @@ def test_eval_answers_easy_points_without_the_polynomial(
     def refuse(*args):
         raise AssertionError("eval built the polynomial")
     monkeypatch.setattr(cli, "chi_polynomial", refuse)
-    # a connected 16-vertex graph: the cocircuit walk charges 1338 steps
-    # for its 318 cocircuits, the polynomial would need 2^16 * 17
+    # a connected 16-vertex graph: the cocircuit frontier program charges
+    # 331 steps for its 318 cocircuits, the polynomial would need 2^16 * 17
     g16 = tmp_path / "g16.el"
     g16.write_text(emit_edge_list(build_graph(
         16, [(v, v + 1) for v in range(15)] + [(0, 8), (3, 12), (5, 15)])))
@@ -460,8 +461,8 @@ def test_cocircuits_budget(capsys, tmp_path):
 
 
 def test_cocircuits_cost_follows_the_output(capsys, tmp_path):
-    # a path's cocircuits are its edges: the walk visits a few nodes per
-    # edge, where the shore loop would charge 2^2999
+    # a path's cocircuits are its edges: the frontier program moves a few
+    # slots per vertex, where the shore loop would charge 2^2999
     path = tmp_path / "p3000.el"
     path.write_text(emit_edge_list(path_graph(3000)))
     code, out = run_cli(capsys, "cocircuits", "--graph", str(path))
@@ -470,19 +471,37 @@ def test_cocircuits_cost_follows_the_output(capsys, tmp_path):
     code, out = run_cli(capsys, "eval", "--graph", str(path), "--prop",
                         "convex", "--point", "2")
     assert code == 0 and json.loads(out)["value"] == str(2 + 2 * 2999)
-    # C1000 has 499500 cocircuits: a small budget stops the walk early;
-    # each node is charged its 16 words of 64 bits
+    # C1000 has 499500 cocircuits, past the walk's reach at this budget;
+    # the frontier program charges the slots it moves, a few per vertex,
+    # so it counts them, and C2000 trips the smallest budget only late
     cycle = tmp_path / "c1000.el"
     cycle.write_text(emit_edge_list(cycle_graph(1000)))
     start = time.perf_counter()
     code, out = run_cli(capsys, "cocircuits", "--graph", str(cycle),
                         "--budget", "1000000")
     assert time.perf_counter() - start < 2
+    assert code == 0
+    assert json.loads(out)["by_size"] == {"2": "499500"}
+    cycle.write_text(emit_edge_list(cycle_graph(2000)))
+    code, out = run_cli(capsys, "cocircuits", "--graph", str(cycle),
+                        "--budget", "10000")
     assert code == 3
     assert json.loads(out) == {"error": {
         "code": "budget",
-        "message": "cocircuit enumeration needs 1000006 operations, "
-                   "budget is 1000000"}}
+        "message": "cocircuit enumeration needs 10003 operations, "
+                   "budget is 10000"}}
+
+
+def test_cocircuits_of_a_long_cycle_at_the_default_budget(capsys, tmp_path):
+    # C5000's C(5000, 2) cocircuits: the frontier program keeps a few
+    # states per vertex, where the walk would visit millions of nodes
+    cycle = tmp_path / "c5000.el"
+    cycle.write_text(emit_edge_list(cycle_graph(5000)))
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "cocircuits", "--graph", str(cycle))
+    assert time.perf_counter() - start < 2
+    assert code == 0
+    assert json.loads(out)["total"] == str(comb(5000, 2)) == "12497500"
 
 
 def test_budget_validation(capsys, k3):

@@ -452,15 +452,16 @@ def test_convex_fast_examples():
 
 
 def test_convex_fast_budget():
-    # the cocircuit walk on P15 costs 28 operations, two per edge
-    with budget(27):
+    # P15 is past the walk's size, so the frontier program counts its
+    # cocircuits: 55 operations, the (state, size) slots it moves
+    with budget(54):
         with pytest.raises(BudgetExceededError) as info:
             convex_fast(path_graph(15), 2)
-        # no cocircuit walk runs on a disconnected graph
+        # no cocircuit count runs on a disconnected graph
         assert convex_fast(edgeless_graph(30), 2) == 0
     assert str(info.value) == (
-        "cocircuit enumeration needs 28 operations, budget is 27")
-    with budget(28):
+        "cocircuit enumeration needs 55 operations, budget is 54")
+    with budget(55):
         assert convex_fast(path_graph(15), 2) == 2 + 2 * 14
 
 

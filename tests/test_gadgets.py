@@ -208,7 +208,8 @@ def test_widest_small_monotone_gadget_fits_the_cut_program(monkeypatch):
 
 def test_maxcut_cocircuits_walk_refuses_before_counting_cuts(monkeypatch):
     # a base graph dense enough to pass the cut program's cap has an
-    # extension with at least 2^(n^2) cocircuits: their walk trips the
+    # extension with at least 2^(n^2) cocircuits: the cocircuit frontier
+    # program passes its cap and hands them to the walk, which trips the
     # budget before any cut of K18 is counted
     def refuse(g):
         raise AssertionError("the cuts were counted")
@@ -365,10 +366,10 @@ def test_mcs_order_tests_the_bridges_as_soon_as_they_are_placed(
 def test_cut_certifications_trip_the_budget_before_enumerating():
     # the cut program charges each vertex's (state, size) slots before it
     # moves them: 487 steps on the 16-vertex monotone gadget.  The
-    # cocircuit walk charges as it goes and stops at the first total over
-    # the limit: 1553 steps on K4 stretched to length 3, 8435 on the
-    # 14-vertex maxcut_cocirc extension of K3 (walked before the base
-    # graph's cuts are counted)
+    # cocircuit program charges the same way: 249 steps on K4 stretched to
+    # length 3 (16 vertices; K4 itself takes the walk), 299 on the
+    # 14-vertex maxcut_cocirc extension of K3 (counted before the base
+    # graph's cuts)
     cnf = CnfInstance(3, ((1, 2), (2, 3)), "monotone2sat")
     with budget(486), pytest.raises(BudgetExceededError) as info:
         certify_monotone_maxcut(cnf)
@@ -376,17 +377,17 @@ def test_cut_certifications_trip_the_budget_before_enumerating():
         "cut enumeration needs 487 operations, budget is 486")
     with budget(487):
         assert certify_monotone_maxcut(cnf).match
-    with budget(1552), pytest.raises(BudgetExceededError) as info:
+    with budget(248), pytest.raises(BudgetExceededError) as info:
         stretch_identity_check(complete_graph(4), 3)
     assert str(info.value) == (
-        "cocircuit enumeration needs 1553 operations, budget is 1552")
-    with budget(1553):
+        "cocircuit enumeration needs 249 operations, budget is 248")
+    with budget(249):
         assert stretch_identity_check(complete_graph(4), 3).match
-    with budget(8434), pytest.raises(BudgetExceededError) as info:
+    with budget(298), pytest.raises(BudgetExceededError) as info:
         certify_maxcut_cocircuits(complete_graph(3), 1)
     assert str(info.value) == (
-        "cocircuit enumeration needs 8435 operations, budget is 8434")
-    with budget(8435):
+        "cocircuit enumeration needs 299 operations, budget is 298")
+    with budget(299):
         assert certify_maxcut_cocircuits(complete_graph(3), 1).match
 
 

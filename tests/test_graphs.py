@@ -19,8 +19,8 @@ from chromapoly.graphs import (
 )
 from helpers import (
     all_graphs_up_to, automorphisms, grid_graph, random_connected_graph,
-    random_graph, relabel, shore_cocircuit_oracle, shore_cut_oracle,
-    shore_pairs,
+    random_graph, relabel, scan_frontier_sweep, shore_cocircuit_oracle,
+    shore_cut_oracle, shore_pairs,
 )
 
 
@@ -315,15 +315,88 @@ def test_cocircuit_walk_charges_the_nodes_it_visits():
 
 def test_cocircuit_walk_charges_a_node_its_mask_words():
     # past 64 vertices each node is charged the ceil(n / 64) 64-bit words
-    # of its masks: C65 needs 10399 steps, where one step a node gave 6239
+    # of its masks: the walk needs 10399 steps on C65, where one step a
+    # node gave 6239.  C65 is past the walk's size, so cocircuit_counts
+    # takes the frontier program, at 379 steps
     g = cycle_graph(65)
-    assert cocircuit_counts(g) == (comb(65, 2), {2: comb(65, 2)})
+    walk = graphs._cocircuit_walk
+    assert walk(g) == cocircuit_counts(g) == (comb(65, 2), {2: comb(65, 2)})
     with budget(10399):
-        cocircuit_counts(g)
+        walk(g)
     with budget(10398), pytest.raises(BudgetExceededError) as info:
-        cocircuit_counts(g)
+        walk(g)
     assert str(info.value) == (
         "cocircuit enumeration needs 10399 operations, budget is 10398")
+    with budget(379):
+        cocircuit_counts(g)
+    with budget(378), pytest.raises(BudgetExceededError) as info:
+        cocircuit_counts(g)
+    assert str(info.value) == (
+        "cocircuit enumeration needs 379 operations, budget is 378")
+
+
+def _no_walk(g, spent=0):
+    raise AssertionError("the cocircuit walk ran")
+
+
+def test_cocircuit_frontier_matches_the_shore_oracle_and_the_walk(
+        monkeypatch):
+    rng = random.Random(43)
+    small = [random_connected_graph(rng, 12, min_n=2, p=rng.choice(
+        (0.15, 0.25, 0.35, 0.5, 0.8))) for _ in range(120)]
+    small += [complete_graph(n) for n in range(2, 12)]
+    large = [random_connected_graph(rng, 20, min_n=14, p=rng.choice(
+        (0.15, 0.25))) for _ in range(12)]
+    assert sum(1 for g in small + large if cocircuit_counts(g)[1].get(1)) >= 20
+    walked = [graphs._cocircuit_walk(g) for g in large]
+    monkeypatch.setattr(graphs, "_cocircuit_walk", _no_walk)
+    for g in small:
+        assert graphs._cocircuit_frontier(g) == shore_cocircuit_oracle(g), (
+            g.edges)
+    # past 13 vertices cocircuit_counts takes the frontier program itself
+    for g, want in zip(large, walked):
+        assert cocircuit_counts(g) == want, g.edges
+
+
+def test_cocircuit_frontier_hands_a_wide_frontier_to_the_walk(monkeypatch):
+    # K16 keeps 2^j states after its j + 1-th vertex: at a cap of 2^8 the
+    # program hands over after 1023 steps, and the walk goes on from there
+    # to 312302 in all, its own 311279 steps on top
+    monkeypatch.setattr(graphs, "_FRONTIER_MAX_STATES", 2 ** 8)
+    g = complete_graph(16)
+    spent = []
+    walk = graphs._cocircuit_walk
+
+    def recorded(g, steps=0):
+        spent.append(steps)
+        return walk(g, steps)
+
+    monkeypatch.setattr(graphs, "_cocircuit_walk", recorded)
+    with budget(312302):
+        assert cocircuit_counts(g) == (2 ** 15 - 1, {
+            s * (16 - s): comb(16, s) for s in range(1, 8)} | {64: 6435})
+    assert spent == [1023]
+    with budget(312301), pytest.raises(BudgetExceededError) as info:
+        cocircuit_counts(g)
+    assert str(info.value) == (
+        "cocircuit enumeration needs 312302 operations, budget is 312301")
+    with budget(311279):
+        assert walk(g)[0] == 2 ** 15 - 1
+
+
+def test_cocircuit_frontier_memory_stays_within_its_cap(monkeypatch):
+    # uncapped, the program holds 2^14 states on K16, megabytes of keys and
+    # counts; capped at 2^8 slots it hands over within 256 KiB
+    monkeypatch.setattr(graphs, "_FRONTIER_MAX_STATES", 2 ** 8)
+    monkeypatch.setattr(graphs, "_cocircuit_walk", _no_walk)
+    tracemalloc.start()
+    try:
+        with pytest.raises(AssertionError, match="walk ran"):
+            cocircuit_counts(complete_graph(16))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 18, peak
 
 
 def test_cut_loops_check_budget_before_connectivity():
@@ -556,3 +629,22 @@ def test_frontier_sweep_takes_the_least_frontier_first():
     # than 4 elements, the grid's pathwidth
     for g in (grid_graph(4, 10), grid_graph(4, 10, row_major=False)):
         assert max(live.bit_count() for _, live in frontier_sweep(g.adj)) == 4
+
+
+def test_frontier_sweep_heap_keeps_the_scan_order():
+    # the lazy heap picks what a full scan of the scores picks, ties
+    # included, on simple graphs and multigraphs up to 40 vertices
+    rng = random.Random(47)
+    cases = [grid_graph(4, 10), grid_graph(4, 10, row_major=False),
+             path_graph(40), cycle_graph(40), star_graph(30)]
+    for trial in range(60):
+        g = random_graph(rng, 40, p=rng.choice((0.05, 0.1, 0.2, 0.4)))
+        if trial % 3 == 0 and g.edges:
+            g = build_graph(g.n, g.edges,
+                            [rng.randint(1, 3) for _ in g.edges],
+                            simple=False)
+        cases.append(g)
+    assert sum(1 for g in cases if not g.simple) >= 15
+    for g in cases:
+        assert list(frontier_sweep(g.adj)) == scan_frontier_sweep(g.adj), (
+            g.edges)
