@@ -5,10 +5,9 @@ colorings whose range is exactly the first i colors; ``_exact_counts``
 builds them by one of these routes:
 
 * the frontier route (``_frontier_counts``) -- a property with a size
-  ``bound`` (proper, mcc, du, edge): a transfer-matrix dynamic program whose
-  cost follows the width of ``graphs.frontier_sweep``'s frontier, not
-  Bell(D).  It hands a graph whose table of counts outgrows
-  _FRONTIER_MAX_STATES to the walk.
+  ``bound`` (proper, mcc, du, edge): a ``graphs.frontier_program``, whose
+  cost follows the width of the frontier, not Bell(D); past the program's
+  cap it hands the count to the partition walk.
 * inclusion-exclusion (``_subset_counts``) -- a class-local vertex property
   with no ``bound`` (a ``row`` whose pair predicate is ``all``: convex,
   timp, cocolor, hfree, injective, trivial and such ``pair:`` tokens) on at
@@ -51,9 +50,9 @@ from .errors import (
     BudgetExceededError, NotPolynomialError, budget_limit, check_budget,
 )
 from .graphs import (
-    _FRONTIER_MAX_STATES, Graph, _reach, bits, box_join, build_graph,
-    cocircuit_counts, complete_graph, connected_components, disjoint_union,
-    frontier_sweep, join, line_graph, mcs_order, star_graph, strip_isolated,
+    Graph, _reach, bits, box_join, build_graph, cocircuit_counts,
+    complete_graph, connected_components, disjoint_union, frontier_program,
+    join, line_graph, mcs_order, star_graph, strip_isolated,
 )
 from .polynomials import (
     Poly, from_binomial, lagrange_interpolate, stirling2_row,
@@ -213,44 +212,34 @@ def _partition_counts(g: Graph, prop: ColoringProperty, hi: int,
 def _frontier_counts(g: Graph, prop: ColoringProperty,
                      hi: int) -> list[int]:
     """``_partition_counts`` for a property with a size ``bound``, by a
-    frontier (transfer-matrix) dynamic program over the domain elements
-    (Biggs, Damerell and Sands, J. Combin. Theory B 12, 1972; Salas and
-    Sokal, J. Stat. Phys. 104, 2001).  Where the counts it keeps for the
-    next element would number more than _FRONTIER_MAX_STATES, checked as it
-    adds them, it hands the count to the walk, which goes on from the steps
-    already charged.
+    ``graphs.frontier_program`` over the domain elements, edges adjacent
+    when they share an end, under "frontier enumeration".  It measures its
+    table by the length of its lists and hands a count whose table passes
+    the program's cap to the walk.
 
-    ``frontier_sweep`` places the elements and says which are live, edges
-    adjacent when they share an end.  A state is the tuple
-    of the open blocks, each the mask of its components that still hold a
-    live element (its components are the connected parts of that mask); it
-    keeps the numbers of partial partitions that reach it in one list,
-    indexed by the number of blocks with no live element, the closed ones.
-    An element joins an open block, merging the components it touches,
-    unless that outgrows the bound; or one of the closed blocks, which are
-    all alike to it; or a new block, while fewer than hi are used.  A
-    component whose last live element dies is complete: a property that is
-    not hereditary (du) runs its class predicate on it then, once per
-    component, which is its whole row because du's predicate holds on a
-    mask exactly when it holds on each component; the bound decides the
-    others.  One step is charged per transition of a state, checked after
-    each element under "frontier enumeration".
+    A state is the tuple of the open blocks, each the mask of its
+    components that still hold a live element (its components are the
+    connected parts of that mask); it keeps the numbers of partial
+    partitions that reach it in one list, indexed by the number of blocks
+    with no live element, the closed ones.  An element joins an open
+    block, merging the components it touches, unless that outgrows the
+    bound; or one of the closed blocks, which are all alike to it; or a
+    new block, while fewer than hi are used.  A component whose last live
+    element dies is complete: a property that is not hereditary (du) runs
+    its class predicate on it then, once per component, which is its whole
+    row because du's predicate holds on a mask exactly when it holds on
+    each component; the bound decides the others.
     """
     d = _domain_size(g, prop)
-    counts = [0] * (hi + 1)
     bound, test = prop.bound, None if prop.hereditary else prop.row.class_pred
     if prop.family == "du" and d % bound:
-        return counts   # each class covers whole copies of the pattern
+        return [0] * (hi + 1)   # each class covers whole copies of the pattern
     adj = g.adj if prop.domain == "vertex" else line_graph(g).adj
     verdicts: dict[int, bool] = {}     # per complete component
-    states = {(): [1]}
-    live = 0
-    steps, limit = 0, budget_limit()
-    for v, now in frontier_sweep(adj):
+
+    def step(states, pos, v, placed, dying, live):
         bit = 1 << v
-        dying, live = (live | bit) & ~now, now
         nxt: dict = {}
-        held = 0    # the counts nxt keeps: per state, one per closed count
 
         def settle(blocks: list[int]):
             # drop the components that died, testing each: the open-block
@@ -279,24 +268,17 @@ def _frontier_counts(g: Graph, prop: ColoringProperty,
             return tuple(sorted(blocks)), closes
 
         def move(to, vec: list[int], stop: int, opened: int) -> None:
-            # the states with closed counts opened..stop-1 take one
-            # transition each to ``to`` (None where a test failed), which
-            # uses one closed block less when ``opened``: each of them is
-            # then a choice
-            nonlocal steps, held
+            # the states with closed counts opened..stop-1 move to ``to``
+            # (None where a test failed), which uses one closed block less
+            # when ``opened``: each of them is then a choice
             part = vec[opened:stop]
-            moved = len(part) - part.count(0)
-            steps += moved
-            if to is None or not moved:
+            if to is None or not any(part):
                 return
             if opened:
                 part = [c * ways for c, ways in enumerate(part, 1)]
             key, at = to
             acc = nxt.setdefault(key, [])
-            grow = at + len(part) - len(acc)
-            if grow > 0:
-                acc.extend([0] * grow)
-                held += grow
+            acc.extend([0] * (at + len(part) - len(acc)))
             acc[at:at + len(part)] = map(int.__add__,
                                          acc[at:at + len(part)], part)
 
@@ -308,14 +290,16 @@ def _frontier_counts(g: Graph, prop: ColoringProperty,
             to = settle([*blocks, bit])
             move(to, vec, len(vec), 1)
             move(to, vec, hi - len(blocks), 0)
-            if held > _FRONTIER_MAX_STATES:
-                return _partition_counts(g, prop, hi, spent=steps)
-        if steps > limit:
-            check_budget(steps, "frontier enumeration")
-        states = nxt
-    for c, ways in enumerate(states.get((), [])):   # none if no partition
-        counts[c] = ways
-    return counts
+        return nxt
+
+    def answer(states: dict) -> list[int]:
+        ways = states.get((), [])       # none if no partition
+        return ways + [0] * (hi + 1 - len(ways))
+
+    return frontier_program(
+        adj, "frontier enumeration", {(): [1]}, step,
+        lambda states: sum(map(len, states.values())), answer,
+        lambda steps: _partition_counts(g, prop, hi, spent=steps))
 
 
 _SUBSET_MAX_N = 20

@@ -401,6 +401,51 @@ def frontier_sweep(adj: Sequence[int]) -> Iterator[tuple[int, int]]:
                 heappush(heap, (s, w))
 
 
+# the most counts a frontier program keeps for its next element, as the
+# program measures them: past it ``frontier_program`` hands the count to a
+# walk or refuses, so that a wide frontier cannot exhaust memory
+_FRONTIER_MAX_STATES = 2 ** 16
+
+
+def frontier_program(adj: Sequence[int], what: str, start: dict, step,
+                     measure, answer, hand_over=None):
+    """A transfer-matrix dynamic program over the elements 0..len(adj)-1,
+    given by adjacency masks, as ``frontier_sweep`` places them (Biggs,
+    Damerell and Sands, J. Combin. Theory B 12, 1972; Salas and Sokal, J.
+    Stat. Phys. 104, 2001): its cost follows the width of that frontier.
+
+    The table of counts starts as ``start``, and each element v turns it
+    into the next by one call ``step(table, pos, v, placed, gone, live)``:
+    pos is v's place in the sweep, ``placed`` the mask of v's placed
+    neighbours (all of them live), ``gone`` the mask of the elements that
+    die with v, and ``live`` the live mask once v is placed.  The program
+    returns ``answer(table)`` once every element is placed.
+
+    ``measure(table)`` gives the counts a table keeps.  After each element
+    the program charges one step per count of the table the element read
+    and one per count of the table it wrote, and checks the budget under
+    ``what``.  Where the new table's counts pass _FRONTIER_MAX_STATES it
+    returns ``hand_over(steps)``, a walk that goes on from the steps
+    charged so far, or, with no hand-over, refuses with a
+    BudgetExceededError that names the cap.
+    """
+    table, live, steps, kept = start, 0, 0, measure(start)
+    limit = budget_limit()
+    for pos, (v, now) in enumerate(frontier_sweep(adj)):
+        placed, gone, live = adj[v] & live, (live | 1 << v) & ~now, now
+        table = step(table, pos, v, placed, gone, live)
+        read, kept = kept, measure(table)
+        steps += read + kept
+        if steps > limit:
+            check_budget(steps, what)
+        if kept > _FRONTIER_MAX_STATES:
+            if hand_over is None:
+                raise BudgetExceededError(kept, _FRONTIER_MAX_STATES, what,
+                                          "kept counts", "cap")
+            return hand_over(steps)
+    return answer(table)
+
+
 # ---------------------------------------------------------------------------
 # cuts and cocircuits
 
@@ -413,13 +458,6 @@ class CocircuitSummary:
 def enumerate_cocircuits(g: Graph) -> CocircuitSummary:
     """``cocircuit_counts`` as a record."""
     return CocircuitSummary(*cocircuit_counts(g))
-
-
-# the most counts a frontier dynamic program keeps for its next element:
-# past it the partition route in ``counting`` and ``cocircuit_counts`` hand
-# the count to their walks, and ``count_cuts_by_size`` refuses, so that a
-# wide frontier cannot exhaust memory
-_FRONTIER_MAX_STATES = 2 ** 16
 
 
 def cocircuit_counts(g: Graph) -> tuple[int, dict[int, int]]:
@@ -524,10 +562,9 @@ def _slot_counts(val: int, n: int) -> dict[int, int]:
 
 
 def _cocircuit_frontier(g: Graph) -> tuple[int, dict[int, int]]:
-    """``cocircuit_counts`` by ``count_cuts_by_size``'s transfer-matrix
-    program with a connectivity index (Biggs, Damerell and Sands, J.
-    Combin. Theory B 12, 1972), on a connected simple graph with at least
-    two vertices.
+    """``cocircuit_counts`` by ``count_cuts_by_size``'s program with a
+    connectivity index, on a connected simple graph with at least two
+    vertices.
 
     A state keeps, per side, the sorted live-vertex masks of that side's
     components.  Placing v on a side merges the components that hold its
@@ -536,25 +573,15 @@ def _cocircuit_frontier(g: Graph) -> tuple[int, dict[int, int]]:
     holds a dead component and anything else is refused, which covers
     both a second component and a later vertex.  A cocircuit is a state
     whose two sides are closed once every vertex is placed.  The counts
-    per crossing size, the packing, the first vertex on side 0 and the
-    charge per slot moved are those of ``count_cuts_by_size``.  Where the
-    slots kept for the next vertex pass _FRONTIER_MAX_STATES, the program
-    hands the graph to ``_cocircuit_walk``, which goes on from the steps
-    already charged.
+    per crossing size, their packing and measure, and the first vertex on
+    side 0 are those of ``count_cuts_by_size``; ``frontier_program`` runs
+    it under "cocircuit enumeration" and hands a graph whose counts pass
+    its cap to ``_cocircuit_walk``.
     """
-    n, adj = g.n, g.adj
-    states = {((), ()): 1}
-    kept, steps, limit = 1, 0, budget_limit()
-    live = 0
-    for pos, (v, now) in enumerate(frontier_sweep(adj)):
-        steps += kept if pos == 0 else 2 * kept
-        if steps > limit:
-            check_budget(steps, "cocircuit enumeration")
-        bit = 1 << v
-        placed = adj[v] & live      # v's placed neighbours, all live
-        gone = (live | bit) & ~now  # the vertices that die with v
-        live = now
-        degree = placed.bit_count()
+    n = g.n
+
+    def step(states, pos, v, placed, gone, live):
+        bit, degree = 1 << v, placed.bit_count()
         nxt: dict[tuple, int] = {}
         for key, val in states.items():
             for side in (0, 1) if pos else (0,):
@@ -577,55 +604,42 @@ def _cocircuit_frontier(g: Graph) -> tuple[int, dict[int, int]]:
                 to = (mine, theirs) if side == 0 else (theirs, mine)
                 cross = degree - (joined & placed).bit_count()
                 nxt[to] = nxt.get(to, 0) + (val << n * cross)
-        states = nxt
-        kept = _kept_slots(states, n)
-        if kept > _FRONTIER_MAX_STATES:
-            return _cocircuit_walk(g, steps)
-    by_size = _slot_counts(states.get(((0,), (0,)), 0), n)
-    return sum(by_size.values()), by_size
+        return nxt
+
+    def answer(states: dict) -> tuple[int, dict[int, int]]:
+        by_size = _slot_counts(states.get(((0,), (0,)), 0), n)
+        return sum(by_size.values()), by_size
+
+    return frontier_program(g.adj, "cocircuit enumeration", {((), ()): 1},
+                            step, lambda states: _kept_slots(states, n),
+                            answer, lambda steps: _cocircuit_walk(g, steps))
 
 
 def count_cuts_by_size(g: Graph) -> dict[int, int]:
     """Number of vertex bipartitions (unordered, nonempty shores) per
-    crossing size, by a transfer-matrix dynamic program over the vertices
-    as ``frontier_sweep`` places them (Biggs, Damerell and Sands, J.
-    Combin. Theory B 12, 1972).  Its cost follows the width of that
-    frontier, not 2^(n-1).
+    crossing size, by a ``frontier_program`` over the vertices under "cut
+    enumeration", which refuses a graph whose counts pass its cap.  Its
+    cost follows the width of the frontier, not 2^(n-1).
 
     A state is the mask of the live vertices on side 1; it keeps its counts
     per crossing size packed into one int, an n-bit slot per size
     (Kronecker substitution), wide enough for the at most 2^(n-1)
-    assignments it counts.  Placing v on side 0 adds its live neighbours on
-    side 1 to the crossing size, placing it on side 1 those on side 0:
-    every placed neighbour of v is live.  A vertex leaves the key once it
-    dies.  The first vertex goes on side 0 only, so the program counts half
-    of Z_s, the 2^n side assignments with crossing size s, and the count at
-    s is (Z_s - 2[s = 0]) / 2: the assignments with one empty side are no
-    bipartition.
-
-    One step is charged per (state, size) slot moved, from the lowest to
-    the highest nonzero size of each state, checked before each vertex
-    under "cut enumeration".  Where the slots kept for the next vertex
-    number more than _FRONTIER_MAX_STATES, the program refuses with a
-    BudgetExceededError naming that cap.
+    assignments it counts, and ``_kept_slots`` measures them.  Placing v on
+    side 0 adds its live neighbours on side 1 to the crossing size, placing
+    it on side 1 those on side 0: every placed neighbour of v is live.  A
+    vertex leaves the key once it dies.  The first vertex goes on side 0
+    only, so the program counts half of Z_s, the 2^n side assignments with
+    crossing size s, and the count at s is (Z_s - 2[s = 0]) / 2: the
+    assignments with one empty side are no bipartition.
     """
     if not g.simple:
         raise ValueError("cut counting is defined on simple graphs")
     n = g.n
     if n <= 1:
         return {}
-    adj = g.adj
-    states = {0: 1}
-    kept, steps, limit = 1, 0, budget_limit()
-    live = 0
-    for pos, (v, now) in enumerate(frontier_sweep(adj)):
-        steps += kept if pos == 0 else 2 * kept
-        if steps > limit:
-            check_budget(steps, "cut enumeration")
-        bit = 1 << v
-        placed = adj[v] & live      # v's placed neighbours, all live
-        live = now
-        degree = placed.bit_count()
+
+    def step(states, pos, v, placed, gone, live):
+        bit, degree = 1 << v, placed.bit_count()
         nxt: dict[int, int] = {}
         for key, val in states.items():
             ones = (placed & key).bit_count()
@@ -634,12 +648,12 @@ def count_cuts_by_size(g: Graph) -> dict[int, int]:
             if pos:
                 to = (key | bit) & live
                 nxt[to] = nxt.get(to, 0) + (val << n * (degree - ones))
-        states = nxt
-        kept = _kept_slots(states, n)
-        if kept > _FRONTIER_MAX_STATES:
-            raise BudgetExceededError(kept, _FRONTIER_MAX_STATES,
-                                      "cut enumeration", "kept counts", "cap")
-    return _slot_counts(states[0] - 1, n)       # S = V is no bipartition
+        return nxt
+
+    # S = V is no bipartition
+    return frontier_program(g.adj, "cut enumeration", {0: 1}, step,
+                            lambda states: _kept_slots(states, n),
+                            lambda states: _slot_counts(states[0] - 1, n))
 
 
 # ---------------------------------------------------------------------------

@@ -472,8 +472,9 @@ def test_cocircuits_cost_follows_the_output(capsys, tmp_path):
                         "convex", "--point", "2")
     assert code == 0 and json.loads(out)["value"] == str(2 + 2 * 2999)
     # C1000 has 499500 cocircuits, past the walk's reach at this budget;
-    # the frontier program charges the slots it moves, a few per vertex,
-    # so it counts them, and C2000 trips the smallest budget only late
+    # the frontier program charges the slots it reads and writes, a few per
+    # vertex, so it counts them, and C2000 trips the smallest budget only
+    # late
     cycle = tmp_path / "c1000.el"
     cycle.write_text(emit_edge_list(cycle_graph(1000)))
     start = time.perf_counter()
@@ -488,7 +489,7 @@ def test_cocircuits_cost_follows_the_output(capsys, tmp_path):
     assert code == 3
     assert json.loads(out) == {"error": {
         "code": "budget",
-        "message": "cocircuit enumeration needs 10003 operations, "
+        "message": "cocircuit enumeration needs 10006 operations, "
                    "budget is 10000"}}
 
 

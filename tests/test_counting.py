@@ -453,15 +453,16 @@ def test_convex_fast_examples():
 
 def test_convex_fast_budget():
     # P15 is past the walk's size, so the frontier program counts its
-    # cocircuits: 55 operations, the (state, size) slots it moves
-    with budget(54):
+    # cocircuits: 57 operations, the (state, size) slots of the tables it
+    # reads and writes
+    with budget(56):
         with pytest.raises(BudgetExceededError) as info:
             convex_fast(path_graph(15), 2)
         # no cocircuit count runs on a disconnected graph
         assert convex_fast(edgeless_graph(30), 2) == 0
     assert str(info.value) == (
-        "cocircuit enumeration needs 55 operations, budget is 54")
-    with budget(55):
+        "cocircuit enumeration needs 57 operations, budget is 56")
+    with budget(57):
         assert convex_fast(path_graph(15), 2) == 2 + 2 * 14
 
 
@@ -924,7 +925,7 @@ def test_proper_polynomial_closed_forms_past_the_walk(monkeypatch):
     # C_n: (X-1)^n + (-1)^n (X-1); P_n and every tree on n vertices:
     # X (X-1)^(n-1); all by the dynamic program within an eighth of its cap
     # (the seeded trees peak at 5,481 states)
-    monkeypatch.setattr(counting, "_FRONTIER_MAX_STATES", 2 ** 13)
+    monkeypatch.setattr(graphs, "_FRONTIER_MAX_STATES", 2 ** 13)
     monkeypatch.setattr(counting, "_partition_counts", _walk_refused)
     x, x1 = from_monomial([0, 1]), from_monomial([-1, 1])
     rng = random.Random(3)
@@ -974,17 +975,17 @@ def test_frontier_route_hands_a_wide_frontier_to_the_walk(monkeypatch):
         walks.append(args[1].name)
         return walk(*args, **kwargs)
     monkeypatch.setattr(counting, "_partition_counts", counted)
-    cap = counting._FRONTIER_MAX_STATES
+    cap = graphs._FRONTIER_MAX_STATES
     g = random_graph(random.Random(3), 8, min_n=8)
     for token in ("proper", "mcc:t=2", "du:H=K2"):
         prop = parse_property(token)
         dp = _exact_counts(g, prop, 8)
         assert walks == []
-        monkeypatch.setattr(counting, "_FRONTIER_MAX_STATES", 1)
+        monkeypatch.setattr(graphs, "_FRONTIER_MAX_STATES", 1)
         assert _exact_counts(g, prop, 8) == dp == [
             factorial(i) * c for i, c in enumerate(walk(g, prop, 8))]
         assert walks == [token]
-        monkeypatch.setattr(counting, "_FRONTIER_MAX_STATES", cap)
+        monkeypatch.setattr(graphs, "_FRONTIER_MAX_STATES", cap)
         walks.clear()
 
 
@@ -1003,10 +1004,10 @@ def test_frontier_route_hands_its_charge_to_the_walk(monkeypatch):
         handed.append(spent)
         return walk(*args, spent=spent, **kwargs)
     monkeypatch.setattr(counting, "_partition_counts", recorded)
-    monkeypatch.setattr(counting, "_FRONTIER_MAX_STATES", 4)
+    monkeypatch.setattr(graphs, "_FRONTIER_MAX_STATES", 4)
     _exact_counts(g, PROPER, 8)
-    assert handed == [8]
-    cost = walk_cost + 8
+    assert handed == [19]
+    cost = walk_cost + 19
     with budget(cost):
         _exact_counts(g, PROPER, 8)
     with budget(cost - 1), pytest.raises(BudgetExceededError) as info:
@@ -1026,7 +1027,7 @@ def test_frontier_route_memory_stays_within_its_cap(monkeypatch):
         handed.append(spent)
         return [0] * (hi + 1)
     monkeypatch.setattr(counting, "_partition_counts", stub)
-    monkeypatch.setattr(counting, "_FRONTIER_MAX_STATES", 2 ** 8)
+    monkeypatch.setattr(graphs, "_FRONTIER_MAX_STATES", 2 ** 8)
     g = grid_graph(8, 8)
     tracemalloc.start()
     try:
@@ -1038,12 +1039,44 @@ def test_frontier_route_memory_stays_within_its_cap(monkeypatch):
     assert len(handed) == 1 and peak < 2 ** 18, (handed, peak)
 
 
-def test_frontier_route_charges_its_transitions():
-    # one step per transition, checked after each element, so a budget
-    # below the total trips at the last one; the order breaks ties by
-    # index, so the 4x10 grid's two numberings are charged differently
-    for g, cost in ((grid_graph(4, 10), 13393),
-                    (grid_graph(4, 10, row_major=False), 13018)):
+def test_one_cap_binds_all_three_frontier_programs(monkeypatch):
+    # the cap is bound once, in graphs: lowered there, the partition
+    # program hands its count to the walk, the cocircuit program hands its
+    # graph to its walk, and the cut program refuses
+    monkeypatch.setattr(graphs, "_FRONTIER_MAX_STATES", 4)
+    handed = []
+    partition_walk = counting._partition_counts
+    cocircuit_walk = graphs._cocircuit_walk
+
+    def partitions(g, prop, hi, spent=0):
+        handed.append(("partitions", spent))
+        return partition_walk(g, prop, hi, spent=spent)
+
+    def cocircuits(g, spent=0):
+        handed.append(("cocircuits", spent))
+        return cocircuit_walk(g, spent)
+    monkeypatch.setattr(counting, "_partition_counts", partitions)
+    monkeypatch.setattr(graphs, "_cocircuit_walk", cocircuits)
+    small = random_graph(random.Random(3), 8, min_n=8)
+    assert counting._frontier_counts(small, PROPER, 8) == partition_walk(
+        small, PROPER, 8)
+    grid = grid_graph(3, 5)     # past the cocircuit walk's 13 vertices
+    assert graphs.cocircuit_counts(grid) == cocircuit_walk(grid)
+    assert [name for name, spent in handed] == ["partitions", "cocircuits"]
+    assert all(spent > 0 for _, spent in handed)
+    with pytest.raises(BudgetExceededError) as info:
+        graphs.count_cuts_by_size(grid)
+    assert str(info.value).startswith("cut enumeration needs ")
+    assert str(info.value).endswith(" kept counts, cap is 4")
+
+
+def test_frontier_route_charges_the_counts_it_reads_and_writes():
+    # one step per count of the table each element reads and of the one it
+    # writes, checked after each element, so a budget below the total trips
+    # at the last one; the order breaks ties by index, so the 4x10 grid's
+    # two numberings are charged differently
+    for g, cost in ((grid_graph(4, 10), 8492),
+                    (grid_graph(4, 10, row_major=False), 8182)):
         run = lambda: chi_polynomial(g, PROPER)
         with budget(cost):
             run()
