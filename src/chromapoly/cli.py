@@ -107,10 +107,10 @@ def _cmd_poly(args) -> int:
 def _counts_at(g, prop) -> dict:
     """Counts at k = 0..3, up to the first budget trip.  Brute force counts
     k = 0, 1 and 2, running the checker on every coloring; k = 3 is counted
-    by the exact route that did not build the polynomial where one exists
-    and brute force at k = 3 would fit the budget (``other_route_count_at``),
-    by brute force otherwise.  Stopping at the first trip loses nothing:
-    ``cross_checked`` needs all four counts."""
+    by the next route in ``counting._ROUTES`` that applies after the one
+    that built the polynomial (``other_route_count_at``), by brute force
+    where none is left or it does not run.  Stopping at the first trip
+    loses nothing: ``cross_checked`` needs all four counts."""
     out = {}
     for k in range(4):
         try:

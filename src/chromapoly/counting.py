@@ -1,38 +1,30 @@
 """Exact counting of colorings and assembly of counting polynomials.
 
 A polynomial is assembled from the exact-color counts c(0..D), c(i) the
-colorings whose range is exactly the first i colors; ``_exact_counts``
-builds them by one of these routes:
+colorings whose range is exactly the first i colors.  ``_ROUTES`` lists the
+routes that count them, in order.  The first that applies to (graph,
+property) builds the counts; the next that applies after it is the k = 3
+cross-check (``other_route_count_at``), run only where brute force at that
+palette would fit the budget, so it never reaches further than the oracle:
 
-* the frontier route (``_frontier_counts``) -- a property with a size
-  ``bound`` (proper, mcc, du, edge): a ``graphs.frontier_program``, whose
-  cost follows the width of the frontier, not Bell(D); past the program's
-  cap it hands the count to the partition walk.
-* inclusion-exclusion (``_subset_counts``) -- a class-local vertex property
-  with no ``bound`` (a ``row`` whose pair predicate is ``all``: convex,
-  timp, cocolor, hfree, injective, trivial and such ``pair:`` tokens) on at
-  most 20 vertices: one sum over the 2^n vertex subsets (Bjorklund,
-  Husfeldt and Koivisto, SIAM J. Comput. 2009).
-* the partition walk (``_partition_counts``) -- every other property
-  known to be polynomial: i! times the set partitions of the domain into i
-  blocks whose canonical coloring satisfies the property, for every i in
-  one pass.  ``pruned_count_at`` counts at one palette by it.
-* brute force (``brute_count_at``) -- plain enumeration of all k^D
-  colorings, the oracle; a property not known to be polynomial takes its
-  counts from it.
-
-The k = 3 cross-check is ``other_route_count_at``, a route that did not
-build the counts:
-
-* inclusion-exclusion for a class-local row with a ``bound`` (proper, mcc,
-  du), and for edge-proper on the line graph with at most 20 vertices;
-* the partition walk where inclusion-exclusion built them;
-* harmonious's per-k algorithm;
-* acyclic's walk with its row's generic placement test;
-* brute force for every other property.
-
-A second route runs only where brute force at that palette would fit the
-budget, so it never reaches further than the oracle does.
+* brute -- not known to be polynomial: ``brute_count_at``, plain
+  enumeration of all k^D colorings (the oracle), at 0..D.
+* frontier -- a size ``bound`` (proper, mcc, du, edge): a
+  ``graphs.frontier_program`` whose cost follows the width of the frontier,
+  not Bell(D); past its cap it hands the count to the walk.
+* inclusion-exclusion -- a class-local row (pair predicate ``all``: proper,
+  mcc, du, convex, timp, cocolor, hfree, injective, trivial, such ``pair:``
+  tokens) on at most 20 vertices: one sum over the 2^n vertex subsets
+  (Bjorklund, Husfeldt and Koivisto, SIAM J. Comput. 2009).
+* line inclusion-exclusion -- edge-proper on at most 20 edges: the same sum
+  on the line graph.
+* walk -- known polynomial with no ``bound`` (a bound row's frontier
+  program hands over to it, so it cannot check one): i! times the set
+  partitions of the domain into i blocks whose canonical coloring
+  satisfies the property, for every i in one pass.  ``pruned_count_at``
+  counts at one palette by it.
+* harmonious -- harmonious's per-k algorithm, at 0..D.
+* row walk -- acyclic's walk with its row's generic placement test.
 
 Fast special cases (the harmonious per-k algorithm, convex at k <= 2 from
 ``graphs.cocircuit_counts``, proper at k <= 2) and the interpolation chains
@@ -305,17 +297,6 @@ def _frontier_counts(g: Graph, prop: ColoringProperty,
 _SUBSET_MAX_N = 20
 
 
-def _class_predicate(g: Graph, prop: ColoringProperty):
-    """The class predicate of a class-local property the subset route can
-    count on g (a row whose pair predicate is ``all``, at most
-    _SUBSET_MAX_N vertices), or None.  It builds the polynomial only where
-    the row has no size ``bound``; with one, it checks the engine."""
-    row = prop.row
-    if row is None or row.pair_name != "all" or g.n > _SUBSET_MAX_N:
-        return None
-    return row.class_pred
-
-
 def _subset_counts(g: Graph, allowed, hereditary: bool,
                    hi: int) -> list[int]:
     """c[i] for 0 <= i <= hi: ordered partitions of the vertex set into i
@@ -363,62 +344,78 @@ def _subset_counts(g: Graph, allowed, hereditary: bool,
     return counts
 
 
+def _from_palettes(count_at, d: int, hi: int) -> list[int]:
+    """c[0..hi] from the plain counts ``count_at(j)`` at palettes
+    0..min(hi, d), by inclusion-exclusion over colors."""
+    p = [count_at(j) for j in range(min(hi, d) + 1)]
+    return [sum((-1) ** (i - j) * comb(i, j) * p[j] for j in range(i + 1))
+            for i in range(len(p))] + [0] * (hi + 1 - len(p))
+
+
+def _ordered(p: list[int]) -> list[int]:
+    return [factorial(i) * c for i, c in enumerate(p)]  # i! per partition
+
+
+# (name, applies to (g, prop), counts c[0..hi]) in the docstring's order;
+# each looks its functions up when it runs, so a patched one is called
+_ROUTES = (
+    ("brute", lambda g, prop: not prop.known_polynomial,
+     lambda g, prop, hi: _from_palettes(
+         lambda k: brute_count_at(g, prop, k), _domain_size(g, prop), hi)),
+    ("frontier", lambda g, prop: prop.bound is not None,
+     lambda g, prop, hi: _ordered(_frontier_counts(g, prop, hi))),
+    ("inclusion-exclusion",
+     lambda g, prop: (prop.row is not None and prop.row.pair_name == "all"
+                      and g.n <= _SUBSET_MAX_N),
+     lambda g, prop, hi: _subset_counts(g, prop.row.class_pred,
+                                        prop.hereditary, hi)),
+    ("line inclusion-exclusion",
+     lambda g, prop: prop.family == "edge" and g.edge_count <= _SUBSET_MAX_N,
+     lambda g, prop, hi: _subset_counts(line_graph(g), _pred_edgeless,
+                                        True, hi)),
+    ("walk", lambda g, prop: prop.known_polynomial and prop.bound is None,
+     lambda g, prop, hi: _ordered(_partition_counts(g, prop, hi))),
+    ("harmonious", lambda g, prop: prop.family == "harmonious",
+     lambda g, prop, hi: _from_palettes(
+         lambda k: harmonious_fast(g, k), g.n, hi)),
+    # untagged, the walk tests the row, not _acyclic_placed.  It shares
+    # _partition_counts with the walk that built the counts, so only an
+    # _acyclic_placed fault shows here
+    ("row walk", lambda g, prop: prop.family == "acyclic",
+     lambda g, prop, hi: _ordered(
+         _partition_counts(g, replace(prop, family=""), hi))),
+)
+
+
+def _routes(g: Graph, prop: ColoringProperty) -> list:
+    """The routes of ``_ROUTES`` that apply to g, in order."""
+    return [route for route in _ROUTES if route[1](g, prop)]
+
+
 def _exact_counts(g: Graph, prop: ColoringProperty, hi: int) -> list[int]:
     """c[i] for 0 <= i <= hi: colorings whose range is exactly the first i
-    colors, by the route the module docstring assigns to the property.
-    Each route charges the budget as its own docstring says; a property not
-    known to be polynomial is charged brute force's plain counts at
-    0..min(hi, D), which inclusion-exclusion over colors combines.
-    """
-    if not prop.known_polynomial:
-        top = min(hi, _domain_size(g, prop))
-        plain = [brute_count_at(g, prop, j) for j in range(top + 1)]
-        return [sum((-1) ** (i - j) * comb(i, j) * plain[j]
-                    for j in range(i + 1))
-                for i in range(top + 1)] + [0] * (hi - top)
-    allowed = _class_predicate(g, prop)
-    if allowed is not None and prop.bound is None:
-        return _subset_counts(g, allowed, prop.hereditary, hi)
-    if prop.bound is not None:
-        p = _frontier_counts(g, prop, hi)
-    else:
-        p = _partition_counts(g, prop, hi)
-    return [factorial(i) * c for i, c in enumerate(p)]
+    colors, by the first route that applies, charged as it says."""
+    return _routes(g, prop)[0][2](g, prop, hi)
 
 
 def other_route_count_at(g: Graph, prop: ColoringProperty,
                          k: int) -> int | None:
-    """The count at palette k by a route ``_exact_counts`` did not take on
-    g (the module docstring lists them), or None where the property has
-    none or brute force should count instead.
+    """The count at palette k by the route that checks the counts: the
+    next route in ``_ROUTES`` that applies to g after the one that built
+    them.  None where no route is left.
 
-    It is None where brute force at k, k^D colorings on the property's own
+    None too where brute force at k, k^D colorings on the property's own
     domain, would not fit the budget: the pruned walks charge per node, so
     they would trip only after the work brute force refuses up front.  And
     None where the route itself trips the budget although brute force
     fits: inclusion-exclusion's 2^n*(n+1) steps exceed 3^n on n <= 3.
     """
-    harmonious = prop.family == "harmonious"
-    acyclic = prop.family == "acyclic"
-    edge = prop.family == "edge" and g.edge_count <= _SUBSET_MAX_N
-    allowed = _class_predicate(g, prop) if prop.known_polynomial else None
-    if not (harmonious or acyclic or edge or allowed is not None):
+    routes = _routes(g, prop)
+    if len(routes) < 2:
         return None
     try:
         check_budget(k ** _domain_size(g, prop), "coloring enumeration")
-        if harmonious:
-            return harmonious_fast(g, k)
-        if acyclic:
-            # untagged, the walk tests the row, not _acyclic_placed
-            return pruned_count_at(g, replace(prop, family=""), k)
-        if edge:
-            # the classes of a proper edge coloring are edgeless in the
-            # line graph, whose adjacency the frontier route also read
-            c = _subset_counts(line_graph(g), _pred_edgeless, True, k)
-        elif prop.bound is None:
-            return pruned_count_at(g, prop, k)
-        else:
-            c = _subset_counts(g, allowed, prop.hereditary, k)
+        c = routes[1][2](g, prop, k)
     except BudgetExceededError:
         return None
     return sum(comb(k, i) * ci for i, ci in enumerate(c))

@@ -548,7 +548,7 @@ def test_pruned_walk_runs_on_what_an_estimate_refused(capsys, tmp_path):
 
 # the tokens whose polynomial or k = 3 check each route carries
 _ROUTE_TOKENS = {"_subset_counts": ("convex", "mcc:t=2", "injective"),
-                 "_partition_counts": ("convex", "injective"),
+                 "_partition_counts": ("convex", "injective", "harmonious"),
                  "_frontier_counts": ("mcc:t=2",)}
 
 
@@ -558,8 +558,9 @@ def test_each_exact_route_is_caught_by_the_other(capsys, g12, monkeypatch,
                                                  route):
     # convex and injective are built by inclusion-exclusion and checked at
     # k = 3 by the partition engine; mcc is built by the frontier route and
-    # checked by inclusion-exclusion: a wrong count at i = 3 shows only at
-    # k = 3, whichever route carries it
+    # checked by inclusion-exclusion; harmonious is built by the partition
+    # engine and checked by its per-k algorithm: a wrong count at i = 3
+    # shows only at k = 3, whichever route carries it
     original = getattr(counting, route)
 
     def corrupted(*args, **kwargs):

@@ -8,7 +8,7 @@ import pytest
 
 from chromapoly import counting, graphs
 from chromapoly.counting import (
-    _class_predicate, _exact_counts, _partition_counts, brute_count_at,
+    _exact_counts, _partition_counts, _routes, brute_count_at,
     chi_polynomial, convex_fast, count_clique_partitions,
     exact_color_count, harmonious_fast,
     interpolation_chain, other_route_count_at, polynomiality_audit,
@@ -689,6 +689,12 @@ CLASS_LOCAL = ("trivial", "convex", "timp:t=1", "timp:t=2", "cocolor",
                "pair:p1=forest,p2=all", "pair:p1=maxdeg1,p2=all")
 
 
+def _route_names(g, prop):
+    """(build, check): the first two routes of ``_ROUTES`` that apply."""
+    names = [name for name, _, _ in _routes(g, prop)] + [None]
+    return names[0], names[1]
+
+
 def test_subset_route_matches_partition_engine():
     rng = random.Random(61)
     for trial in range(40):
@@ -699,27 +705,62 @@ def test_subset_route_matches_partition_engine():
                             simple=False)
         for token in CLASS_LOCAL:
             prop = parse_property(token)
-            assert _class_predicate(g, prop) is not None, token
+            assert _route_names(g, prop) == (
+                "inclusion-exclusion", "walk"), token
             engine = [factorial(i) * c for i, c in
                       enumerate(_partition_counts(g, prop, g.n))]
             assert _exact_counts(g, prop, g.n) == engine, (token, g)
     for token in ("harmonious", "acyclic", "pair:p1=edgeless,p2=forest"):
-        assert _class_predicate(path_graph(3), parse_property(token)) is None
+        assert _route_names(path_graph(3), parse_property(token))[0] == "walk"
     for token in ("proper", "mcc:t=2", "du:H=K2"):
-        # class-local with a bound: the engine builds, the subset route checks
-        prop = parse_property(token)
-        assert _class_predicate(path_graph(3), prop) is not None, token
-        assert prop.bound is not None, token
-    assert _class_predicate(edgeless_graph(21), CONVEX) is None
+        # class-local with a bound: the frontier builds, the subset route
+        # checks
+        assert _route_names(path_graph(3), parse_property(token)) == (
+            "frontier", "inclusion-exclusion"), token
+    assert _route_names(edgeless_graph(21), CONVEX) == ("walk", None)
+
+
+BOUND_ROWS = ("proper", "mcc:t=2", "du:H=K2")
+CLASS_ROWS = ("convex", "timp:t=1", "cocolor", "hfree:H=P3", "injective",
+              "trivial", "pair:p1=connected,p2=all")
+
+
+def test_route_list_pins_build_and_check():
+    # P20 has the most vertices inclusion-exclusion takes, P21 the most
+    # edges its line-graph form takes; P22 is past both
+    for n in (20, 21, 22):
+        vertices, edges = n <= 20, n - 1 <= 20
+        pins = {
+            "edge": ("frontier", "line inclusion-exclusion" if edges
+                     else None),
+            "harmonious": ("walk", "harmonious"),
+            "acyclic": ("walk", "row walk"),
+            "rainbow": ("walk", None),
+            "pair:p1=edgeless,p2=forest": ("walk", None),
+            "surjective-proper": ("brute", None),
+            "degree-determined": ("brute", None),
+        }
+        for token in BOUND_ROWS:
+            pins[token] = ("frontier",
+                           "inclusion-exclusion" if vertices else None)
+        for token in CLASS_ROWS:
+            pins[token] = (("inclusion-exclusion", "walk") if vertices
+                           else ("walk", None))
+        for token, pair in pins.items():
+            assert _route_names(path_graph(n), parse_property(token)) == (
+                pair), (n, token)
 
 
 SECOND_ROUTE = ("proper", "mcc:t=1", "mcc:t=2", "mcc:t=3", "du:H=K1",
                 "du:H=K2", "du:H=P3", "du:H=K3", "convex", "timp:t=1",
                 "timp:t=2", "cocolor", "hfree:H=P3", "hfree:H=K3", "trivial",
                 "harmonious", "injective", "acyclic")
+# known polynomial, and no route checks the walk that builds its counts
+WALK_ONLY = "pair:p1=edgeless,p2=forest"
 
 
 def test_other_route_matches_brute():
+    # the k = 3 check, and every route that applies, counts as brute force
     rng = random.Random(67)
     for trial in range(30):
         g = random_graph(rng, 7)
@@ -728,11 +769,15 @@ def test_other_route_matches_brute():
                             [rng.randint(1, 3) for _ in g.edges],
                             simple=False)
         # edge-proper is defined on simple graphs only
-        for token in SECOND_ROUTE + ("edge",) * g.simple:
+        for token in SECOND_ROUTE + ("edge",) * g.simple + (WALK_ONLY,):
             prop = parse_property(token)
             for k in range(4):
-                assert other_route_count_at(g, prop, k) == brute_count_at(
-                    g, prop, k), (token, k, g)
+                want = brute_count_at(g, prop, k)
+                assert other_route_count_at(g, prop, k) == (
+                    None if token == WALK_ONLY else want), (token, k, g)
+                for name, _, counts in _routes(g, prop):
+                    assert sum(comb(k, i) * c for i, c in enumerate(
+                        counts(g, prop, k))) == want, (name, token, k, g)
     g = path_graph(4)
     for prop in (surjective_proper_property(),
                  degree_determined_property()):
