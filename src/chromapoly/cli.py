@@ -16,6 +16,7 @@ certification failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -26,8 +27,8 @@ from fractions import Fraction
 from . import gadgets, identities
 from .cnf import parse_cnf
 from .counting import (
-    brute_count_at, chi_polynomial, convex_fast, harmonious_fast,
-    other_route_count_at, polynomiality_audit, proper_fast,
+    brute_count_at, check_counts, chi_polynomial, convex_fast,
+    harmonious_fast, polynomiality_audit, proper_fast,
 )
 from .errors import (
     DEFAULT_BUDGET, BudgetExceededError, NotPolynomialError, budget,
@@ -88,39 +89,21 @@ def _cmd_poly(args) -> int:
         poly = chi_polynomial(g, prop)
     except NotPolynomialError as exc:
         payload["audit"] = _audit_payload(exc.report)
-        payload["counts_at"] = _counts_at(g, prop)
+        payload["counts_at"] = {str(k): str(count) for k, count in
+                                enumerate(check_counts(g, prop))}
         _emit(payload, args.format)
         return OK
     poly = poly.in_basis(args.basis)
     payload.update(poly.to_json_dict())
     payload["counts_at"] = {str(k): str(int(poly.eval(k))) for k in range(4)}
-    direct = _counts_at(g, prop)
-    for k, count in direct.items():
-        if count != payload["counts_at"][k]:
+    direct = check_counts(g, prop)
+    for k, count in enumerate(direct):
+        if str(count) != payload["counts_at"][str(k)]:
             return _fail(f"internal cross-check failed at k={k}", args.format,
                          CHECK_FAILED)
     payload["cross_checked"] = len(direct) == 4
     _emit(payload, args.format)
     return OK
-
-
-def _counts_at(g, prop) -> dict:
-    """Counts at k = 0..3, up to the first budget trip.  Brute force counts
-    k = 0, 1 and 2, running the checker on every coloring; k = 3 is counted
-    by the next route in ``counting._ROUTES`` that applies after the one
-    that built the polynomial (``other_route_count_at``), by brute force
-    where none is left or it does not run.  Stopping at the first trip
-    loses nothing: ``cross_checked`` needs all four counts."""
-    out = {}
-    for k in range(4):
-        try:
-            count = other_route_count_at(g, prop, k) if k == 3 else None
-            if count is None:
-                count = brute_count_at(g, prop, k)
-        except BudgetExceededError:
-            break
-        out[str(k)] = str(count)
-    return out
 
 
 def _cmd_eval(args) -> int:
@@ -253,10 +236,8 @@ def _cmd_gadget_certify(args) -> int:
 
 
 def _bounds_from_args(args) -> identities.Bounds:
-    return identities.Bounds(
-        max_n=args.max_n, max_e=args.max_e, max_join=args.max_join,
-        max_l=args.max_l, max_m=args.max_m, k_max=args.k_max,
-        samples=args.samples)
+    fields = dataclasses.fields(identities.Bounds)
+    return identities.Bounds(**{f.name: getattr(args, f.name) for f in fields})
 
 
 def _cmd_identity_run(args) -> int:
@@ -278,13 +259,9 @@ def _cmd_identity_run_all(args) -> int:
 # parser
 
 def _add_bounds(parser: argparse.ArgumentParser):
-    parser.add_argument("--max-n", type=int, default=4, dest="max_n")
-    parser.add_argument("--max-e", type=int, default=None, dest="max_e")
-    parser.add_argument("--max-join", type=int, default=2, dest="max_join")
-    parser.add_argument("--max-l", type=int, default=3, dest="max_l")
-    parser.add_argument("--max-m", type=int, default=5, dest="max_m")
-    parser.add_argument("--k-max", type=int, default=3, dest="k_max")
-    parser.add_argument("--samples", type=int, default=12)
+    for f in dataclasses.fields(identities.Bounds):
+        parser.add_argument("--" + f.name.replace("_", "-"), type=int,
+                            default=f.default, dest=f.name)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -3,9 +3,8 @@
 A polynomial is assembled from the exact-color counts c(0..D), c(i) the
 colorings whose range is exactly the first i colors.  ``_ROUTES`` lists the
 routes that count them, in order.  The first that applies to (graph,
-property) builds the counts; the next that applies after it is the k = 3
-cross-check (``other_route_count_at``), run only where brute force at that
-palette would fit the budget, so it never reaches further than the oracle:
+property) builds the counts; the next that applies after it checks them
+at k = 3, as ``check_counts`` states:
 
 * brute -- not known to be polynomial: ``brute_count_at``, plain
   enumeration of all k^D colorings (the oracle), at 0..D.
@@ -398,27 +397,39 @@ def _exact_counts(g: Graph, prop: ColoringProperty, hi: int) -> list[int]:
     return _routes(g, prop)[0][2](g, prop, hi)
 
 
-def other_route_count_at(g: Graph, prop: ColoringProperty,
-                         k: int) -> int | None:
-    """The count at palette k by the route that checks the counts: the
-    next route in ``_ROUTES`` that applies to g after the one that built
-    them.  None where no route is left.
+def check_counts(g: Graph, prop: ColoringProperty) -> list[int]:
+    """The counts at palettes 0..3 that check a polynomial, up to the first
+    palette that does not fit the budget:
 
-    None too where brute force at k, k^D colorings on the property's own
-    domain, would not fit the budget: the pruned walks charge per node, so
-    they would trip only after the work brute force refuses up front.  And
-    None where the route itself trips the budget although brute force
-    fits: inclusion-exclusion's 2^n*(n+1) steps exceed 3^n on n <= 3.
+    * k <= 2: brute force, running the checker on every coloring;
+    * k = 3, where brute force's 3^D colorings would fit the budget: the
+      next route in ``_ROUTES`` that applies to g after the one that built
+      the counts;
+    * k = 3 otherwise, or where no route is left, or where that route trips
+      the budget: brute force.
+
+    The gate is brute force's charge because the pruned walks charge per
+    node, so they would trip only after the work brute force refuses up
+    front; and a route may trip where brute force fits, as
+    inclusion-exclusion's 2^n*(n+1) steps exceed 3^n on n <= 3.  Stopping
+    at the first trip loses nothing: a check needs all four counts.
     """
+    counts = []
     routes = _routes(g, prop)
-    if len(routes) < 2:
-        return None
     try:
-        check_budget(k ** _domain_size(g, prop), "coloring enumeration")
-        c = routes[1][2](g, prop, k)
+        for k in range(3):
+            counts.append(brute_count_at(g, prop, k))
+        if len(routes) > 1 and 3 ** _domain_size(g, prop) <= budget_limit():
+            try:
+                c = routes[1][2](g, prop, 3)
+                counts.append(sum(comb(3, i) * ci for i, ci in enumerate(c)))
+            except BudgetExceededError:
+                pass
+        if len(counts) < 4:
+            counts.append(brute_count_at(g, prop, 3))
     except BudgetExceededError:
-        return None
-    return sum(comb(k, i) * ci for i, ci in enumerate(c))
+        pass
+    return counts
 
 
 # ---------------------------------------------------------------------------

@@ -587,13 +587,13 @@ def test_acyclic_is_caught_by_its_row(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(counting, "_acyclic_placed",
                         lambda adj, blocks, v, b: b < 2 and placed(
                             adj, blocks, v, b))
-    brute = cli.brute_count_at
+    brute = counting.brute_count_at
 
     def brute_below_3(g, prop, k):
         assert k < 3, "brute force counted k = 3"
         return brute(g, prop, k)
 
-    monkeypatch.setattr(cli, "brute_count_at", brute_below_3)
+    monkeypatch.setattr(counting, "brute_count_at", brute_below_3)
     code, out = run_cli(capsys, "poly", "--graph", str(path), "--prop",
                         "acyclic")
     assert code == 4
@@ -619,13 +619,13 @@ def test_edge_proper_is_caught_by_inclusion_exclusion(capsys, tmp_path,
         return counts
 
     monkeypatch.setattr(counting, "_frontier_counts", corrupted)
-    brute = cli.brute_count_at
+    brute = counting.brute_count_at
 
     def brute_below_3(g, prop, k):
         assert k < 3, "brute force counted k = 3"
         return brute(g, prop, k)
 
-    monkeypatch.setattr(cli, "brute_count_at", brute_below_3)
+    monkeypatch.setattr(counting, "brute_count_at", brute_below_3)
     code, out = run_cli(capsys, "poly", "--graph", str(path), "--prop",
                         "edge")
     assert code == 4

@@ -9,9 +9,9 @@ import pytest
 from chromapoly import counting, graphs
 from chromapoly.counting import (
     _exact_counts, _partition_counts, _routes, brute_count_at,
-    chi_polynomial, convex_fast, count_clique_partitions,
+    check_counts, chi_polynomial, convex_fast, count_clique_partitions,
     exact_color_count, harmonious_fast,
-    interpolation_chain, other_route_count_at, polynomiality_audit,
+    interpolation_chain, polynomiality_audit,
     proper_fast, pruned_count_at,
 )
 from chromapoly.errors import BudgetExceededError, NotPolynomialError, budget
@@ -759,7 +759,29 @@ SECOND_ROUTE = ("proper", "mcc:t=1", "mcc:t=2", "mcc:t=3", "du:H=K1",
 WALK_ONLY = "pair:p1=edgeless,p2=forest"
 
 
-def test_other_route_matches_brute():
+@pytest.fixture
+def brute_calls(monkeypatch):
+    """(graph, property, palette) of every brute force count that
+    ``counting`` looks up."""
+    calls, brute = [], counting.brute_count_at
+
+    def recorded(g, prop, k):
+        calls.append((g, prop, k))
+        return brute(g, prop, k)
+
+    monkeypatch.setattr(counting, "brute_count_at", recorded)
+    return calls
+
+
+def _checked(calls, g, prop):
+    """``check_counts(g, prop)``, and the palettes at which it counted g
+    itself by brute force."""
+    calls.clear()
+    counts = check_counts(g, prop)
+    return counts, [k for h, p, k in calls if h is g and p is prop]
+
+
+def test_other_route_matches_brute(brute_calls, monkeypatch):
     # the k = 3 check, and every route that applies, counts as brute force
     rng = random.Random(67)
     for trial in range(30):
@@ -771,34 +793,45 @@ def test_other_route_matches_brute():
         # edge-proper is defined on simple graphs only
         for token in SECOND_ROUTE + ("edge",) * g.simple + (WALK_ONLY,):
             prop = parse_property(token)
+            want = [brute_count_at(g, prop, k) for k in range(4)]
+            assert _checked(brute_calls, g, prop) == (
+                want, [0, 1, 2, 3] if token == WALK_ONLY else [0, 1, 2]), (
+                token, g)
             for k in range(4):
-                want = brute_count_at(g, prop, k)
-                assert other_route_count_at(g, prop, k) == (
-                    None if token == WALK_ONLY else want), (token, k, g)
                 for name, _, counts in _routes(g, prop):
                     assert sum(comb(k, i) * c for i, c in enumerate(
-                        counts(g, prop, k))) == want, (name, token, k, g)
+                        counts(g, prop, k))) == want[k], (name, token, k, g)
+    # the counterexamples are built by brute force, so brute force checks
+    # them too
     g = path_graph(4)
     for prop in (surjective_proper_property(),
                  degree_determined_property()):
-        assert other_route_count_at(g, prop, 3) is None, prop.name
+        assert _checked(brute_calls, g, prop)[1] == [0, 1, 2, 3], prop.name
+    # no route checks either on 21 vertices, and brute force's 3^21
+    # colorings do not fit the budget, so k = 3 is not counted.  A stub
+    # answers k <= 2: brute force's 2^21 convex colorings take seconds
+    brute = counting.brute_count_at
+    monkeypatch.setattr(counting, "brute_count_at", lambda g, prop, k: (
+        0 if k < 3 else brute(g, prop, k)))
     for prop in (CONVEX, PROPER):
-        assert other_route_count_at(edgeless_graph(21), prop, 3) is None
+        assert check_counts(edgeless_graph(21), prop) == [0, 0, 0]
 
 
-def test_other_route_runs_only_where_brute_fits():
+def test_other_route_runs_only_where_brute_fits(brute_calls):
     g = path_graph(4)
     for token in ("convex", "proper", "cocolor", "harmonious", "injective"):
         prop = parse_property(token)
+        want = [brute_count_at(g, prop, k) for k in range(4)]
         with budget(3 ** 4 - 1):
-            assert other_route_count_at(g, prop, 3) is None, token
+            assert _checked(brute_calls, g, prop) == (
+                want[:3], [0, 1, 2, 3]), token
         with budget(3 ** 4):
-            assert other_route_count_at(g, prop, 3) == brute_count_at(
-                g, prop, 3), token
+            assert _checked(brute_calls, g, prop) == (
+                want, [0, 1, 2]), token
     # inclusion-exclusion's 2^2 * 3 steps exceed brute force's 3^2 on K2
     with budget(3 ** 2):
-        assert other_route_count_at(complete_graph(2), PROPER, 3) is None
-        assert brute_count_at(complete_graph(2), PROPER, 3) == 6
+        assert _checked(brute_calls, complete_graph(2), PROPER) == (
+            [0, 0, 2, 6], [0, 1, 2, 3])
 
 
 def test_subset_route_slot_width():
