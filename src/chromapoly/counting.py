@@ -32,6 +32,7 @@ that recover a polynomial from shifted evaluations live here too.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, product
@@ -303,17 +304,23 @@ def _subset_counts(g: Graph, allowed, hereditary: bool,
 
     With f_S(z) = sum of z^|T| over the nonempty allowed T within S,
     c(i) = sum over S of (-1)^(n-|S|) [z^n] f_S(z)^i.  Each f_S is packed
-    once into one int, one slot per degree (Kronecker substitution), with
-    slots of comb(n*n, n).bit_length() + 1 bits: wide enough for every
-    coefficient of the zeta transform (at most C(n, j)) and of every power
-    ([z^j] f_S^i with i, j <= n is at most C(n*n, n)).  It is charged
-    2^n * (n+1) steps, one per subset and palette size 0..n, before the
-    first predicate call.
+    into one int, one slot per degree (Kronecker substitution), in two
+    widths:
+
+    * the zeta transform runs on slots of n + 1 bits, wide enough for its
+      coefficients (at most C(n, j) < 2^n);
+    * the signs (-1)^(n-|S|) are summed per distinct f_S, and each value
+      whose signs do not cancel is widened once to slots of
+      comb(n*n, n).bit_length() + 1 bits ([z^j] f_S^i with i, j <= n is at
+      most C(n*n, n)) and raised to the powers 1..hi once, times its sum.
+
+    It is charged 2^n * (n+1) steps, one per subset and palette size 0..n,
+    before the first predicate call.
     """
     n = g.n
     full = 1 << n
     check_budget(full * (n + 1), "inclusion-exclusion")
-    width = comb(n * n, n).bit_length() + 1
+    narrow = n + 1
     ok = bytearray(full)
     ok[0] = 1       # the empty set, for the hereditary test below
     f = [0] * full
@@ -324,21 +331,28 @@ def _subset_counts(g: Graph, allowed, hereditary: bool,
             continue
         if allowed(g, t):
             ok[t] = 1
-            f[t] = 1 << (width * t.bit_count())
+            f[t] = 1 << (narrow * t.bit_count())
     for v in range(n):
         bit = 1 << v
         for s in range(full):
             if s & bit:
                 f[s] += f[s ^ bit]
+    signs = Counter()
+    for s in range(1, full):    # f of the empty set is 0
+        signs[f[s]] += -1 if (n - s.bit_count()) & 1 else 1
+    width = comb(n * n, n).bit_length() + 1
+    slot = (1 << narrow) - 1
     keep = (1 << (width * (n + 1))) - 1
     counts = [0] * (hi + 1)
     counts[0] = int(n == 0)     # [z^n] f_S^0 is [n = 0] for every S
-    for s in range(1, full):    # f of the empty set is 0
-        fs = f[s]
-        sign = -1 if (n - s.bit_count()) & 1 else 1
+    for fs, sign in signs.items():
+        if not sign:
+            continue
+        wide = sum((fs >> (narrow * j) & slot) << (width * j)
+                   for j in range(n + 1))
         power = 1
         for i in range(1, min(hi, n) + 1):
-            power = power * fs & keep
+            power = power * wide & keep
             counts[i] += sign * (power >> (width * n))
     return counts
 

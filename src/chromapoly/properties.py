@@ -234,8 +234,9 @@ def _surjective_proper(g, colors, k):
 
 def _degree_determined(g, colors, k):
     # proper and f(v) = degree(v) + 1: size-symmetry over color sets fails
-    if any(colors[v] != g.adj[v].bit_count() + 1 for v in range(g.n)):
-        return False
+    for v, nb in enumerate(g.adj):
+        if colors[v] != nb.bit_count() + 1:
+            return False
     return _proper(g, colors, k)
 
 

@@ -21,8 +21,8 @@ from chromapoly.graphs import (
 )
 from chromapoly.polynomials import from_binomial, from_monomial
 from chromapoly.properties import (
-    Coloring, PairProperty, acyclic_property, check, cocolor_property,
-    convex_property, degree_determined_property, du_property,
+    Coloring, PairProperty, _pred_all, acyclic_property, check,
+    cocolor_property, convex_property, degree_determined_property, du_property,
     edge_proper_property, h_free_property, harmonious_property,
     injective_property, mcc_property, pair_property, parse_property,
     proper_property, rainbow_property, surjective_proper_property,
@@ -838,6 +838,49 @@ def test_subset_route_slot_width():
     # every class is allowed and every coefficient is as large as it gets
     assert _exact_counts(edgeless_graph(12), TRIVIAL, 12)[1:] == [
         factorial(i) * stirling2(12, i) for i in range(1, 13)]
+
+
+def test_subset_counts_match_brute_force():
+    # at every hi, on edgeless and complete graphs, where many subsets share
+    # one f_S and its signs cancel, and on seeded graphs and multigraphs
+    rng = random.Random(71)
+    graphs = [edgeless_graph(n) for n in (0, 1, 3, 5)] + [
+        complete_graph(n) for n in (1, 3, 5)]
+    for trial in range(6):
+        g = random_graph(rng, 5, min_n=2)
+        if trial % 3 == 0 and g.edges:
+            g = build_graph(g.n, g.edges,
+                            [rng.randint(1, 3) for _ in g.edges],
+                            simple=False)
+        graphs.append(g)
+    for g in graphs:
+        for token in dict.fromkeys(BOUND_ROWS + CLASS_ROWS + CLASS_LOCAL):
+            prop = parse_property(token)
+            brute = [brute_count_at(g, prop, k) for k in range(g.n + 1)]
+            for hi in range(g.n + 2):
+                assert counting._subset_counts(
+                    g, prop.row.class_pred, prop.hereditary, hi) == (
+                    counting._from_palettes(brute.__getitem__, g.n, hi)), (
+                    token, hi, g)
+
+
+def test_subset_route_on_eighteen_vertices():
+    # 2^18 subsets, but f_S depends only on |S|: 18 distinct values to power
+    assert chi_polynomial(edgeless_graph(18), TRIVIAL).equals(from_binomial(
+        [factorial(i) * stirling2(18, i) for i in range(19)]))
+
+
+def test_subset_route_memory_stays_narrow():
+    # the zeta transform keeps 2^16 packed f_S on (n + 1)-bit slots; at the
+    # power slots' width they would take about 8 MiB
+    g = edgeless_graph(16)
+    tracemalloc.start()
+    try:
+        counting._subset_counts(g, _pred_all, True, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2 ** 20, peak
 
 
 def test_injective_is_proper_on_the_common_neighbour_graph():

@@ -8,7 +8,7 @@ from chromapoly.graphs import (
     path_graph, star_graph, t_pendant,
 )
 from chromapoly.properties import (
-    Coloring, acyclic_property, check, cocolor_property,
+    Coloring, _proper, acyclic_property, check, cocolor_property,
     convex_property, degree_determined_property, du_property,
     edge_proper_property, h_free_property, harmonious_property,
     induces_copy_union, injective_property, mcc_property, pair_check,
@@ -405,3 +405,26 @@ def test_counterexample_properties_depend_on_palette():
     degp = degree_determined_property()
     assert check(degp, p3, vcol(2, 3, 2, k=3))
     assert not check(degp, p3, vcol(1, 2, 1, k=3))
+
+
+def test_degree_determined_matches_its_any_form():
+    # the checker's loop against the generator expression it replaced, on
+    # every coloring with k <= 5 of seeded graphs with n <= 5
+    def degree_any(g, colors, k):
+        return not any(colors[v] != g.adj[v].bit_count() + 1
+                       for v in range(g.n)) and _proper(g, colors, k)
+    degp = degree_determined_property().checker
+    rng = random.Random(31)
+    graphs = [edgeless_graph(0), complete_graph(3), star_graph(4)]
+    for trial in range(12):
+        g = random_graph(rng, 5)
+        if trial % 3 == 0 and g.edges:
+            g = build_graph(g.n, g.edges,
+                            [rng.randint(1, 3) for _ in g.edges],
+                            simple=False)
+        graphs.append(g)
+    for g in graphs:
+        for k in range(6):
+            for colors in product(range(1, k + 1), repeat=g.n):
+                assert degp(g, colors, k) == degree_any(g, colors, k), (
+                    g, colors, k)
