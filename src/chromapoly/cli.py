@@ -9,8 +9,8 @@ or CNF file is an input error.  Output is deterministic given the inputs
 and seed.  ``--workers`` is deprecated: accepted (at least 1) and ignored,
 as every command runs single-threaded; it stays for existing command lines.
 
-Exit codes: 0 success, 2 input error, 3 budget exceeded, 4 identity or
-certification failure.
+Exit codes: 0 success, 2 input error, 3 budget exceeded or out of memory, 4
+identity or certification failure.
 """
 
 from __future__ import annotations
@@ -396,6 +396,9 @@ def _run(argv) -> int:
         return _fail(str(exc), args.format, BUDGET_ERROR)
     except (ValueError, OverflowError, OSError) as exc:
         return _fail(str(exc), args.format, INPUT_ERROR)
+    except MemoryError:
+        pass    # reported below, once the handler's frames are freed
+    return _fail("the command ran out of memory", args.format, BUDGET_ERROR)
 
 
 if __name__ == "__main__":

@@ -1,10 +1,10 @@
 """Exact counting of colorings and assembly of counting polynomials.
 
 A polynomial is assembled from the exact-color counts c(0..D), c(i) the
-colorings whose range is exactly the first i colors.  ``_ROUTES`` lists the
-routes that count them, in order.  The first that applies to (graph,
-property) builds the counts; the next that applies after it checks them
-at k = 3, as ``check_counts`` states:
+colorings whose range is exactly the first i colors, on the vertices of
+``_domain(g, prop)``.  ``_ROUTES`` lists the routes that count them, in
+order.  The first that applies to (graph, property) builds the counts; the
+next that applies after it checks them at k = 3, as ``check_counts`` states:
 
 * brute -- not known to be polynomial: ``brute_count_at``, plain
   enumeration of all k^D colorings (the oracle), at 0..D.
@@ -12,11 +12,10 @@ at k = 3, as ``check_counts`` states:
   ``graphs.frontier_program`` whose cost follows the width of the frontier,
   not Bell(D); past its cap it hands the count to the walk.
 * inclusion-exclusion -- a class-local row (pair predicate ``all``: proper,
-  mcc, du, convex, timp, cocolor, hfree, injective, trivial, such ``pair:``
-  tokens) on at most 20 vertices: one sum over the 2^n vertex subsets
-  (Bjorklund, Husfeldt and Koivisto, SIAM J. Comput. 2009).
-* line inclusion-exclusion -- edge-proper on at most 20 edges: the same sum
-  on the line graph.
+  mcc, du, convex, timp, cocolor, hfree, injective, trivial, edge-proper,
+  such ``pair:`` tokens) on a domain graph of at most 20 vertices: one sum
+  over its 2^n vertex subsets (Bjorklund, Husfeldt and Koivisto, SIAM J.
+  Comput. 2009).
 * walk -- known polynomial with no ``bound`` (a bound row's frontier
   program hands over to it, so it cannot check one): i! times the set
   partitions of the domain into i blocks whose canonical coloring
@@ -35,6 +34,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from math import comb, factorial
 
@@ -50,19 +50,22 @@ from .polynomials import (
     Poly, from_binomial, lagrange_interpolate, stirling2_row,
 )
 from .properties import (
-    ColoringProperty, _pred_all, _pred_edgeless, harmonious_property,
-    row_holds,
+    ColoringProperty, _pred_all, harmonious_property, row_holds,
 )
 
 _HARMONIOUS = harmonious_property()
+# the last line graph built, which the routes and checks of a count share
+_line_graph = lru_cache(maxsize=1)(line_graph)
 
 
-def _domain_size(g: Graph, prop: ColoringProperty) -> int:
+def _domain(g: Graph, prop: ColoringProperty) -> Graph:
+    """The graph whose vertices the property colors, which its row and bound
+    read (its checker reads g): g, or an edge property's ``line_graph(g)``."""
     if prop.domain == "vertex":
-        return g.n
+        return g
     if not g.simple:
         raise ValueError("edge colorings are defined on simple graphs")
-    return g.edge_count
+    return _line_graph(g)
 
 
 def _acyclic_placed(adj, blocks: list[int], v: int, b: int) -> bool:
@@ -121,11 +124,10 @@ def _partition_counts(g: Graph, prop: ColoringProperty, hi: int,
     blocks whose canonical block coloring satisfies the property, counted in
     one pass over restricted-growth strings (Knuth, TAOCP 4A 7.2.1.5).
 
-    The elements are placed in ``mcs_order`` of the domain's adjacency
-    (``line_graph``'s for edges), so that a placement fails as soon as the
-    elements that refute it are placed; the counts do not depend on the
-    order.  Each placement of an element in block b is tested once, before
-    the walk recurses:
+    The elements are placed in ``mcs_order`` of the domain graph, so that a
+    placement fails as soon as the elements that refute it are placed; the
+    counts do not depend on the order.  Each placement of an element in
+    block b is tested once, before the walk recurses:
 
     * a ``bound`` (proper, mcc, du, edge): the placed element's component
       in its block has at most ``bound`` elements;
@@ -141,10 +143,10 @@ def _partition_counts(g: Graph, prop: ColoringProperty, hi: int,
     Either charge adds to ``spent``, the steps a caller handing a count
     over has already charged.
     """
-    d = _domain_size(g, prop)
+    dom = _domain(g, prop)
+    d, adj = dom.n, dom.adj
     counts = [0] * (hi + 1)
     checker, bound, row = prop.checker, prop.bound, prop.row
-    adj = g.adj if prop.domain == "vertex" else line_graph(g).adj
     colors = [0] * d
     blocks = [0] * min(d, hi)       # per block, its element mask
     fits = None
@@ -156,7 +158,7 @@ def _partition_counts(g: Graph, prop: ColoringProperty, hi: int,
             return _acyclic_placed(adj, blocks, v, b)
     elif prop.hereditary and row is not None:
         def fits(v: int, b: int, used: int) -> bool:
-            return _row_placed(g, row, blocks, v, b, used)
+            return _row_placed(dom, row, blocks, v, b, used)
     else:
         check_budget(spent + sum(stirling2_row(d, hi)),
                      "partition enumeration")
@@ -165,7 +167,7 @@ def _partition_counts(g: Graph, prop: ColoringProperty, hi: int,
         leaf = None
     elif row is not None:
         def leaf(used: int) -> bool:
-            return row_holds(row, g, blocks[:used])
+            return row_holds(row, dom, blocks[:used])
     else:
         def leaf(used: int) -> bool:
             return checker(g, tuple(colors), used)
@@ -204,10 +206,9 @@ def _partition_counts(g: Graph, prop: ColoringProperty, hi: int,
 def _frontier_counts(g: Graph, prop: ColoringProperty,
                      hi: int) -> list[int]:
     """``_partition_counts`` for a property with a size ``bound``, by a
-    ``graphs.frontier_program`` over the domain elements, edges adjacent
-    when they share an end, under "frontier enumeration".  It measures its
-    table by the length of its lists and hands a count whose table passes
-    the program's cap to the walk.
+    ``graphs.frontier_program`` over the domain graph, under "frontier
+    enumeration".  It measures its table by the length of its lists and
+    hands a count whose table passes the program's cap to the walk.
 
     A state is the tuple of the open blocks, each the mask of its
     components that still hold a live element (its components are the
@@ -222,11 +223,11 @@ def _frontier_counts(g: Graph, prop: ColoringProperty,
     row because du's predicate holds on a mask exactly when it holds on
     each component; the bound decides the others.
     """
-    d = _domain_size(g, prop)
+    dom = _domain(g, prop)
+    adj = dom.adj
     bound, test = prop.bound, None if prop.hereditary else prop.row.class_pred
-    if prop.family == "du" and d % bound:
+    if prop.family == "du" and dom.n % bound:
         return [0] * (hi + 1)   # each class covers whole copies of the pattern
-    adj = g.adj if prop.domain == "vertex" else line_graph(g).adj
     verdicts: dict[int, bool] = {}     # per complete component
 
     def step(states, pos, v, placed, dying, live):
@@ -248,7 +249,7 @@ def _frontier_counts(g: Graph, prop: ColoringProperty,
                             continue
                         if test is not None:
                             if comp not in verdicts:
-                                verdicts[comp] = test(g, comp)
+                                verdicts[comp] = test(dom, comp)
                             if not verdicts[comp]:
                                 return None
                         m ^= comp
@@ -374,18 +375,14 @@ def _ordered(p: list[int]) -> list[int]:
 _ROUTES = (
     ("brute", lambda g, prop: not prop.known_polynomial,
      lambda g, prop, hi: _from_palettes(
-         lambda k: brute_count_at(g, prop, k), _domain_size(g, prop), hi)),
+         lambda k: brute_count_at(g, prop, k), _domain(g, prop).n, hi)),
     ("frontier", lambda g, prop: prop.bound is not None,
      lambda g, prop, hi: _ordered(_frontier_counts(g, prop, hi))),
     ("inclusion-exclusion",
      lambda g, prop: (prop.row is not None and prop.row.pair_name == "all"
-                      and g.n <= _SUBSET_MAX_N),
-     lambda g, prop, hi: _subset_counts(g, prop.row.class_pred,
+                      and _domain(g, prop).n <= _SUBSET_MAX_N),
+     lambda g, prop, hi: _subset_counts(_domain(g, prop), prop.row.class_pred,
                                         prop.hereditary, hi)),
-    ("line inclusion-exclusion",
-     lambda g, prop: prop.family == "edge" and g.edge_count <= _SUBSET_MAX_N,
-     lambda g, prop, hi: _subset_counts(line_graph(g), _pred_edgeless,
-                                        True, hi)),
     ("walk", lambda g, prop: prop.known_polynomial and prop.bound is None,
      lambda g, prop, hi: _ordered(_partition_counts(g, prop, hi))),
     ("harmonious", lambda g, prop: prop.family == "harmonious",
@@ -433,7 +430,7 @@ def check_counts(g: Graph, prop: ColoringProperty) -> list[int]:
     try:
         for k in range(3):
             counts.append(brute_count_at(g, prop, k))
-        if len(routes) > 1 and 3 ** _domain_size(g, prop) <= budget_limit():
+        if len(routes) > 1 and 3 ** _domain(g, prop).n <= budget_limit():
             try:
                 c = routes[1][2](g, prop, 3)
                 counts.append(sum(comb(3, i) * ci for i, ci in enumerate(c)))
@@ -453,7 +450,7 @@ def brute_count_at(g: Graph, prop: ColoringProperty, k: int) -> int:
     """Count colorings with palette [k] by full enumeration."""
     if k < 0:
         raise ValueError("palette size must be nonnegative")
-    d = _domain_size(g, prop)
+    d = _domain(g, prop).n
     check_budget(k ** d if k >= 2 else 1, "coloring enumeration")
     checker = prop.checker
     return sum(1 for colors in product(range(1, k + 1), repeat=d)
@@ -480,7 +477,7 @@ def chi_polynomial(g: Graph, prop: ColoringProperty) -> Poly:
         report = polynomiality_audit(g, prop, k_max=4)
         if not report.passed():
             raise NotPolynomialError(report)
-    return from_binomial(_exact_counts(g, prop, _domain_size(g, prop)))
+    return from_binomial(_exact_counts(g, prop, _domain(g, prop).n))
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +517,7 @@ def polynomiality_audit(g: Graph, prop: ColoringProperty,
     """
     if k_max < 1:
         raise ValueError("audit needs k_max >= 1")
-    d = _domain_size(g, prop)
+    d = _domain(g, prop).n
     cost, limit = 0, budget_limit()
     for k in range(1, k_max + 1):
         cost += k ** d + (1 << k)
@@ -551,8 +548,6 @@ def harmonious_fast(g: Graph, k: int) -> int:
     vertices, enumerate only on the small core, multiply by k**isolated."""
     if k < 0:
         raise ValueError("palette size must be nonnegative")
-    # harmony reads only the distinct pairs: count on the simple graph
-    g = build_graph(g.n, g.edges)
     if g.edge_count >= k * (k - 1) // 2 + 1:
         return 0
     core, isolated = strip_isolated(g)
@@ -626,7 +621,7 @@ def pruned_count_at(g: Graph, prop: ColoringProperty, k: int) -> int:
     """
     if k < 0 or not prop.known_polynomial:
         return brute_count_at(g, prop, k)
-    hi = min(k, _domain_size(g, prop))
+    hi = min(k, _domain(g, prop).n)
     p = _partition_counts(g, prop, hi)
     return sum(comb(k, i) * factorial(i) * c for i, c in enumerate(p))
 

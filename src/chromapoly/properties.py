@@ -14,10 +14,11 @@ mcc, du and hfree are stated by their class predicate alone; the other
 checkers are independent code, compared with their rows.
 
 Checkers receive the raw color tuple plus the palette size; colors are 1..k.
-Row predicates receive g and a vertex bitmask of it.  The du and hfree
-pattern tests run on such masks through ``graphs.has_induced_copy``.  Only
-the t-improper checker and the ``maxdeg`` predicate honor edge
-multiplicities; the others read the distinct pairs.
+Row predicates receive the domain graph (g, or an edge property's line
+graph) and a vertex bitmask of it.  The du and hfree pattern tests run on
+such masks through ``graphs.has_induced_copy``.  Only the t-improper
+checker and the ``maxdeg`` predicate honor edge multiplicities; the others
+read the distinct pairs.
 """
 
 from __future__ import annotations
@@ -57,12 +58,11 @@ class ColoringProperty:
     family: str = ""           # tag for eval easy routes, chains, route choices
     param: object = None       # t for mcc/timp, pattern graph for du/hfree
     known_polynomial: bool = True
-    # the row's predicates reject every superset of a mask they reject (edge:
-    # the bound decides); the walk cuts a failed placement, tests no leaf
+    # the row's predicates reject every superset of a mask they reject; the
+    # walk cuts a failed placement, tests no leaf
     hereditary: bool = False
-    # no valid coloring has a monochromatic component of more elements, edges
-    # adjacent when they share an end; the walk and the frontier route cut a
-    # block that outgrows it
+    # no valid coloring has a monochromatic component of more domain-graph
+    # vertices; the walk and the frontier route cut a block that outgrows it
     bound: int | None = None
     # the class/pair instantiation the property equals, if it has one
     row: PairProperty | None = None
@@ -469,7 +469,8 @@ def injective_property() -> ColoringProperty:
 
 def edge_proper_property() -> ColoringProperty:
     return ColoringProperty("edge", "edge", _edge_proper, family="edge",
-                            hereditary=True, bound=1)
+                            hereditary=True, bound=1,
+                            row=_class_row(_pred_edgeless, "edgeless"))
 
 
 def rainbow_property() -> ColoringProperty:

@@ -231,6 +231,54 @@ def test_vertex_count_past_the_index_range_is_an_input_error(tmp_path):
                                 "proper"))
 
 
+OUT_OF_MEMORY = {"error": {"code": "budget",
+                           "message": "the command ran out of memory"}}
+
+
+def test_a_header_past_the_memory_limit_ends_in_exit_3(tmp_path):
+    # ``[0] * n`` for 10^9 vertices raised a MemoryError traceback; the
+    # subprocess's own address space is capped at 1 GiB
+    import resource
+    import subprocess
+
+    def cap():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        soft = 1 << 30 if hard == resource.RLIM_INFINITY else min(
+            1 << 30, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+    graph = write(tmp_path, "big.el", "1000000000 0\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "chromapoly.cli", "poly", "--graph", graph,
+         "--prop", "proper"],
+        capture_output=True, text=True, timeout=60, preexec_fn=cap)
+    assert (proc.returncode, proc.stderr) == (3, "")
+    assert json.loads(proc.stdout) == OUT_OF_MEMORY
+
+
+@pytest.mark.parametrize("kind,certify,source", (
+    ("nae_mcc", "certify_nae_mcc",
+     ("--cnf", "c semantics nae3\np cnf 3 1\n1 2 3 0\n")),
+    ("maxcut_cocirc", "certify_maxcut_cocircuits",
+     ("--graph", "2 1\n0 1\n", "--k", "1")),
+))
+def test_gadget_certify_out_of_memory_ends_in_exit_3(tmp_path, monkeypatch,
+                                                     kind, certify, source):
+    # a CNF header of 10^20 variables, or maxcut_cocirc on a 5000-vertex
+    # edgeless graph, ran out of memory in certification with a traceback
+    from chromapoly import gadgets
+
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(gadgets, certify, exhausted)
+    flag, text, *rest = source
+    code, out = run_cli("gadget", "certify", kind, flag,
+                        write(tmp_path, "in.txt", text), *rest)
+    assert code == 3
+    assert json.loads(out) == OUT_OF_MEMORY
+
+
 def test_nonpositive_multiplicity_is_an_input_error(tmp_path):
     # ``0 1 0`` beside ``0 1`` summed to multiplicity 1 and was accepted
     graph = write(tmp_path, "m.el", "2 2\n0 1\n0 1 0\n")

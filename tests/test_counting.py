@@ -1,14 +1,14 @@
 import random
 import tracemalloc
 from dataclasses import replace
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from math import comb, factorial
 
 import pytest
 
 from chromapoly import counting, graphs
 from chromapoly.counting import (
-    _exact_counts, _partition_counts, _routes, brute_count_at,
+    _domain, _exact_counts, _partition_counts, _routes, brute_count_at,
     check_counts, chi_polynomial, convex_fast, count_clique_partitions,
     exact_color_count, harmonious_fast,
     interpolation_chain, polynomiality_audit,
@@ -21,16 +21,16 @@ from chromapoly.graphs import (
 )
 from chromapoly.polynomials import from_binomial, from_monomial
 from chromapoly.properties import (
-    Coloring, PairProperty, _pred_all, acyclic_property, check,
+    Coloring, PairProperty, _edge_proper, _pred_all, acyclic_property, check,
     cocolor_property, convex_property, degree_determined_property, du_property,
     edge_proper_property, h_free_property, harmonious_property,
-    injective_property, mcc_property, pair_property, parse_property,
-    proper_property, rainbow_property, surjective_proper_property,
-    t_improper_property, trivial_property,
+    injective_property, mcc_property, pair_check, pair_property,
+    parse_property, proper_property, rainbow_property,
+    surjective_proper_property, t_improper_property, trivial_property,
 )
 from helpers import (
-    all_graphs_up_to, bell_number, grid_graph, random_connected_graph,
-    random_graph, random_tree, relabel, stirling2,
+    all_graphs_up_to, bell_number, grid_graph, nonisomorphic_connected,
+    random_connected_graph, random_graph, random_tree, relabel, stirling2,
 )
 
 PROPER = proper_property()
@@ -423,6 +423,15 @@ def test_harmonious_fast_on_multigraphs():
     g = build_graph(4, [(0, 1), (1, 2), (2, 3)], [2, 1, 3], simple=False)
     for k in range(5):
         assert harmonious_fast(g, k) == brute_count_at(g, HARM, k)
+    rng = random.Random(31)
+    for _ in range(20):
+        core = random_graph(rng, 6)
+        g = build_graph(core.n + rng.randint(0, 2), core.edges,
+                        [rng.randint(1, 3) for _ in core.edges],
+                        simple=False)
+        for k in range(5):
+            assert harmonious_fast(g, k) == brute_count_at(g, HARM, k), (
+                g.edges, g.mult, g.n, k)
 
 
 def test_proper_fast_matches_brute():
@@ -485,6 +494,35 @@ def test_edge_chi():
     assert chi_polynomial(complete_graph(2), edge).eval(0) == 0
     assert chi_polynomial(star_graph(3), edge).equals(
         chi_polynomial(complete_graph(3), PROPER))
+
+
+def test_edge_proper_row_reads_its_domain_graph():
+    # a color class of edges is a matching, an independent set of the line
+    # graph: edge-proper's row on the line graph is its checker on g, on
+    # every graph with at most 5 edges, each a disjoint union of connected
+    # ones (isolated vertices carry no edge)
+    prop = edge_proper_property()
+    parts = [h for h in nonisomorphic_connected(5, 6) if h.edge_count]
+    cases = [edgeless_graph(0)]
+    for size in range(1, 6):
+        for picks in combinations_with_replacement(parts, size):
+            if sum(h.edge_count for h in picks) <= 5:
+                g = edgeless_graph(0)
+                for h in picks:
+                    g = disjoint_union(g, h)
+                cases.append(g)
+    for g in cases:
+        dom = _domain(g, prop)
+        assert (dom.n, dom.edges) == (g.edge_count, line_graph(g).edges)
+        for k in range(4):
+            for colors in product(range(1, k + 1), repeat=g.edge_count):
+                assert pair_check(prop.row, dom, colors, k) == _edge_proper(
+                    g, colors, k), (g.edges, colors)
+    multi = build_graph(2, [(0, 1)], [2], simple=False)
+    assert _domain(multi, PROPER) is multi
+    with pytest.raises(ValueError,
+                       match="edge colorings are defined on simple graphs"):
+        _domain(multi, prop)
 
 
 def test_edge_chi_matches_direct_edge_enumeration():
@@ -727,12 +765,12 @@ CLASS_ROWS = ("convex", "timp:t=1", "cocolor", "hfree:H=P3", "injective",
 
 def test_route_list_pins_build_and_check():
     # P20 has the most vertices inclusion-exclusion takes, P21 the most
-    # edges its line-graph form takes; P22 is past both
+    # edges: its line graph, edge-proper's domain graph, is P20; P22 is past
+    # both
     for n in (20, 21, 22):
         vertices, edges = n <= 20, n - 1 <= 20
         pins = {
-            "edge": ("frontier", "line inclusion-exclusion" if edges
-                     else None),
+            "edge": ("frontier", "inclusion-exclusion" if edges else None),
             "harmonious": ("walk", "harmonious"),
             "acyclic": ("walk", "row walk"),
             "rainbow": ("walk", None),

@@ -345,7 +345,7 @@ def test_every_documented_token_parses():
 def test_every_token_states_its_counting_facts():
     # edge-proper's bound counts edges, adjacent when they share an end
     bounds = {"proper": 1, "mcc:t=2": 2, "du:H=K3": 3, "edge": 1}
-    rowless = {"edge", "rainbow", "surjective-proper", "degree-determined"}
+    rowless = {"rainbow", "surjective-proper", "degree-determined"}
     for token in CLI_TOKENS:
         prop = parse_property(token)
         assert prop.bound == bounds.get(token), token
