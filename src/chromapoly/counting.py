@@ -58,14 +58,22 @@ _HARMONIOUS = harmonious_property()
 _line_graph = lru_cache(maxsize=1)(line_graph)
 
 
-def _domain(g: Graph, prop: ColoringProperty) -> Graph:
-    """The graph whose vertices the property colors, which its row and bound
-    read (its checker reads g): g, or an edge property's ``line_graph(g)``."""
+def _domain_size(g: Graph, prop: ColoringProperty) -> int:
+    """``_domain(g, prop).n`` without the line graph: a route that reads
+    only the size, or refuses on it, need not build the m-vertex graph."""
     if prop.domain == "vertex":
-        return g
+        return g.n
     if not g.simple:
         raise ValueError("edge colorings are defined on simple graphs")
-    return _line_graph(g)
+    return g.edge_count
+
+
+def _domain(g: Graph, prop: ColoringProperty) -> Graph:
+    """The graph whose vertices the property colors, which its row and bound
+    read (its checker reads g): g, or an edge property's ``line_graph(g)``,
+    past ``_domain_size``'s refusal of a multigraph."""
+    _domain_size(g, prop)
+    return g if prop.domain == "vertex" else _line_graph(g)
 
 
 def _acyclic_placed(adj, blocks: list[int], v: int, b: int) -> bool:
@@ -143,8 +151,7 @@ def _partition_counts(g: Graph, prop: ColoringProperty, hi: int,
     Either charge adds to ``spent``, the steps a caller handing a count
     over has already charged.
     """
-    dom = _domain(g, prop)
-    d, adj = dom.n, dom.adj
+    d = _domain_size(g, prop)
     counts = [0] * (hi + 1)
     checker, bound, row = prop.checker, prop.bound, prop.row
     colors = [0] * d
@@ -162,6 +169,10 @@ def _partition_counts(g: Graph, prop: ColoringProperty, hi: int,
     else:
         check_budget(spent + sum(stirling2_row(d, hi)),
                      "partition enumeration")
+    # built past the up-front charge, which reads only the size; the
+    # placement tests above read it when they run
+    dom = _domain(g, prop)
+    adj = dom.adj
     order = mcs_order(adj)
     if prop.hereditary and fits is not None:
         leaf = None
@@ -375,12 +386,12 @@ def _ordered(p: list[int]) -> list[int]:
 _ROUTES = (
     ("brute", lambda g, prop: not prop.known_polynomial,
      lambda g, prop, hi: _from_palettes(
-         lambda k: brute_count_at(g, prop, k), _domain(g, prop).n, hi)),
+         lambda k: brute_count_at(g, prop, k), _domain_size(g, prop), hi)),
     ("frontier", lambda g, prop: prop.bound is not None,
      lambda g, prop, hi: _ordered(_frontier_counts(g, prop, hi))),
     ("inclusion-exclusion",
      lambda g, prop: (prop.row is not None and prop.row.pair_name == "all"
-                      and _domain(g, prop).n <= _SUBSET_MAX_N),
+                      and _domain_size(g, prop) <= _SUBSET_MAX_N),
      lambda g, prop, hi: _subset_counts(_domain(g, prop), prop.row.class_pred,
                                         prop.hereditary, hi)),
     ("walk", lambda g, prop: prop.known_polynomial and prop.bound is None,
@@ -430,7 +441,7 @@ def check_counts(g: Graph, prop: ColoringProperty) -> list[int]:
     try:
         for k in range(3):
             counts.append(brute_count_at(g, prop, k))
-        if len(routes) > 1 and 3 ** _domain(g, prop).n <= budget_limit():
+        if len(routes) > 1 and 3 ** _domain_size(g, prop) <= budget_limit():
             try:
                 c = routes[1][2](g, prop, 3)
                 counts.append(sum(comb(3, i) * ci for i, ci in enumerate(c)))
@@ -450,7 +461,7 @@ def brute_count_at(g: Graph, prop: ColoringProperty, k: int) -> int:
     """Count colorings with palette [k] by full enumeration."""
     if k < 0:
         raise ValueError("palette size must be nonnegative")
-    d = _domain(g, prop).n
+    d = _domain_size(g, prop)
     check_budget(k ** d if k >= 2 else 1, "coloring enumeration")
     checker = prop.checker
     return sum(1 for colors in product(range(1, k + 1), repeat=d)
@@ -477,7 +488,7 @@ def chi_polynomial(g: Graph, prop: ColoringProperty) -> Poly:
         report = polynomiality_audit(g, prop, k_max=4)
         if not report.passed():
             raise NotPolynomialError(report)
-    return from_binomial(_exact_counts(g, prop, _domain(g, prop).n))
+    return from_binomial(_exact_counts(g, prop, _domain_size(g, prop)))
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +528,7 @@ def polynomiality_audit(g: Graph, prop: ColoringProperty,
     """
     if k_max < 1:
         raise ValueError("audit needs k_max >= 1")
-    d = _domain(g, prop).n
+    d = _domain_size(g, prop)
     cost, limit = 0, budget_limit()
     for k in range(1, k_max + 1):
         cost += k ** d + (1 << k)
@@ -621,7 +632,7 @@ def pruned_count_at(g: Graph, prop: ColoringProperty, k: int) -> int:
     """
     if k < 0 or not prop.known_polynomial:
         return brute_count_at(g, prop, k)
-    hi = min(k, _domain(g, prop).n)
+    hi = min(k, _domain_size(g, prop))
     p = _partition_counts(g, prop, hi)
     return sum(comb(k, i) * factorial(i) * c for i, c in enumerate(p))
 
@@ -641,21 +652,11 @@ def count_clique_partitions(g: Graph, alpha: int) -> int:
         if mask == 0:
             return 1
         v = (mask & -mask).bit_length() - 1
-        if alpha == 1:
-            return rec(mask & ~(1 << v))
         total = 0
-        candidates = bits(adj[v] & mask)
-        for combo in combinations(candidates, alpha - 1):
-            ok = True
-            for i, a in enumerate(combo):
-                for b in combo[i + 1:]:
-                    if not (adj[a] >> b) & 1:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                block = (1 << v) | sum(1 << u for u in combo)
+        for combo in combinations(bits(adj[v] & mask), alpha - 1):
+            block = (1 << v) | sum(1 << u for u in combo)
+            # a clique: the one member of the block not adjacent to u is u
+            if all(block & ~adj[u] == 1 << u for u in combo):
                 total += rec(mask & ~block)
         return total
 

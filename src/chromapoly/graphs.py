@@ -358,24 +358,21 @@ def frontier_sweep(adj: Sequence[int]) -> Iterator[tuple[int, int]]:
     elements are the frontier.  An element dies when its last unplaced
     neighbour is placed, or on placement if it has none.  Next comes the
     element that leaves the fewest live elements, ties go to the one with
-    more placed neighbours, then to the lower index.  The frontier dynamic
-    programs read the live set from here."""
+    more placed neighbours, then to the lower index.  Each score is read
+    from two running counts: ``left[u]``, how many unplaced neighbours u
+    has, and ``last``, the mask of the placed elements with exactly one
+    left.  The frontier dynamic programs read the live set from here."""
     n = len(adj)
-    unplaced, placed, live = (1 << n) - 1, 0, 0
+    left = [a.bit_count() for a in adj]
+    unplaced, last, live = (1 << n) - 1, 0, 0
 
     def dying(v: int) -> int:
-        # v and its placed neighbours left with no unplaced neighbour by v
-        rest = unplaced ^ 1 << v
-        gone = 0 if adj[v] & rest else 1 << v
-        for u in bits(adj[v] & placed):
-            if not adj[u] & rest:
-                gone |= 1 << u
-        return gone
+        # v's neighbours in last, and v itself if it has no unplaced one
+        return adj[v] & last | (0 if left[v] else 1 << v)
 
     def score(v: int) -> int:
         # frontier growth * n - placed neighbours: growth is at most 1
-        return ((1 - dying(v).bit_count()) * n
-                - (adj[v] & placed).bit_count())
+        return (1 - dying(v).bit_count()) * n - adj[v].bit_count() + left[v]
 
     scores = [score(v) for v in range(n)]
     # a lazy heap of (score, element): an entry whose score has moved, or
@@ -388,14 +385,17 @@ def frontier_sweep(adj: Sequence[int]) -> Iterator[tuple[int, int]]:
             s, v = heappop(heap)
         live = (live | 1 << v) & ~dying(v)
         unplaced ^= 1 << v
-        placed |= 1 << v
         yield v, live
         scores[v] = n + 1
-        # only the scores within two steps of v can move
-        near = adj[v]
-        for u in bits(adj[v] & placed):
-            near |= adj[u]
-        for w in bits(near & unplaced):
+        # rescore v's unplaced neighbours and those of last's new members
+        last = last & ~adj[v] | (1 << v if left[v] == 1 else 0)
+        near = adj[v] & unplaced
+        for u in bits(adj[v]):
+            left[u] -= 1
+            if left[u] == 1 and not unplaced >> u & 1:
+                last |= 1 << u
+                near |= adj[u] & unplaced
+        for w in bits(near):
             if (s := score(w)) != scores[w]:
                 scores[w] = s
                 heappush(heap, (s, w))

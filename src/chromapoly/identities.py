@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb, factorial
 from typing import Callable
 
@@ -20,7 +21,7 @@ from .graphio import emit_edge_list
 from .graphs import (
     Graph, box_join, build_graph, cocircuit_counts, complete_graph,
     disjoint_union, harmonious_gadget, induced_subgraph, is_connected, join,
-    line_graph, mcc_extension, star_graph, t_pendant,
+    mcc_extension, star_graph, t_pendant,
 )
 from .polynomials import Poly, constant, falling_factorial, multinomial, x_poly
 from .properties import (
@@ -245,9 +246,14 @@ def _mcc_ext(bounds: Bounds, rng: random.Random) -> IdentityResult:
 def _edge_line(bounds: Bounds, rng: random.Random) -> IdentityResult:
     def sides(g: Graph):
         lhs = chi_polynomial(g, EDGE)
-        rhs = chi_polynomial(line_graph(g), PROPER)
+        shared = [(e, f) for (e, a), (f, b)
+                  in combinations(enumerate(g.edges), 2) if set(a) & set(b)]
+        rhs = chi_polynomial(build_graph(g.edge_count, shared), PROPER)
         yield lhs, rhs
-    return _poly_identity("edge_line", bounds, rng, sides)
+    return _poly_identity("edge_line", bounds, rng, sides,
+                          note="the right side's line graph is built from "
+                               "the pairs of edges that share an end, not "
+                               "taken from the edge count's domain graph")
 
 
 def _timp_pendant(bounds: Bounds, rng: random.Random) -> IdentityResult:

@@ -10,8 +10,9 @@ partition walk tests a placement by the bound or the row, and a leaf by
 bound, and du's class predicate on each complete component; a row whose
 pair predicate is ``all`` feeds its class predicate to the
 inclusion-exclusion route.  Convex,
-mcc, du and hfree are stated by their class predicate alone; the other
-checkers are independent code, compared with their rows.
+mcc, du and hfree are stated by their class predicate alone, and their
+checker is ``pair_check`` on that row; the other checkers are independent
+code, compared with their rows.
 
 Checkers receive the raw color tuple plus the palette size; colors are 1..k.
 Row predicates receive the domain graph (g, or an edge property's line
@@ -26,6 +27,7 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations, combinations_with_replacement
 from typing import Callable
 
@@ -270,10 +272,9 @@ def row_holds(row: PairProperty, g: Graph, classes) -> bool:
 
 
 def pair_check(pp: PairProperty, g: Graph, colors, k: int) -> bool:
-    # every predicate accepts the empty mask, so an unused color adds no
-    # condition and the count depends only on the used colors
-    masks = _class_masks(colors)
-    return row_holds(pp, g, [masks.get(c, 0) for c in range(1, k + 1)])
+    # the used colors' classes only: every predicate accepts the empty mask,
+    # so an unused color adds no condition
+    return row_holds(pp, g, _class_masks(colors).values())
 
 
 def _inner_edges(g: Graph, mask: int) -> int:
@@ -383,15 +384,11 @@ def _class_row(pred: GraphPredicate, name: str) -> PairProperty:
 
 def _class_local(name: str, pred: GraphPredicate, pred_name: str,
                  **facts) -> ColoringProperty:
-    """A property stated by its class predicate alone: its checker runs the
-    predicate on each color class."""
-    def classwise(g, colors, k):
-        for m in _class_masks(colors).values():
-            if not pred(g, m):
-                return False
-        return True
-    return ColoringProperty(name, "vertex", classwise,
-                            row=_class_row(pred, pred_name), **facts)
+    """A property stated by its class predicate alone: its checker is
+    ``pair_check`` on that row."""
+    row = _class_row(pred, pred_name)
+    return ColoringProperty(name, "vertex", partial(pair_check, row),
+                            row=row, **facts)
 
 
 def trivial_property() -> ColoringProperty:
@@ -489,8 +486,7 @@ def degree_determined_property() -> ColoringProperty:
 
 def pair_property(pp: PairProperty) -> ColoringProperty:
     name = f"pair:p1={pp.class_name},p2={pp.pair_name}"
-    return ColoringProperty(name, "vertex",
-                            lambda g, colors, k: pair_check(pp, g, colors, k),
+    return ColoringProperty(name, "vertex", partial(pair_check, pp),
                             family="pair", row=pp)
 
 

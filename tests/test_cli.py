@@ -811,3 +811,27 @@ def test_console_entry_point(k3):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == "6"
+
+
+def test_edge_property_refuses_on_its_size_without_the_line_graph(
+        capsys, tmp_path, monkeypatch):
+    # rainbow on a 1500-edge star: the walk's up-front charge, Bell(1500)
+    # partitions, refuses before anything builds the 1500-vertex line graph
+    from chromapoly.errors import budget_limit
+    from chromapoly.graphs import star_graph
+    from chromapoly.polynomials import stirling2_row
+
+    def refuse(g):
+        raise AssertionError("the line graph was built")
+
+    monkeypatch.setattr(counting, "_line_graph", refuse)
+    path = tmp_path / "star.el"
+    path.write_text(emit_edge_list(star_graph(1500)))
+    code, out = run_cli(capsys, "poly", "--graph", str(path),
+                        "--prop", "rainbow")
+    need = sum(stirling2_row(1500, 1500))
+    assert code == 3
+    assert json.loads(out) == {"error": {
+        "code": "budget",
+        "message": f"partition enumeration needs {need} operations, "
+                   f"budget is {budget_limit()}"}}

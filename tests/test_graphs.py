@@ -648,3 +648,24 @@ def test_frontier_sweep_heap_keeps_the_scan_order():
     for g in cases:
         assert list(frontier_sweep(g.adj)) == scan_frontier_sweep(g.adj), (
             g.edges)
+
+
+def test_frontier_sweep_work_follows_the_edges(monkeypatch):
+    # each score is read from the two running counts, so placing an element
+    # walks its neighbours once and rescores its unplaced ones: on K200 the
+    # elements graphs.bits yields stay within 2 n^2 (rescanning each
+    # candidate's placed neighbours yielded about 1.4 million)
+    yielded = 0
+    plain = graphs.bits
+
+    def counted(mask):
+        nonlocal yielded
+        out = plain(mask)
+        yielded += len(out)
+        return out
+
+    monkeypatch.setattr(graphs, "bits", counted)
+    n = 200
+    sweep = list(frontier_sweep(complete_graph(n).adj))
+    assert [v for v, _ in sweep] == list(range(n))
+    assert yielded <= 2 * n * n, yielded

@@ -87,3 +87,24 @@ def test_shrink_skips_invalid_candidates_only():
     assert _shrink(path_graph(3), invalid) == path_graph(3)
     with pytest.raises(BudgetExceededError):
         _shrink(path_graph(3), over_budget)
+
+
+def test_edge_line_catches_a_broken_line_graph(monkeypatch):
+    # every line graph the package builds drops one edge: the left side
+    # colors one, and the right side, which builds its own from the pairs
+    # of edges that share an end, fails against it, shrunk to P3
+    from chromapoly import counting, graphs, identities
+    from chromapoly.graphio import emit_edge_list
+    from chromapoly.graphs import Graph, line_graph
+
+    def dropping(g):
+        h = line_graph(g)
+        return Graph(h.n, h.edges[:-1], h.mult[:-1])
+
+    for module in (graphs, counting, identities):
+        if hasattr(module, "line_graph"):
+            monkeypatch.setattr(module, "line_graph", dropping)
+    monkeypatch.setattr(counting, "_line_graph", dropping)
+    res = run_identity("edge_line")
+    assert not res.passed
+    assert res.witness["graph"] == emit_edge_list(path_graph(3))

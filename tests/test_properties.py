@@ -355,7 +355,8 @@ def test_every_token_states_its_counting_facts():
     assert (pair.row.class_name, pair.row.pair_name) == ("edgeless",
                                                          "max1edge")
     # every class and pair predicate accepts the empty mask: pair_check
-    # passes the unused colors' empty classes to its row
+    # reads the used colors' classes only, so an unused color adds no
+    # condition
     rows = [parse_property(token).row for token in CLI_TOKENS]
     rows += [parse_property(f"pair:p1={t},p2={t}").row for t in PRED_TOKENS]
     for row in filter(None, rows):
