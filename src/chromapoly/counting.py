@@ -8,14 +8,14 @@ next that applies after it checks them at k = 3, as ``check_counts`` states:
 
 * brute -- not known to be polynomial: ``brute_count_at``, plain
   enumeration of all k^D colorings (the oracle), at 0..D.
-* frontier -- a size ``bound`` (proper, mcc, du, edge): a
+* frontier -- a size ``bound`` (proper, mcc, du, injective, edge): a
   ``graphs.frontier_program`` whose cost follows the width of the frontier,
   not Bell(D); past its cap it hands the count to the walk.
-* inclusion-exclusion -- a class-local row (pair predicate ``all``: proper,
-  mcc, du, convex, timp, cocolor, hfree, injective, trivial, edge-proper,
-  such ``pair:`` tokens) on a domain graph of at most 20 vertices: one sum
-  over its 2^n vertex subsets (Bjorklund, Husfeldt and Koivisto, SIAM J.
-  Comput. 2009).
+* inclusion-exclusion -- a class-local row (pair predicate ``all``) on a
+  domain graph of at most 20 vertices: one sum over its 2^n vertex subsets
+  (Bjorklund, Husfeldt and Koivisto, SIAM J. Comput. 2009).  It builds
+  convex, timp, cocolor, hfree, trivial and such ``pair:`` tokens, and
+  checks the bound rows.
 * walk -- known polynomial with no ``bound`` (a bound row's frontier
   program hands over to it, so it cannot check one): i! times the set
   partitions of the domain into i blocks whose canonical coloring
@@ -44,7 +44,7 @@ from .errors import (
 from .graphs import (
     Graph, _reach, bits, box_join, build_graph, cocircuit_counts,
     complete_graph, connected_components, disjoint_union, frontier_program,
-    join, line_graph, mcs_order, star_graph, strip_isolated,
+    join, mcs_order, star_graph, strip_isolated,
 )
 from .polynomials import (
     Poly, from_binomial, lagrange_interpolate, stirling2_row,
@@ -54,13 +54,14 @@ from .properties import (
 )
 
 _HARMONIOUS = harmonious_property()
-# the last line graph built, which the routes and checks of a count share
-_line_graph = lru_cache(maxsize=1)(line_graph)
+# view(g) for the last view built, which the routes and checks of a count
+# share
+_view = lru_cache(maxsize=1)(lambda view, g: view(g))
 
 
 def _domain_size(g: Graph, prop: ColoringProperty) -> int:
-    """``_domain(g, prop).n`` without the line graph: a route that reads
-    only the size, or refuses on it, need not build the m-vertex graph."""
+    """``_domain(g, prop).n`` without the view: a route that reads only the
+    size, or refuses on it, need not build the graph."""
     if prop.domain == "vertex":
         return g.n
     if not g.simple:
@@ -68,12 +69,25 @@ def _domain_size(g: Graph, prop: ColoringProperty) -> int:
     return g.edge_count
 
 
+def _charged_size(g: Graph, prop: ColoringProperty) -> int:
+    """``_domain_size``, once the view ``_domain`` builds is charged its
+    edges, at most min(C(N, 2), sum of C(deg, 2) over g's vertices) on N
+    vertices: the pairs of g's edges that share an end, a line graph's
+    edges exactly.  Nothing is built."""
+    d = _domain_size(g, prop)
+    if prop.view is not None:
+        check_budget(min(comb(d, 2),
+                         sum(comb(a.bit_count(), 2) for a in g.adj)),
+                     "view construction")
+    return d
+
+
 def _domain(g: Graph, prop: ColoringProperty) -> Graph:
     """The graph whose vertices the property colors, which its row and bound
-    read (its checker reads g): g, or an edge property's ``line_graph(g)``,
-    past ``_domain_size``'s refusal of a multigraph."""
-    _domain_size(g, prop)
-    return g if prop.domain == "vertex" else _line_graph(g)
+    read (its checker reads g): g, or the ``view`` of g the property states,
+    past ``_charged_size``'s refusals."""
+    _charged_size(g, prop)
+    return g if prop.view is None else _view(prop.view, g)
 
 
 def _acyclic_placed(adj, blocks: list[int], v: int, b: int) -> bool:
@@ -137,8 +151,8 @@ def _partition_counts(g: Graph, prop: ColoringProperty, hi: int,
     counts do not depend on the order.  Each placement of an element in
     block b is tested once, before the walk recurses:
 
-    * a ``bound`` (proper, mcc, du, edge): the placed element's component
-      in its block has at most ``bound`` elements;
+    * a ``bound`` (proper, mcc, du, injective, edge): the placed element's
+      component in its block has at most ``bound`` elements;
     * acyclic: ``_acyclic_placed``;
     * any other hereditary property with a row: ``_row_placed``;
     * otherwise none.
@@ -149,9 +163,9 @@ def _partition_counts(g: Graph, prop: ColoringProperty, hi: int,
     charged one step per node it enters; one without is charged up front
     the number of partitions into at most hi blocks, the leaves it visits.
     Either charge adds to ``spent``, the steps a caller handing a count
-    over has already charged.
+    over has already charged; a view is charged before both.
     """
-    d = _domain_size(g, prop)
+    d = _charged_size(g, prop)
     counts = [0] * (hi + 1)
     checker, bound, row = prop.checker, prop.bound, prop.row
     colors = [0] * d
@@ -169,7 +183,7 @@ def _partition_counts(g: Graph, prop: ColoringProperty, hi: int,
     else:
         check_budget(spent + sum(stirling2_row(d, hi)),
                      "partition enumeration")
-    # built past the up-front charge, which reads only the size; the
+    # built past the up-front charges, which read only sizes; the
     # placement tests above read it when they run
     dom = _domain(g, prop)
     adj = dom.adj

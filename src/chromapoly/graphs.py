@@ -259,6 +259,21 @@ def line_graph(g: Graph) -> Graph:
     return Graph(g.edge_count, edges, (1,) * len(edges))
 
 
+def common_neighbour_graph(g: Graph) -> Graph:
+    """The vertices of g, u and v adjacent iff some vertex's adjacency mask
+    holds both: injective colorings of g are its proper colorings (Hahn,
+    Kratochvil, Siran and Sotteau, Discrete Math. 256, 2002).  A simple
+    graph whatever g's multiplicities."""
+    near = [0] * g.n    # per vertex, the union of its neighbours' masks
+    for a in g.adj:
+        for u in bits(a):
+            near[u] |= a
+    # u's own bit is below the mask; the pairs come out sorted
+    edges = tuple((u, v) for u in range(g.n)
+                  for v in bits(near[u] & -(2 << u)))
+    return Graph(g.n, edges, (1,) * len(edges))
+
+
 # ---------------------------------------------------------------------------
 # connectivity
 

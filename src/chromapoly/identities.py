@@ -5,6 +5,22 @@ at integer palettes where the identity is stated pointwise.  There is no
 fallback when a side does not fit the budget: the BudgetExceededError
 propagates, and the CLI exits 3.  There are no tolerances; a failure
 carries a witness graph shrunk by greedy vertex removal.
+
+The route of ``counting._ROUTES`` that builds each side (inclusion-exclusion
+and the frontier route hand over to the walk past their sizes):
+
+* join_shift, star_factorization: proper on both sides, by the frontier.
+* harm_subdivision_counts, harm_subdivision_poly: harmonious on the gadget
+  by the walk, against proper on g by the frontier.
+* convex_pendant, timp_pendant: both sides by inclusion-exclusion.
+* du_box: both sides by the frontier.
+* mcc_ext: both sides by ``pruned_count_at``, the walk at one palette.
+* edge_line: edge-proper on its line graph against proper on a line graph
+  built here, both by the frontier, so it checks the line graph, not the
+  frontier.
+* acyclic_join: both sides by the walk.
+* convex_cocircuit: brute force against ``convex_fast``'s cocircuits.
+* stretch: ``graphs.cocircuit_counts`` on both sides, no counting route.
 """
 
 from __future__ import annotations

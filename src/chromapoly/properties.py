@@ -4,7 +4,8 @@ A property is a predicate on (graph, coloring) pairs, closed under color
 permutations and graph automorphisms.  The named properties here are the
 concrete families the counting routes support, and each constructor states
 the facts those routes read: ``row``, the two-level class/pair instantiation
-(`PairProperty`) the property equals, ``hereditary`` and ``bound``.  The
+(`PairProperty`) the property equals, ``hereditary``, ``bound`` and
+``view``, the graph built from g that the row and bound read.  The
 partition walk tests a placement by the bound or the row, and a leaf by
 ``row_holds``, which ``pair_check`` runs too; the frontier route reads the
 bound, and du's class predicate on each complete component; a row whose
@@ -15,8 +16,9 @@ checker is ``pair_check`` on that row; the other checkers are independent
 code, compared with their rows.
 
 Checkers receive the raw color tuple plus the palette size; colors are 1..k.
-Row predicates receive the domain graph (g, or an edge property's line
-graph) and a vertex bitmask of it.  The du and hfree pattern tests run on
+Row predicates receive the domain graph, g or the ``view`` of g the
+property states (an edge property's line graph, injective's common-neighbour
+graph), and a vertex bitmask of it.  The du and hfree pattern tests run on
 such masks through ``graphs.has_induced_copy``.  Only the t-improper
 checker and the ``maxdeg`` predicate honor edge multiplicities; the others
 read the distinct pairs.
@@ -32,8 +34,9 @@ from itertools import combinations, combinations_with_replacement
 from typing import Callable
 
 from .graphs import (
-    Graph, _reach, has_induced_copy, is_connected, mask_components,
-    mask_connected, mask_isomorphic, standard_graph,
+    Graph, _reach, common_neighbour_graph, has_induced_copy, is_connected,
+    line_graph, mask_components, mask_connected, mask_isomorphic,
+    standard_graph,
 )
 
 Checker = Callable[[Graph, tuple, int], bool]
@@ -68,6 +71,8 @@ class ColoringProperty:
     bound: int | None = None
     # the class/pair instantiation the property equals, if it has one
     row: PairProperty | None = None
+    # the graph built from g whose vertices the row and bound read, if not g
+    view: Callable[[Graph], Graph] | None = None
 
 
 def check(prop: ColoringProperty, g: Graph, coloring: Coloring) -> bool:
@@ -245,8 +250,8 @@ def _degree_determined(g, colors, k):
 # ---------------------------------------------------------------------------
 # class/pair framework
 
-# a predicate on g and a vertex bitmask of g; it may read vertices outside
-# the mask (injective's does), but depends on nothing else
+# a predicate on a graph and a vertex bitmask of it that reads only the
+# subgraph induced on the mask
 GraphPredicate = Callable[[Graph, int], bool]
 
 
@@ -364,10 +369,6 @@ def _pred_du(pattern: Graph) -> GraphPredicate:
     return pred
 
 
-def _pred_no_shared_neighbour(g: Graph, mask: int) -> bool:
-    return all((a & mask).bit_count() <= 1 for a in g.adj)
-
-
 def _pred_hfree(pattern: Graph) -> GraphPredicate:
     if pattern.n < 1:
         raise ValueError("pattern graph must have at least one vertex")
@@ -458,20 +459,23 @@ def cocolor_property() -> ColoringProperty:
 
 
 def injective_property() -> ColoringProperty:
+    # proper on the graph that joins two vertices with a common neighbour
     return ColoringProperty("injective", "vertex", _injective,
-                            family="injective", hereditary=True,
-                            row=_class_row(_pred_no_shared_neighbour,
-                                           "nosharedneighbour"))
+                            family="injective", hereditary=True, bound=1,
+                            row=_class_row(_pred_edgeless, "edgeless"),
+                            view=common_neighbour_graph)
 
 
 def edge_proper_property() -> ColoringProperty:
     return ColoringProperty("edge", "edge", _edge_proper, family="edge",
                             hereditary=True, bound=1,
-                            row=_class_row(_pred_edgeless, "edgeless"))
+                            row=_class_row(_pred_edgeless, "edgeless"),
+                            view=line_graph)
 
 
 def rainbow_property() -> ColoringProperty:
-    return ColoringProperty("rainbow", "edge", _rainbow, family="rainbow")
+    return ColoringProperty("rainbow", "edge", _rainbow, family="rainbow",
+                            view=line_graph)
 
 
 def surjective_proper_property() -> ColoringProperty:

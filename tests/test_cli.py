@@ -11,7 +11,7 @@ from chromapoly.cli import main
 from chromapoly.graphio import emit_edge_list
 from chromapoly.graphs import (
     build_graph, complete_graph, cycle_graph, edgeless_graph, is_connected,
-    path_graph,
+    path_graph, star_graph,
 )
 from helpers import random_graph
 
@@ -376,7 +376,7 @@ def test_exit_code_budget(capsys, tmp_path):
     # inclusion-exclusion is charged 2^14 * 15 steps up front
     path = tmp_path / "big.el"
     path.write_text(emit_edge_list(complete_graph(14)))
-    for token in ("convex", "injective"):
+    for token in ("convex", "cocolor"):
         code, out = run_cli(capsys, "poly", "--graph", str(path), "--prop",
                             token, "--budget", "10000")
         assert code == 3, token
@@ -384,6 +384,26 @@ def test_exit_code_budget(capsys, tmp_path):
             "code": "budget",
             "message": "inclusion-exclusion needs 245760 operations, "
                        "budget is 10000"}}, token
+
+
+@pytest.mark.parametrize("token", ["edge", "injective", "rainbow"])
+def test_view_is_charged_before_it_is_built(capsys, tmp_path, token):
+    # the 3000-edge star's line graph is K3000, and so is its common-
+    # neighbour graph without the centre: 4498500 edges each, charged
+    # before either is built, and before rainbow's walk sums its up-front
+    # partition charge, Bell(3000), which takes seconds
+    path = tmp_path / "star.el"
+    path.write_text(emit_edge_list(star_graph(3000)))
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "poly", "--graph", str(path), "--prop",
+                        token, "--budget", "1000000")
+    assert time.perf_counter() - start < 2, token
+    assert code == 3, token
+    assert len(out.splitlines()) == 1, token
+    assert json.loads(out) == {"error": {
+        "code": "budget",
+        "message": "view construction needs 4498500 operations, "
+                   "budget is 1000000"}}, token
 
 
 def test_budget_trip_past_the_int_digit_limit(capsys, tmp_path):
@@ -548,17 +568,18 @@ def test_pruned_walk_runs_on_what_an_estimate_refused(capsys, tmp_path):
 
 # the tokens whose polynomial or k = 3 check each route carries
 _ROUTE_TOKENS = {"_subset_counts": ("convex", "mcc:t=2", "injective"),
-                 "_partition_counts": ("convex", "injective", "harmonious"),
-                 "_frontier_counts": ("mcc:t=2",)}
+                 "_partition_counts": ("convex", "cocolor", "harmonious"),
+                 "_frontier_counts": ("mcc:t=2", "injective")}
 
 
 @pytest.mark.parametrize("route", ["_subset_counts", "_partition_counts",
                                    "_frontier_counts"])
 def test_each_exact_route_is_caught_by_the_other(capsys, g12, monkeypatch,
                                                  route):
-    # convex and injective are built by inclusion-exclusion and checked at
-    # k = 3 by the partition engine; mcc is built by the frontier route and
-    # checked by inclusion-exclusion; harmonious is built by the partition
+    # convex and cocolor are built by inclusion-exclusion and checked at
+    # k = 3 by the partition engine; mcc and injective are built by the
+    # frontier route and checked by inclusion-exclusion, injective on its
+    # common-neighbour graph; harmonious is built by the partition
     # engine and checked by its per-k algorithm: a wrong count at i = 3
     # shows only at k = 3, whichever route carries it
     original = getattr(counting, route)
@@ -821,10 +842,10 @@ def test_edge_property_refuses_on_its_size_without_the_line_graph(
     from chromapoly.graphs import star_graph
     from chromapoly.polynomials import stirling2_row
 
-    def refuse(g):
+    def refuse(view, g):
         raise AssertionError("the line graph was built")
 
-    monkeypatch.setattr(counting, "_line_graph", refuse)
+    monkeypatch.setattr(counting, "_view", refuse)
     path = tmp_path / "star.el"
     path.write_text(emit_edge_list(star_graph(1500)))
     code, out = run_cli(capsys, "poly", "--graph", str(path),

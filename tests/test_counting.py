@@ -19,7 +19,9 @@ from chromapoly.graphs import (
     build_graph, complete_graph, cycle_graph, disjoint_union, edgeless_graph,
     line_graph, mask_connected, path_graph, star_graph,
 )
-from chromapoly.polynomials import from_binomial, from_monomial
+from chromapoly.polynomials import (
+    falling_factorial, from_binomial, from_monomial,
+)
 from chromapoly.properties import (
     Coloring, PairProperty, _edge_proper, _pred_all, acyclic_property, check,
     cocolor_property, convex_property, degree_determined_property, du_property,
@@ -639,16 +641,16 @@ def test_acyclic_walk_charges_the_nodes_it_visits():
         assert str(info.value) == (
             f"partition enumeration needs {steps} operations, "
             f"budget is {steps - 1}")
-    # injective's row also sees the vertices not yet placed: it rejects two
-    # vertices of one block with a common neighbour before that neighbour
-    # is placed (47 nodes with the checker on the prefix graph)
+    # injective's bound reads its common-neighbour graph, which joins two
+    # vertices with a common neighbour before that neighbour is placed
+    # (47 nodes with the checker on the prefix graph)
     inj = injective_property()
-    with budget(45):
+    with budget(43):
         assert pruned_count_at(g, inj, 7) == 136080
-    with budget(44), pytest.raises(BudgetExceededError) as info:
+    with budget(42), pytest.raises(BudgetExceededError) as info:
         pruned_count_at(g, inj, 7)
     assert str(info.value) == (
-        "partition enumeration needs 45 operations, budget is 44")
+        "partition enumeration needs 43 operations, budget is 42")
 
 
 def _charge_total(run):
@@ -723,8 +725,10 @@ def test_leaf_checked_walk_refused_before_its_first_checker_call(
 
 
 CLASS_LOCAL = ("trivial", "convex", "timp:t=1", "timp:t=2", "cocolor",
-               "hfree:H=P3", "hfree:H=K1", "injective",
+               "hfree:H=P3", "hfree:H=K1",
                "pair:p1=forest,p2=all", "pair:p1=maxdeg1,p2=all")
+# class-local with a bound: the frontier builds, the subset route checks
+BOUND_ROWS = ("proper", "mcc:t=2", "du:H=K2", "injective")
 
 
 def _route_names(g, prop):
@@ -741,25 +745,23 @@ def test_subset_route_matches_partition_engine():
             g = build_graph(g.n, g.edges,
                             [rng.randint(1, 3) for _ in g.edges],
                             simple=False)
-        for token in CLASS_LOCAL:
+        for token in CLASS_LOCAL + BOUND_ROWS:
             prop = parse_property(token)
             assert _route_names(g, prop) == (
-                "inclusion-exclusion", "walk"), token
+                ("frontier", "inclusion-exclusion") if token in BOUND_ROWS
+                else ("inclusion-exclusion", "walk")), token
             engine = [factorial(i) * c for i, c in
                       enumerate(_partition_counts(g, prop, g.n))]
             assert _exact_counts(g, prop, g.n) == engine, (token, g)
     for token in ("harmonious", "acyclic", "pair:p1=edgeless,p2=forest"):
         assert _route_names(path_graph(3), parse_property(token))[0] == "walk"
-    for token in ("proper", "mcc:t=2", "du:H=K2"):
-        # class-local with a bound: the frontier builds, the subset route
-        # checks
+    for token in BOUND_ROWS:
         assert _route_names(path_graph(3), parse_property(token)) == (
             "frontier", "inclusion-exclusion"), token
     assert _route_names(edgeless_graph(21), CONVEX) == ("walk", None)
 
 
-BOUND_ROWS = ("proper", "mcc:t=2", "du:H=K2")
-CLASS_ROWS = ("convex", "timp:t=1", "cocolor", "hfree:H=P3", "injective",
+CLASS_ROWS = ("convex", "timp:t=1", "cocolor", "hfree:H=P3",
               "trivial", "pair:p1=connected,p2=all")
 
 
@@ -897,7 +899,8 @@ def test_subset_counts_match_brute_force():
             brute = [brute_count_at(g, prop, k) for k in range(g.n + 1)]
             for hi in range(g.n + 2):
                 assert counting._subset_counts(
-                    g, prop.row.class_pred, prop.hereditary, hi) == (
+                    counting._domain(g, prop), prop.row.class_pred,
+                    prop.hereditary, hi) == (
                     counting._from_palettes(brute.__getitem__, g.n, hi)), (
                     token, hi, g)
 
@@ -941,6 +944,53 @@ def test_injective_is_proper_on_the_common_neighbour_graph():
                                    if nbrs[u] & nbrs[w]])
         assert chi_polynomial(g, injective_property()).equals(
             chi_polynomial(common, PROPER)), g
+
+
+@pytest.fixture
+def frontier_only(monkeypatch):
+    """The walk and inclusion-exclusion fail when called: a polynomial
+    built from here on is the frontier program's alone."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a route other than the frontier counted")
+
+    monkeypatch.setattr(counting, "_partition_counts", refuse)
+    monkeypatch.setattr(counting, "_subset_counts", refuse)
+
+
+def test_injective_on_an_even_cycle_is_a_squared_cycle(frontier_only):
+    # two vertices of C_2m share a neighbour exactly when they are two
+    # apart: the view is two disjoint C_m, so the count is P(C_m; k)^2,
+    # with P(C_m; k) = (k - 1)^m + (-1)^m (k - 1); C40 is past 2^20 subsets
+    down = from_monomial([-1, 1])
+    for m in range(3, 21):
+        cycle = down ** m + (-1) ** m * down
+        assert chi_polynomial(cycle_graph(2 * m), injective_property()).equals(
+            cycle ** 2), m
+
+
+def test_injective_on_a_star_is_a_falling_factorial(frontier_only):
+    # the leaves share the centre, so their colours differ; the centre's is
+    # free: k * (k)_15, where inclusion-exclusion paid 2^16 * 17 steps
+    assert chi_polynomial(star_graph(15), injective_property()).equals(
+        from_monomial([0, 1]) * falling_factorial(15))
+
+
+def test_injective_counts_match_brute_force():
+    # the frontier program builds on the common-neighbour graph and
+    # inclusion-exclusion checks k = 3 on it; brute force runs _injective
+    # on g itself, multigraphs included
+    inj = injective_property()
+    rng = random.Random(103)
+    for trial in range(30):
+        g = random_graph(rng, 8, p=0.25 if trial % 2 else 0.5)
+        if trial % 3 == 0 and g.edges:
+            g = build_graph(g.n, g.edges,
+                            [rng.randint(1, 3) for _ in g.edges],
+                            simple=False)
+        want = [brute_count_at(g, inj, k) for k in range(4)]
+        poly = chi_polynomial(g, inj)
+        assert [poly.eval(k) for k in range(4)] == want, g
+        assert check_counts(g, inj) == want, g
 
 
 def test_subset_route_charged_before_its_first_predicate_call():

@@ -9,7 +9,7 @@ import pytest
 from chromapoly import graphs
 from chromapoly.errors import BudgetExceededError, budget
 from chromapoly.graphs import (
-    box_join, build_graph, cocircuit_counts,
+    box_join, build_graph, cocircuit_counts, common_neighbour_graph,
     complete_graph, connected_components, count_cuts_by_size, cycle_graph,
     disjoint_union,
     edgeless_graph, enumerate_cocircuits, frontier_sweep, harmonious_gadget,
@@ -194,6 +194,30 @@ def test_line_graph():
             assert adj[e] == sum(1 << f for f, other in enumerate(g.edges)
                                  if f != e and set(ends) & set(other))
     assert line_graph(path_graph(1200)).edge_count == 1198
+
+
+def test_common_neighbour_graph_matches_networkx():
+    # u and v adjacent iff some vertex is adjacent to both; parallel edges
+    # add no pairs, so a multigraph's view is simple
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(19)
+    for trial in range(200):
+        g = random_graph(rng, 9, p=0.2 if trial % 2 else 0.5)
+        if trial % 5 == 0 and g.edges:
+            g = build_graph(g.n, g.edges,
+                            [rng.randint(1, 3) for _ in g.edges],
+                            simple=False)
+        multi = nx.MultiGraph()
+        multi.add_nodes_from(range(g.n))
+        for (u, v), m in zip(g.edges, g.mult):
+            multi.add_edges_from([(u, v)] * m)
+        ref = nx.Graph()
+        ref.add_nodes_from(range(g.n))
+        for w in multi:
+            ref.add_edges_from(combinations(multi.neighbors(w), 2))
+        h = common_neighbour_graph(g)
+        assert (h.n, h.simple) == (g.n, True), g
+        assert set(h.edges) == {tuple(sorted(e)) for e in ref.edges}, g
 
 
 def test_connected_components():

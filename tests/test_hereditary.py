@@ -12,7 +12,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from chromapoly.counting import _acyclic_placed, _row_placed  # noqa: E402
+from chromapoly.counting import (  # noqa: E402
+    _acyclic_placed, _domain, _row_placed,
+)
 from chromapoly.graphs import (  # noqa: E402
     _reach, build_graph, induced_subgraph, line_graph,
 )
@@ -129,16 +131,18 @@ def test_acyclic_placed_vertex_test_decides_the_prefix(case):
 @SOUNDNESS
 @given(data=st.data())
 def test_row_placed_vertex_test_decides_the_prefix(token, data):
-    # the partition engine tests a placement by the row on the grown block;
-    # while every shorter prefix passes, that must equal the checker on the
-    # prefix graph.  Injective's class predicate also sees the vertices not
-    # yet placed, so its row may reject sooner, but only a coloring that
-    # fails on the whole graph
+    # the partition engine tests a placement by the row on the grown block
+    # of the domain graph; while every shorter prefix passes, that must
+    # equal the checker on the prefix graph.  Injective's domain graph, the
+    # common-neighbour graph of the whole graph, also joins two vertices
+    # through a neighbour not yet placed, so its row may reject sooner, but
+    # only a coloring that fails on the whole graph
     prop = parse_property(token)
     g, colors, k = data.draw(colored_graphs(prop))
+    dom = _domain(g, prop)
     blocks = [0] * k
     for v, c in enumerate(colors):
-        ok = _row_placed(g, prop.row, blocks, v, c - 1, k)
+        ok = _row_placed(dom, prop.row, blocks, v, c - 1, k)
         on_prefix = prop.checker(prefix_graph(g, "vertex", v + 1),
                                  colors[:v + 1], k)
         if token == "injective":

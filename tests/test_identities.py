@@ -1,5 +1,6 @@
 import pytest
 
+from chromapoly import counting
 from chromapoly.counting import brute_count_at
 from chromapoly.errors import BudgetExceededError
 from chromapoly.graphs import complete_graph, join, path_graph
@@ -90,9 +91,10 @@ def test_shrink_skips_invalid_candidates_only():
 
 
 def test_edge_line_catches_a_broken_line_graph(monkeypatch):
-    # every line graph the package builds drops one edge: the left side
-    # colors one, and the right side, which builds its own from the pairs
-    # of edges that share an end, fails against it, shrunk to P3
+    # every line graph the package builds, or the view cache returns,
+    # drops one edge: the left side colors one, and the right side, which
+    # builds its own from the pairs of edges that share an end, fails
+    # against it, shrunk to P3
     from chromapoly import counting, graphs, identities
     from chromapoly.graphio import emit_edge_list
     from chromapoly.graphs import Graph, line_graph
@@ -104,7 +106,31 @@ def test_edge_line_catches_a_broken_line_graph(monkeypatch):
     for module in (graphs, counting, identities):
         if hasattr(module, "line_graph"):
             monkeypatch.setattr(module, "line_graph", dropping)
-    monkeypatch.setattr(counting, "_line_graph", dropping)
+    monkeypatch.setattr(counting, "_view", lambda view, g: (
+        dropping(g) if view is line_graph else view(g)))
     res = run_identity("edge_line")
     assert not res.passed
     assert res.witness["graph"] == emit_edge_list(path_graph(3))
+
+
+@pytest.mark.parametrize("route", ["frontier", "inclusion-exclusion", "walk"])
+def test_identities_catch_each_route(monkeypatch, route):
+    # a route that adds one to its count at i = 2 breaks some identity of
+    # the default run: the frontier through join_shift, star_factorization,
+    # du_box and harm_subdivision_*, inclusion-exclusion through
+    # convex_pendant and timp_pendant, the walk through harm_subdivision_*
+    # and acyclic_join.  brute, harmonious and the row walk are caught by
+    # none: run_all uses no audit-gated property, and the other two only
+    # check k = 3, which run_all never asks for
+    def corrupted(count):
+        def wrapped(g, prop, hi):
+            counts = count(g, prop, hi)
+            if len(counts) > 2:
+                counts[2] += 1
+            return counts
+        return wrapped
+
+    monkeypatch.setattr(counting, "_ROUTES", tuple(
+        (name, applies, corrupted(count) if name == route else count)
+        for name, applies, count in counting._ROUTES))
+    assert [r.name for r in run_all(Bounds()) if not r.passed], route

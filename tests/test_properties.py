@@ -3,9 +3,10 @@ from itertools import product
 
 import pytest
 
+from chromapoly.counting import _domain
 from chromapoly.graphs import (
-    build_graph, complete_graph, cycle_graph, edgeless_graph,
-    path_graph, star_graph, t_pendant,
+    build_graph, common_neighbour_graph, complete_graph, cycle_graph,
+    edgeless_graph, line_graph, path_graph, star_graph, t_pendant,
 )
 from chromapoly.properties import (
     Coloring, _proper, acyclic_property, check, cocolor_property,
@@ -189,10 +190,12 @@ def test_table_rows_match_direct_checkers(name, param, prop_factory):
                    for g in all_graphs_up_to(3)
                    for mult in product((1, 2), repeat=g.edge_count)]
     for g in list(all_graphs_up_to(4)) + multigraphs:
+        # the row reads the domain graph: g, or injective's view of it
+        dom = _domain(g, prop)
         for k in (1, 2, 3):
             for colors in product(range(1, k + 1), repeat=g.n):
                 c = Coloring("vertex", colors, k)
-                assert pair_check(pp, g, colors, k) == check(prop, g, c), (
+                assert pair_check(pp, dom, colors, k) == check(prop, g, c), (
                     name, g.edges, colors, k)
 
 
@@ -343,13 +346,20 @@ def test_every_documented_token_parses():
 
 
 def test_every_token_states_its_counting_facts():
-    # edge-proper's bound counts edges, adjacent when they share an end
-    bounds = {"proper": 1, "mcc:t=2": 2, "du:H=K3": 3, "edge": 1}
+    # edge-proper's bound counts edges, adjacent when they share an end;
+    # injective's counts vertices, adjacent when they share a neighbour
+    bounds = {"proper": 1, "mcc:t=2": 2, "du:H=K3": 3, "edge": 1,
+              "injective": 1}
+    views = {"edge": line_graph, "rainbow": line_graph,
+             "injective": common_neighbour_graph}
     rowless = {"rainbow", "surjective-proper", "degree-determined"}
     for token in CLI_TOKENS:
         prop = parse_property(token)
         assert prop.bound == bounds.get(token), token
+        assert prop.view is views.get(token), token
         assert (prop.row is None) == (token in rowless), token
+    inj = parse_property("injective").row
+    assert (inj.class_name, inj.pair_name) == ("edgeless", "all")
     pair = parse_property("pair:p1=edgeless,p2=max1edge")
     assert pair.param is None
     assert (pair.row.class_name, pair.row.pair_name) == ("edgeless",
