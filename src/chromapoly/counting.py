@@ -8,7 +8,8 @@ next that applies after it checks them at k = 3, as ``check_counts`` states:
 
 * brute -- not known to be polynomial: ``brute_count_at``, plain
   enumeration of all k^D colorings (the oracle), at 0..D.
-* frontier -- a size ``bound`` (proper, mcc, du, injective, edge): a
+* frontier -- a size ``bound`` (proper, mcc, du, injective, edge, and the
+  ``pair:`` tokens that equal the first three): a
   ``graphs.frontier_program`` whose cost follows the width of the frontier,
   not Bell(D); past its cap it hands the count to the walk.
 * inclusion-exclusion -- a class-local row (pair predicate ``all``) on a
@@ -158,11 +159,13 @@ def _partition_counts(g: Graph, prop: ColoringProperty, hi: int,
     * otherwise none.
 
     A property that is not hereditary (convex, du, rainbow, ``pair:``
-    tokens) is tested at the leaf too: by ``row_holds`` on the block masks,
-    or by its checker where it has no row.  A walk with a placement test is
-    charged one step per node it enters; one without is charged up front
-    the number of partitions into at most hi blocks, the leaves it visits.
-    Either charge adds to ``spent``, the steps a caller handing a count
+    tokens with a predicate that is not) is tested at the leaf too: by
+    ``row_holds`` on the block masks, or by its checker where it has no
+    row.  A walk with a placement test is charged one step per node it
+    enters, and a row placement test whose pair predicate is not ``all``
+    one more per open block it tests, passed or failed; a walk without is
+    charged up front the number of partitions into at most hi blocks, the
+    leaves it visits.  Either charge adds to ``spent``, the steps a caller handing a count
     over has already charged; a view is charged before both.
     """
     d = _charged_size(g, prop)
@@ -177,8 +180,17 @@ def _partition_counts(g: Graph, prop: ColoringProperty, hi: int,
     elif prop.family == "acyclic":
         def fits(v: int, b: int, used: int) -> bool:
             return _acyclic_placed(adj, blocks, v, b)
+    elif prop.hereditary and row is not None and row.pair_pred is _pred_all:
+        def fits(v: int, b: int, used: int) -> bool:
+            return _row_placed(dom, row, blocks, v, b, used)
     elif prop.hereditary and row is not None:
         def fits(v: int, b: int, used: int) -> bool:
+            # the pair predicate may run on each open block's union with
+            # the grown one: a step each, whether the test passes or not
+            nonlocal steps
+            steps += used
+            if steps > limit:
+                check_budget(steps, "partition enumeration")
             return _row_placed(dom, row, blocks, v, b, used)
     else:
         check_budget(spent + sum(stirling2_row(d, hi)),
@@ -323,10 +335,11 @@ def _frontier_counts(g: Graph, prop: ColoringProperty,
 _SUBSET_MAX_N = 20
 
 
-def _subset_counts(g: Graph, allowed, hereditary: bool,
-                   hi: int) -> list[int]:
+def _subset_counts(g: Graph, allowed, hi: int) -> list[int]:
     """c[i] for 0 <= i <= hi: ordered partitions of the vertex set into i
     nonempty classes whose vertex bitmasks ``allowed(g, mask)`` accepts.
+    A hereditary predicate is not called on a superset of a set it
+    rejected.
 
     With f_S(z) = sum of z^|T| over the nonempty allowed T within S,
     c(i) = sum over S of (-1)^(n-|S|) [z^n] f_S(z)^i.  Each f_S is packed
@@ -346,6 +359,7 @@ def _subset_counts(g: Graph, allowed, hereditary: bool,
     n = g.n
     full = 1 << n
     check_budget(full * (n + 1), "inclusion-exclusion")
+    hereditary = getattr(allowed, "hereditary", False)
     narrow = n + 1
     ok = bytearray(full)
     ok[0] = 1       # the empty set, for the hereditary test below
@@ -404,10 +418,10 @@ _ROUTES = (
     ("frontier", lambda g, prop: prop.bound is not None,
      lambda g, prop, hi: _ordered(_frontier_counts(g, prop, hi))),
     ("inclusion-exclusion",
-     lambda g, prop: (prop.row is not None and prop.row.pair_name == "all"
+     lambda g, prop: (prop.row is not None and prop.row.pair_pred is _pred_all
                       and _domain_size(g, prop) <= _SUBSET_MAX_N),
      lambda g, prop, hi: _subset_counts(_domain(g, prop), prop.row.class_pred,
-                                        prop.hereditary, hi)),
+                                        hi)),
     ("walk", lambda g, prop: prop.known_polynomial and prop.bound is None,
      lambda g, prop, hi: _ordered(_partition_counts(g, prop, hi))),
     ("harmonious", lambda g, prop: prop.family == "harmonious",

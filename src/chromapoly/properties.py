@@ -2,15 +2,17 @@
 
 A property is a predicate on (graph, coloring) pairs, closed under color
 permutations and graph automorphisms.  The named properties here are the
-concrete families the counting routes support, and each constructor states
-the facts those routes read: ``row``, the two-level class/pair instantiation
-(`PairProperty`) the property equals, ``hereditary``, ``bound`` and
-``view``, the graph built from g that the row and bound read.  The
-partition walk tests a placement by the bound or the row, and a leaf by
-``row_holds``, which ``pair_check`` runs too; the frontier route reads the
-bound, and du's class predicate on each complete component; a row whose
-pair predicate is ``all`` feeds its class predicate to the
-inclusion-exclusion route.  Convex,
+concrete families the counting routes support.  Each constructor states
+``row``, the two-level class/pair instantiation (`PairProperty`) the
+property equals, ``view``, the graph built from g that the row reads, and
+``family``, the tag of its own routes; each class and pair predicate states
+the facts it implies, ``hereditary`` and ``bound``, and a row reads its
+facts from its two predicates, so a ``pair:`` token has the facts of the
+named property it equals.  The partition walk tests a placement by the
+bound or the row, and a leaf by ``row_holds``, which ``pair_check`` runs
+too; the frontier route reads the bound, and du's class predicate on each
+complete component; a row whose pair predicate is ``all`` feeds its class
+predicate to the inclusion-exclusion route.  Convex,
 mcc, du and hfree are stated by their class predicate alone, and their
 checker is ``pair_check`` on that row; the other checkers are independent
 code, compared with their rows.
@@ -63,16 +65,23 @@ class ColoringProperty:
     family: str = ""           # tag for eval easy routes, chains, route choices
     param: object = None       # t for mcc/timp, pattern graph for du/hfree
     known_polynomial: bool = True
-    # the row's predicates reject every superset of a mask they reject; the
-    # walk cuts a failed placement, tests no leaf
-    hereditary: bool = False
-    # no valid coloring has a monochromatic component of more domain-graph
-    # vertices; the walk and the frontier route cut a block that outgrows it
-    bound: int | None = None
     # the class/pair instantiation the property equals, if it has one
     row: PairProperty | None = None
     # the graph built from g whose vertices the row and bound read, if not g
     view: Callable[[Graph], Graph] | None = None
+
+    @property
+    def hereditary(self) -> bool:
+        """The row's, False with no row: the walk cuts a failed placement
+        and tests no leaf."""
+        return self.row is not None and self.row.hereditary
+
+    @property
+    def bound(self) -> int | None:
+        """The row's, None with no row: no valid coloring has a
+        monochromatic component of more domain-graph vertices; the walk
+        and the frontier route cut a block that outgrows it."""
+        return None if self.row is None else self.row.bound
 
 
 def check(prop: ColoringProperty, g: Graph, coloring: Coloring) -> bool:
@@ -251,8 +260,24 @@ def _degree_determined(g, colors, k):
 # class/pair framework
 
 # a predicate on a graph and a vertex bitmask of it that reads only the
-# subgraph induced on the mask
+# subgraph induced on the mask.  It states the facts it implies as
+# attributes, set where it is defined or built by ``_states``; one without
+# them, such as a caller's function, is neither hereditary nor bounded:
+#
+# * hereditary: it rejects every superset of a mask it rejects;
+# * bound b: it holds on a mask exactly when it holds on each component,
+#   and only on components of at most b vertices.  A hereditary predicate
+#   with a bound holds on every connected mask that small, so the bound
+#   alone decides it.
 GraphPredicate = Callable[[Graph, int], bool]
+
+
+def _states(hereditary: bool = False, bound: int | None = None):
+    """Decorate a predicate with the facts it implies."""
+    def state(pred: GraphPredicate) -> GraphPredicate:
+        pred.hereditary, pred.bound = hereditary, bound
+        return pred
+    return state
 
 
 @dataclass(frozen=True)
@@ -263,6 +288,20 @@ class PairProperty:
     pair_pred: GraphPredicate
     class_name: str = ""
     pair_name: str = ""
+
+    @property
+    def hereditary(self) -> bool:
+        """Are both predicates hereditary?"""
+        return (getattr(self.class_pred, "hereditary", False)
+                and getattr(self.pair_pred, "hereditary", False))
+
+    @property
+    def bound(self) -> int | None:
+        """The class predicate's bound, when every two-class union is
+        allowed."""
+        if self.pair_pred is not _pred_all:
+            return None
+        return getattr(self.class_pred, "bound", None)
 
 
 def row_holds(row: PairProperty, g: Graph, classes) -> bool:
@@ -292,10 +331,12 @@ def _inner_edges(g: Graph, mask: int) -> int:
     return ends // 2
 
 
+@_states(hereditary=True)
 def _pred_all(g: Graph, mask: int) -> bool:
     return True
 
 
+@_states(hereditary=True, bound=1)
 def _pred_edgeless(g: Graph, mask: int) -> bool:
     return not _inner_edges(g, mask)
 
@@ -304,21 +345,27 @@ def _pred_connected(g: Graph, mask: int) -> bool:
     return mask_connected(g.adj, mask)
 
 
+@_states(hereditary=True)
 def _pred_forest(g: Graph, mask: int) -> bool:
     return _inner_edges(g, mask) == (
         mask.bit_count() - len(mask_components(g.adj, mask)))
 
 
+@_states(hereditary=True)
 def _pred_max1edge(g: Graph, mask: int) -> bool:
     return _inner_edges(g, mask) <= 1
 
 
+@_states(hereditary=True)
 def _pred_clique_or_edgeless(g: Graph, mask: int) -> bool:
     e, size = _inner_edges(g, mask), mask.bit_count()
     return e == 0 or e == size * (size - 1) // 2
 
 
 def _pred_max_degree(t: int) -> GraphPredicate:
+    # no bound: a double edge breaks maxdeg1 inside a 2-vertex component,
+    # and maxdeg2 allows paths of any length
+    @_states(hereditary=True)
     def pred(g: Graph, mask: int) -> bool:
         if g.simple:
             rest = mask
@@ -339,6 +386,9 @@ def _pred_max_degree(t: int) -> GraphPredicate:
 
 
 def _pred_component_size(t: int) -> GraphPredicate:
+    # the routes open a block without testing its size, so they could not
+    # honor a bound of 0 (compsize0, which only the empty mask passes)
+    @_states(hereditary=True, bound=t or None)
     def pred(g: Graph, mask: int) -> bool:
         # one component at a time, to stop at the first oversized one
         while mask:
@@ -356,6 +406,8 @@ def _pred_du(pattern: Graph) -> GraphPredicate:
     if not is_connected(pattern):
         raise ValueError("pattern graph must be connected")
 
+    # not hereditary: a block grows into a copy of the pattern
+    @_states(bound=pattern.n)
     def pred(g: Graph, mask: int) -> bool:
         # copies of the pattern cover a multiple of its vertex count
         if mask.bit_count() % pattern.n:
@@ -372,11 +424,13 @@ def _pred_du(pattern: Graph) -> GraphPredicate:
 def _pred_hfree(pattern: Graph) -> GraphPredicate:
     if pattern.n < 1:
         raise ValueError("pattern graph must have at least one vertex")
-    return lambda g, mask: not has_induced_copy(g.adj, mask, pattern)
+    return _states(hereditary=True)(
+        lambda g, mask: not has_induced_copy(g.adj, mask, pattern))
 
 
 # ---------------------------------------------------------------------------
-# property constructors: each states the facts the counting routes read
+# property constructors: each states its row, view and family; the row
+# reads the facts from its predicates
 
 def _class_row(pred: GraphPredicate, name: str) -> PairProperty:
     # a class-local row: every two-class union is allowed
@@ -384,28 +438,27 @@ def _class_row(pred: GraphPredicate, name: str) -> PairProperty:
 
 
 def _class_local(name: str, pred: GraphPredicate, pred_name: str,
-                 **facts) -> ColoringProperty:
+                 **tags) -> ColoringProperty:
     """A property stated by its class predicate alone: its checker is
     ``pair_check`` on that row."""
     row = _class_row(pred, pred_name)
     return ColoringProperty(name, "vertex", partial(pair_check, row),
-                            row=row, **facts)
+                            row=row, **tags)
 
 
 def trivial_property() -> ColoringProperty:
     return ColoringProperty("trivial", "vertex", _trivial, family="trivial",
-                            hereditary=True, row=_class_row(_pred_all, "all"))
+                            row=_class_row(_pred_all, "all"))
 
 
 def proper_property() -> ColoringProperty:
     return ColoringProperty("proper", "vertex", _proper, family="proper",
-                            hereditary=True, bound=1,
                             row=_class_row(_pred_edgeless, "edgeless"))
 
 
 def harmonious_property() -> ColoringProperty:
     return ColoringProperty("harmonious", "vertex", _harmonious,
-                            family="harmonious", hereditary=True,
+                            family="harmonious",
                             row=PairProperty(_pred_edgeless, _pred_max1edge,
                                              "edgeless", "max1edge"))
 
@@ -419,41 +472,37 @@ def mcc_property(t: int) -> ColoringProperty:
     if t < 1:
         raise ValueError("mcc needs t >= 1")
     return _class_local(f"mcc:t={t}", _pred_component_size(t),
-                        f"compsize{t}", family="mcc", param=t,
-                        hereditary=True, bound=t)
+                        f"compsize{t}", family="mcc", param=t)
 
 
 def du_property(pattern: Graph) -> ColoringProperty:
     token = graph_token(pattern)
     return _class_local(f"du:H={token}", _pred_du(pattern), f"du{token}",
-                        family="du", param=pattern, bound=pattern.n)
+                        family="du", param=pattern)
 
 
 def h_free_property(pattern: Graph) -> ColoringProperty:
     token = graph_token(pattern)
     return _class_local(f"hfree:H={token}", _pred_hfree(pattern),
-                        f"hfree{token}", family="hfree", param=pattern,
-                        hereditary=True)
+                        f"hfree{token}", family="hfree", param=pattern)
 
 
 def t_improper_property(t: int) -> ColoringProperty:
     if t < 0:
         raise ValueError("t must be nonnegative")
     return ColoringProperty(f"timp:t={t}", "vertex", _make_timproper(t),
-                            family="timp", param=t, hereditary=True,
+                            family="timp", param=t,
                             row=_class_row(_pred_max_degree(t), f"maxdeg{t}"))
 
 
 def acyclic_property() -> ColoringProperty:
     return ColoringProperty("acyclic", "vertex", _acyclic, family="acyclic",
-                            hereditary=True,
                             row=PairProperty(_pred_edgeless, _pred_forest,
                                              "edgeless", "forest"))
 
 
 def cocolor_property() -> ColoringProperty:
     return ColoringProperty("cocolor", "vertex", _cocolor, family="cocolor",
-                            hereditary=True,
                             row=_class_row(_pred_clique_or_edgeless,
                                            "cliqueoredgeless"))
 
@@ -461,14 +510,13 @@ def cocolor_property() -> ColoringProperty:
 def injective_property() -> ColoringProperty:
     # proper on the graph that joins two vertices with a common neighbour
     return ColoringProperty("injective", "vertex", _injective,
-                            family="injective", hereditary=True, bound=1,
+                            family="injective",
                             row=_class_row(_pred_edgeless, "edgeless"),
                             view=common_neighbour_graph)
 
 
 def edge_proper_property() -> ColoringProperty:
     return ColoringProperty("edge", "edge", _edge_proper, family="edge",
-                            hereditary=True, bound=1,
                             row=_class_row(_pred_edgeless, "edgeless"),
                             view=line_graph)
 

@@ -525,6 +525,31 @@ def test_cocircuits_of_a_long_cycle_at_the_default_budget(capsys, tmp_path):
     assert json.loads(out)["total"] == str(comb(5000, 2)) == "12497500"
 
 
+def test_pair_tokens_count_c40_as_the_named_property(capsys, tmp_path):
+    # a pair: token takes the routes of the named property with its row:
+    # the frontier program builds both polynomials on C40, where
+    # inclusion-exclusion and brute force's k = 3 are out of reach, so
+    # neither is cross-checked.  P(C40; 3) = 2^40 + 2
+    c40 = tmp_path / "c40.el"
+    c40.write_text(emit_edge_list(cycle_graph(40)))
+    for token, named, at3 in (
+            ("pair:p1=edgeless,p2=all", "proper", str(2 ** 40 + 2)),
+            ("pair:p1=compsize2,p2=all", "mcc:t=2", "288105045451341822")):
+        start = time.perf_counter()
+        code, out = run_cli(capsys, "poly", "--graph", str(c40), "--prop",
+                            token)
+        assert time.perf_counter() - start < 2, token
+        assert code == 0, out
+        payload = json.loads(out)
+        assert payload["counts_at"]["3"] == at3
+        assert payload["cross_checked"] is False
+        code, out = run_cli(capsys, "poly", "--graph", str(c40), "--prop",
+                            named)
+        want = json.loads(out)
+        assert (payload["coeffs"], payload["counts_at"]) == (
+            want["coeffs"], want["counts_at"]), token
+
+
 def test_budget_validation(capsys, k3):
     code, out = run_cli(capsys, "poly", "--graph", k3, "--prop", "proper",
                         "--budget", "10")

@@ -23,7 +23,8 @@ from chromapoly.polynomials import (
     falling_factorial, from_binomial, from_monomial,
 )
 from chromapoly.properties import (
-    Coloring, PairProperty, _edge_proper, _pred_all, acyclic_property, check,
+    Coloring, PairProperty, _edge_proper, _pred_all, _pred_edgeless,
+    _pred_forest, _pred_max1edge, acyclic_property, check,
     cocolor_property, convex_property, degree_determined_property, du_property,
     edge_proper_property, h_free_property, harmonious_property,
     injective_property, mcc_property, pair_check, pair_property,
@@ -330,9 +331,15 @@ def test_walk_predicates_read_the_callers_graph():
         seen.append(h)
         return True
 
-    placed = replace(PROPER, bound=None,
-                     row=PairProperty(edgeless, anything, "spy", "spy"))
-    for prop in (placed, replace(placed, hereditary=False, bound=1)):
+    # the spies state the facts the walk reads: a hereditary row, tested at
+    # each placement; then a row with a bound, which the placements test,
+    # and with no hereditary predicate, so the leaf tests the row
+    anything.hereditary = True
+    for hereditary, bound, pair in ((True, None, anything),
+                                    (False, 1, _pred_all)):
+        edgeless.hereditary, edgeless.bound = hereditary, bound
+        prop = replace(PROPER, row=PairProperty(edgeless, pair, "spy", "spy"))
+        assert (prop.hereditary, prop.bound) == (hereditary, bound)
         seen.clear()
         assert pruned_count_at(g, prop, 3) == 48
         assert seen and all(h is g for h in seen)
@@ -622,18 +629,18 @@ def test_counts_do_not_depend_on_the_vertex_numbering():
 
 def test_acyclic_walk_charges_the_nodes_it_visits():
     # every pruned walk enters a node only when the placement passed and
-    # charges one step per node it enters, so testing only the placed
-    # vertex charges what the row on the grown block charges (family
-    # cleared: the generic row walk on acyclic's edgeless/forest row).  The
-    # graph has even cycles, so two-class cycles cut branches too;
-    # harmonious pins the row walk where it prunes.  Both walks place the
-    # vertices in maximum cardinality search order (1650 and 55 nodes in
-    # input order)
+    # charges one step per node it enters.  A row placement test whose
+    # pair predicate is not all is charged one step more per open block it
+    # tests, so the generic row walk on acyclic's edgeless/forest row
+    # (family cleared) is charged 12728 where acyclic's placed-vertex test,
+    # which calls no pair predicate, is charged its 1428 nodes.  The graph
+    # has even cycles, so two-class cycles cut branches too; harmonious
+    # pins the row walk where it prunes.  Both walks place the vertices in
+    # maximum cardinality search order (1650 and 55 nodes in input order)
     g = random_graph(random.Random(2), 9, min_n=9, p=0.4)
-    assert _charge_total(lambda: chi_polynomial(g, ACYCLIC)) == (
-        _charge_total(lambda: chi_polynomial(g, replace(ACYCLIC,
-                                                        family=""))))
-    for prop, steps in ((ACYCLIC, 1428), (HARM, 23)):
+    assert _charge_total(lambda: chi_polynomial(
+        g, replace(ACYCLIC, family=""))) == 12728
+    for prop, steps in ((ACYCLIC, 1428), (HARM, 472)):
         with budget(steps):
             chi_polynomial(g, prop)
         with budget(steps - 1), pytest.raises(BudgetExceededError) as info:
@@ -651,6 +658,22 @@ def test_acyclic_walk_charges_the_nodes_it_visits():
         pruned_count_at(g, inj, 7)
     assert str(info.value) == (
         "partition enumeration needs 43 operations, budget is 42")
+
+
+def test_row_walk_charges_its_pair_predicate_calls():
+    # harmonious's walk on C40 tests each placement against every open
+    # block: the budget trips after no more pair-predicate calls than the
+    # steps it charged
+    calls = [0]
+
+    def counted(g, mask):
+        calls[0] += 1
+        return _pred_max1edge(g, mask)
+    counted.hereditary = True
+    prop = replace(HARM, row=replace(HARM.row, pair_pred=counted))
+    with budget(10 ** 5), pytest.raises(BudgetExceededError) as info:
+        chi_polynomial(cycle_graph(40), prop)
+    assert 0 < calls[0] <= info.value.cost
 
 
 def _charge_total(run):
@@ -693,7 +716,7 @@ def test_leaf_checked_walk_charges_its_checker_calls(monkeypatch):
     # front; chi_polynomial and exact_color_count count convex by
     # inclusion-exclusion, so they run a pair: token that has none
     g = random_graph(random.Random(89), 8, min_n=8)
-    leaf = parse_property("pair:p1=edgeless,p2=forest")
+    leaf = parse_property("pair:p1=connected,p2=forest")
     calls = _counting_leaf_tests(monkeypatch)
     runs = [(lambda: chi_polynomial(g, leaf), bell_number(8))]
     runs += [(lambda i=i: exact_color_count(g, leaf, i),
@@ -726,7 +749,8 @@ def test_leaf_checked_walk_refused_before_its_first_checker_call(
 
 CLASS_LOCAL = ("trivial", "convex", "timp:t=1", "timp:t=2", "cocolor",
                "hfree:H=P3", "hfree:H=K1",
-               "pair:p1=forest,p2=all", "pair:p1=maxdeg1,p2=all")
+               "pair:p1=forest,p2=all", "pair:p1=maxdeg1,p2=all",
+               "pair:p1=compsize0,p2=all")
 # class-local with a bound: the frontier builds, the subset route checks
 BOUND_ROWS = ("proper", "mcc:t=2", "du:H=K2", "injective")
 
@@ -789,6 +813,74 @@ def test_route_list_pins_build_and_check():
         for token, pair in pins.items():
             assert _route_names(path_graph(n), parse_property(token)) == (
                 pair), (n, token)
+
+
+# each named token: the pair: token with the same row, and its
+# (hereditary, bound, build route, check route)
+NAMED_ROWS = {
+    "proper": ("pair:p1=edgeless,p2=all",
+               (True, 1, "frontier", "inclusion-exclusion")),
+    **{f"mcc:t={t}": (f"pair:p1=compsize{t},p2=all",
+                      (True, t, "frontier", "inclusion-exclusion"))
+       for t in (1, 2, 3)},
+    **{f"du:H={h}": (f"pair:p1=du{h},p2=all",
+                     (False, size, "frontier", "inclusion-exclusion"))
+       for h, size in (("K1", 1), ("K2", 2), ("K3", 3), ("P3", 3))},
+    "convex": ("pair:p1=connected,p2=all",
+               (False, None, "inclusion-exclusion", "walk")),
+    **{f"timp:t={t}": (f"pair:p1=maxdeg{t},p2=all",
+                       (True, None, "inclusion-exclusion", "walk"))
+       for t in (0, 1, 2)},
+    "cocolor": ("pair:p1=cliqueoredgeless,p2=all",
+                (True, None, "inclusion-exclusion", "walk")),
+    **{f"hfree:H={h}": (f"pair:p1=hfree{h},p2=all",
+                        (True, None, "inclusion-exclusion", "walk"))
+       for h in ("K1", "K2", "P3")},
+    "trivial": ("pair:p1=all,p2=all",
+                (True, None, "inclusion-exclusion", "walk")),
+    "harmonious": ("pair:p1=edgeless,p2=max1edge",
+                   (True, None, "walk", "harmonious")),
+    "acyclic": ("pair:p1=edgeless,p2=forest",
+                (True, None, "walk", "row walk")),
+}
+
+
+def _facts(g, prop):
+    return (prop.hereditary, prop.bound) + _route_names(g, prop)
+
+
+def test_pair_tokens_take_the_routes_of_the_named_property_they_equal():
+    # a row reads its facts from its predicates, so the pair: token with a
+    # named token's row has its facts, build route and polynomial.  Only
+    # the family tag selects harmonious's per-k route and acyclic's
+    # placed-vertex test, so the pair: token has no check route there
+    rng = random.Random(109)
+    for trial in range(20):
+        g = random_graph(rng, 8)
+        multi = g
+        if trial % 3 == 0 and g.edges:
+            multi = build_graph(g.n, g.edges,
+                                [rng.randint(1, 3) for _ in g.edges],
+                                simple=False)
+        for token, (pair_token, pins) in NAMED_ROWS.items():
+            h = multi if token.startswith("timp") else g
+            named, pair = parse_property(token), parse_property(pair_token)
+            assert _facts(h, named) == pins, (token, h)
+            check = None if token in ("harmonious", "acyclic") else pins[3]
+            assert _facts(h, pair) == pins[:3] + (check,), (pair_token, h)
+            assert chi_polynomial(h, pair).coeffs == (
+                chi_polynomial(h, named).coeffs), (pair_token, h)
+
+
+def test_inclusion_exclusion_reads_the_pair_predicate_not_its_name():
+    # a forest pair predicate displayed as "all" is still tested: the route
+    # is chosen by the predicate itself
+    row = PairProperty(_pred_edgeless, _pred_forest, "edgeless", "all")
+    prop = pair_property(row)
+    g = cycle_graph(4)
+    poly = chi_polynomial(g, prop)
+    assert [poly.eval(k) for k in range(5)] == [0, 0, 0, 12, 72] == [
+        brute_count_at(g, prop, k) for k in range(5)]
 
 
 SECOND_ROUTE = ("proper", "mcc:t=1", "mcc:t=2", "mcc:t=3", "du:H=K1",
@@ -899,8 +991,7 @@ def test_subset_counts_match_brute_force():
             brute = [brute_count_at(g, prop, k) for k in range(g.n + 1)]
             for hi in range(g.n + 2):
                 assert counting._subset_counts(
-                    counting._domain(g, prop), prop.row.class_pred,
-                    prop.hereditary, hi) == (
+                    counting._domain(g, prop), prop.row.class_pred, hi) == (
                     counting._from_palettes(brute.__getitem__, g.n, hi)), (
                     token, hi, g)
 
@@ -917,7 +1008,7 @@ def test_subset_route_memory_stays_narrow():
     g = edgeless_graph(16)
     tracemalloc.start()
     try:
-        counting._subset_counts(g, _pred_all, True, 16)
+        counting._subset_counts(g, _pred_all, 16)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -999,8 +1090,7 @@ def test_subset_route_charged_before_its_first_predicate_call():
     def counted(g, mask):
         calls.append(mask)
         return mask_connected(g.adj, mask)
-    prop = pair_property(PairProperty(counted, lambda g, mask: True,
-                                      "counted", "all"))
+    prop = pair_property(PairProperty(counted, _pred_all, "counted", "all"))
     g = random_graph(random.Random(89), 8, min_n=8)
     run = lambda: chi_polynomial(g, prop)
     cost = 2 ** 8 * 9

@@ -24,11 +24,17 @@ from chromapoly.properties import parse_property  # noqa: E402
 SOUNDNESS = settings(max_examples=150, deadline=None, derandomize=True,
                      database=None)
 
+# a row is hereditary when both of its predicates are, so a pair: token is
+# flagged as the named property it equals
 HEREDITARY = ("proper", "harmonious", "acyclic", "mcc:t=1", "mcc:t=2",
               "timp:t=0", "timp:t=1", "cocolor", "hfree:H=P3", "hfree:H=K2",
-              "injective", "trivial", "edge")
+              "injective", "trivial", "edge",
+              "pair:p1=edgeless,p2=forest", "pair:p1=edgeless,p2=all",
+              "pair:p1=all,p2=max1edge", "pair:p1=maxdeg1,p2=forest",
+              "pair:p1=compsize2,p2=cliqueoredgeless",
+              "pair:p1=hfreeP3,p2=all")
 UNFLAGGED = ("convex", "du:H=K2", "du:H=P3", "rainbow",
-             "pair:p1=edgeless,p2=forest", "pair:p1=edgeless,p2=all",
+             "pair:p1=connected,p2=forest", "pair:p1=edgeless,p2=duK2",
              "surjective-proper", "degree-determined")
 
 
@@ -127,7 +133,8 @@ def test_acyclic_placed_vertex_test_decides_the_prefix(case):
 
 @pytest.mark.parametrize("token", ("trivial", "harmonious", "timp:t=0",
                                    "timp:t=1", "cocolor", "hfree:H=P3",
-                                   "injective"))
+                                   "injective", "pair:p1=maxdeg1,p2=forest",
+                                   "pair:p1=compsize2,p2=cliqueoredgeless"))
 @SOUNDNESS
 @given(data=st.data())
 def test_row_placed_vertex_test_decides_the_prefix(token, data):
